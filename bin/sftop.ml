@@ -20,15 +20,6 @@ module Json = Sf_perf.Json
 (* socket client                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let n = Bytes.length bytes in
-  let rec go off =
-    if off < n then
-      match Unix.write fd bytes off (n - off) with 0 -> () | w -> go (off + w)
-  in
-  go 0
-
 let read_to_eof fd =
   let acc = Buffer.create 4096 in
   let chunk = Bytes.create 65536 in
@@ -42,12 +33,11 @@ let read_to_eof fd =
   go ()
 
 let scrape path command =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let fd = Sf_obs.Sock.connect_unix path in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      write_all fd (command ^ "\n");
+      Sf_obs.Frame.write_all fd (command ^ "\n");
       read_to_eof fd)
 
 (* ------------------------------------------------------------------ *)

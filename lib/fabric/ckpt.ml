@@ -69,19 +69,10 @@ let encode c =
   Varint.write buf (List.length c.c_counters);
   List.iter
     (fun (name, v) ->
-      Varint.write buf (String.length name);
-      Buffer.add_string buf name;
+      Varint.write_string buf name;
       Varint.write buf v)
     c.c_counters;
-  let crc = Crc32.string (Buffer.contents buf) in
-  Bytes.set_int32_le b4 0 crc;
-  Buffer.add_bytes buf b4;
-  Buffer.contents buf
-
-let read_string s ~limit ~pos =
-  let n, pos = Varint.read s ~pos in
-  if n < 0 || pos + n > limit then E.fail (E.Truncated "string");
-  (String.sub s pos n, pos + n)
+  Crc32.seal buf
 
 let decode s =
   let len = String.length s in
@@ -89,10 +80,7 @@ let decode s =
   if String.sub s 0 4 <> magic then E.fail E.Bad_magic;
   let v = Char.code s.[4] in
   if v <> version then E.fail (E.Unsupported_version v);
-  let stored = String.get_int32_le s (len - 4) in
-  let computed = Crc32.sub s ~pos:0 ~len:(len - 4) in
-  if stored <> computed then E.fail (E.Checksum_mismatch { stored; computed });
-  let payload_end = len - 4 in
+  let payload_end = Crc32.check_sealed s in
   let grid_crc = String.get_int32_le s 5 in
   let pos = 9 in
   let shard, pos = Varint.read s ~pos in
@@ -121,7 +109,7 @@ let decode s =
   let pos = ref pos in
   let counters =
     List.init n_counters (fun _ ->
-        let name, p = read_string s ~limit:payload_end ~pos:!pos in
+        let name, p = Varint.read_string s ~limit:payload_end ~pos:!pos in
         let v, p = Varint.read s ~pos:p in
         pos := p;
         (name, v))

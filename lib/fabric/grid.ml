@@ -139,27 +139,14 @@ let encode plan =
   Varint.write buf (List.length s.gs_sizes);
   List.iter (Varint.write buf) s.gs_sizes;
   Varint.write buf (List.length s.gs_strategies);
-  List.iter
-    (fun name ->
-      Varint.write buf (String.length name);
-      Buffer.add_string buf name)
-    s.gs_strategies;
+  List.iter (Varint.write_string buf) s.gs_strategies;
   Varint.write buf (Array.length plan.p_shards);
   Array.iter
     (fun (lo, hi) ->
       Varint.write buf lo;
       Varint.write buf hi)
     plan.p_shards;
-  let crc = Crc32.string (Buffer.contents buf) in
-  let b4 = Bytes.create 4 in
-  Bytes.set_int32_le b4 0 crc;
-  Buffer.add_bytes buf b4;
-  Buffer.contents buf
-
-let read_string s ~limit ~pos =
-  let n, pos = Varint.read s ~pos in
-  if n < 0 || pos + n > limit then E.fail (E.Truncated "string");
-  (String.sub s pos n, pos + n)
+  Crc32.seal buf
 
 let read_byte s ~limit ~pos ~what =
   if pos >= limit then E.fail (E.Truncated what);
@@ -171,13 +158,10 @@ let decode data =
   if String.sub data 0 4 <> magic then E.fail E.Bad_magic;
   let v = Char.code data.[4] in
   if v <> version then E.fail (E.Unsupported_version v);
-  let stored = String.get_int32_le data (len - 4) in
-  let computed = Crc32.sub data ~pos:0 ~len:(len - 4) in
-  if stored <> computed then E.fail (E.Checksum_mismatch { stored; computed });
-  let limit = len - 4 in
+  let limit = Crc32.check_sealed data in
   let pos = 5 in
   let seed, pos = Varint.read_signed data ~pos in
-  let model, pos = read_string data ~limit ~pos in
+  let model, pos = Varint.read_string data ~limit ~pos in
   let read_float pos =
     if pos + 8 > limit then E.fail (E.Truncated "float");
     (Int64.float_of_bits (String.get_int64_le data pos), pos + 8)
@@ -217,7 +201,7 @@ let decode data =
   pos := sp;
   let strategies =
     List.init n_strats (fun _ ->
-        let v, p = read_string data ~limit ~pos:!pos in
+        let v, p = Varint.read_string data ~limit ~pos:!pos in
         pos := p;
         v)
   in

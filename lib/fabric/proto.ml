@@ -3,21 +3,19 @@
    discipline as lib/serve/wire and lib/store/codec (varint bodies,
    strict decode, trailing CRC-32, canonical encoding), with its own
    kind space and a larger frame cap because Done bodies carry whole
-   experiment outputs.  lib/fabric deliberately does not depend on
-   lib/serve (which sits above lib/perf, which sits above this
-   library's clients), so the ~40 framing lines are restated here
-   rather than imported; the grammar is documented in doc/FABRIC.md. *)
+   experiment outputs.  Framing and the connection buffer are
+   Sf_obs.Frame; the grammar is documented in doc/FABRIC.md. *)
 
 module Varint = Sf_store.Varint
 module Crc32 = Sf_store.Crc32
 module E = Sf_store.Codec_error
+module Frame = Sf_obs.Frame
 
 let version = 1
 
 (* Done bodies can carry a full experiment table plus counter deltas;
    64 MiB leaves room without admitting garbage lengths. *)
 let max_payload_default = 1 lsl 26
-let frame_header_bytes = 4
 
 type msg =
   | Hello of int  (* worker pid *)
@@ -40,22 +38,11 @@ let kind_telemetry = 0x26
 (* Payload codec                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let write_string buf s =
-  Varint.write buf (String.length s);
-  Buffer.add_string buf s
-
 let start_payload kind =
   let buf = Buffer.create 64 in
   Buffer.add_char buf (Char.chr version);
   Buffer.add_char buf (Char.chr kind);
   buf
-
-let finish_payload buf =
-  let crc = Crc32.string (Buffer.contents buf) in
-  let tail = Bytes.create 4 in
-  Bytes.set_int32_le tail 0 crc;
-  Buffer.add_bytes buf tail;
-  Buffer.contents buf
 
 let encode msg =
   let buf =
@@ -67,47 +54,38 @@ let encode msg =
     | Assign { job; body } ->
       let buf = start_payload kind_assign in
       Varint.write buf job;
-      write_string buf body;
+      Varint.write_string buf body;
       buf
     | Done { job; body } ->
       let buf = start_payload kind_done in
       Varint.write buf job;
-      write_string buf body;
+      Varint.write_string buf body;
       buf
     | Progress { job; body } ->
       let buf = start_payload kind_progress in
       Varint.write buf job;
-      write_string buf body;
+      Varint.write_string buf body;
       buf
     | Telemetry { job; body } ->
       let buf = start_payload kind_telemetry in
       Varint.write buf job;
-      write_string buf body;
+      Varint.write_string buf body;
       buf
     | Quit ->
       let buf = start_payload kind_quit in
       Varint.write buf 0;
       buf
   in
-  finish_payload buf
+  Crc32.seal buf
 
 (* version (1) + kind (1) + at least one varint body byte + crc (4) *)
 let min_payload = 7
 
 let check_envelope s =
-  let len = String.length s in
-  if len < min_payload then E.fail (E.Truncated "payload");
+  if String.length s < min_payload then E.fail (E.Truncated "payload");
   let v = Char.code s.[0] in
   if v <> version then E.fail (E.Unsupported_version v);
-  let stored = String.get_int32_le s (len - 4) in
-  let computed = Crc32.sub s ~pos:0 ~len:(len - 4) in
-  if stored <> computed then E.fail (E.Checksum_mismatch { stored; computed });
-  (Char.code s.[1], len - 4)
-
-let read_string s ~payload_end ~pos =
-  let n, pos = Varint.read s ~pos in
-  if n < 0 || pos + n > payload_end then E.fail (E.Truncated "string");
-  (String.sub s pos n, pos + n)
+  (Char.code s.[1], Crc32.check_sealed s)
 
 let finish ~payload_end ~pos value =
   if pos <> payload_end then
@@ -125,7 +103,7 @@ let decode s =
     || kind = kind_telemetry
   then begin
     let job, pos = Varint.read s ~pos:2 in
-    let body, pos = read_string s ~payload_end ~pos in
+    let body, pos = Varint.read_string s ~limit:payload_end ~pos in
     finish ~payload_end ~pos
       (if kind = kind_assign then Assign { job; body }
        else if kind = kind_done then Done { job; body }
@@ -140,90 +118,48 @@ let decode s =
   else E.fail (E.Malformed (Printf.sprintf "unknown fabric kind %#x" kind))
 
 (* ------------------------------------------------------------------ *)
-(* Framing                                                             *)
+(* Framing and connections                                             *)
 (* ------------------------------------------------------------------ *)
 
-let frame payload =
-  let n = String.length payload in
-  let b = Buffer.create (n + frame_header_bytes) in
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_le hdr 0 (Int32.of_int n);
-  Buffer.add_bytes b hdr;
-  Buffer.add_string b payload;
-  Buffer.contents b
+let frame = Frame.encode
 
 let pop ?(max_payload = max_payload_default) s ~pos =
-  let avail = String.length s - pos in
-  if avail < frame_header_bytes then `Need_more
-  else
-    (* unsigned 32-bit read: a garbage length like 0xFFFFFFFF must
-       surface as oversized, not as a negative int *)
-    let len = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF in
-    if len < min_payload || len > max_payload then
-      `Bad (Printf.sprintf "frame length %d outside %d..%d" len min_payload max_payload)
-    else if avail - frame_header_bytes < len then `Need_more
-    else `Frame (String.sub s (pos + frame_header_bytes) len, pos + frame_header_bytes + len)
-
-(* ------------------------------------------------------------------ *)
-(* Connections                                                         *)
-(* ------------------------------------------------------------------ *)
+  Frame.pop ~min_payload ~max_payload s ~pos
 
 type conn = {
   c_fd : Unix.file_descr;
-  c_buf : Buffer.t;
-  mutable c_pos : int;
-  c_chunk : Bytes.t;
+  c_in : Frame.reader;
   mutable c_pending : msg list;  (* decoded but not yet consumed by recv_block *)
 }
 
 let conn fd =
-  { c_fd = fd; c_buf = Buffer.create 4096; c_pos = 0; c_chunk = Bytes.create 65536; c_pending = [] }
+  {
+    c_fd = fd;
+    c_in = Frame.reader ~min_payload ~max_payload:max_payload_default;
+    c_pending = [];
+  }
+
 let conn_fd c = c.c_fd
-
-let write_all fd s =
-  let len = String.length s in
-  let pos = ref 0 in
-  while !pos < len do
-    pos := !pos + Unix.write_substring fd s !pos (len - !pos)
-  done
-
-let send c msg = write_all c.c_fd (frame (encode msg))
+let send c msg = Frame.write_all c.c_fd (frame (encode msg))
 
 (* One read(2) plus every complete frame it finishes.  Distinguishing
    [`Eof] from [`Msgs []] is what lets the coordinator treat a closed
    connection as a worker death. *)
 let pump c =
-  match Unix.read c.c_fd c.c_chunk 0 (Bytes.length c.c_chunk) with
+  match Frame.read c.c_in c.c_fd with
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> `Eof
-  | 0 -> if Buffer.length c.c_buf > c.c_pos then `Bad "eof inside a frame" else `Eof
-  | n -> (
-    Buffer.add_subbytes c.c_buf c.c_chunk 0 n;
-    let data = Buffer.contents c.c_buf in
-    let msgs = ref [] in
-    let bad = ref None in
-    let continue = ref true in
-    while !continue do
-      match pop data ~pos:c.c_pos with
-      | `Frame (payload, next) -> (
-        c.c_pos <- next;
+  | 0 -> if Frame.buffered c.c_in > 0 then `Bad "eof inside a frame" else `Eof
+  | _ ->
+    let rec go acc =
+      match Frame.next c.c_in with
+      | `Need_more -> `Msgs (List.rev acc)
+      | `Bad msg -> `Bad msg
+      | `Frame payload -> (
         match decode payload with
-        | msg -> msgs := msg :: !msgs
-        | exception E.Error e ->
-          bad := Some (E.to_string e);
-          continue := false)
-      | `Need_more -> continue := false
-      | `Bad msg ->
-        bad := Some msg;
-        continue := false
-    done;
-    (* drop consumed bytes once the buffer has no partial frame *)
-    if c.c_pos = Buffer.length c.c_buf then begin
-      Buffer.clear c.c_buf;
-      c.c_pos <- 0
-    end;
-    match !bad with
-    | Some msg -> `Bad msg
-    | None -> `Msgs (List.rev !msgs))
+        | msg -> go (msg :: acc)
+        | exception E.Error e -> `Bad (E.to_string e))
+    in
+    go []
 
 let rec recv_block c =
   match c.c_pending with

@@ -37,21 +37,20 @@ val decode : string -> msg
     mismatch, CRC failure, or trailing bytes. *)
 
 val frame : string -> string
-(** Prefix a payload with its 4-byte little-endian length. *)
+(** {!Sf_obs.Frame.encode}. *)
 
 val pop :
   ?max_payload:int ->
   string ->
   pos:int ->
   [ `Frame of string * int | `Need_more | `Bad of string ]
-(** Incremental frame extraction, as in the serve wire format: [`Bad]
-    means the stream cannot be resynchronised and the connection must
-    be dropped. *)
+(** {!Sf_obs.Frame.pop} with this protocol's bounds; after [`Bad] the
+    connection must be dropped. *)
 
 (** {1 Connections}
 
-    A thin buffered reader/writer over a stream socket, used blocking
-    by workers and select-driven by the coordinator. *)
+    An {!Sf_obs.Frame} reader and writer over a stream socket, used
+    blocking by workers and select-driven by the coordinator. *)
 
 type conn
 

@@ -35,10 +35,6 @@ let assign_wants_trace body = body = assign_trace_token
 
 (* ---- encoding ------------------------------------------------------ *)
 
-let write_string buf s =
-  Varint.write buf (String.length s);
-  Buffer.add_string buf s
-
 let write_f64 buf v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 (Int64.bits_of_float v);
@@ -51,7 +47,7 @@ let tag_bool = 3
 let tag_ints = 4
 
 let write_arg buf (k, a) =
-  write_string buf k;
+  Varint.write_string buf k;
   match a with
   | Trace.Int i ->
     Buffer.add_char buf (Char.chr tag_int);
@@ -61,7 +57,7 @@ let write_arg buf (k, a) =
     write_f64 buf f
   | Trace.Str s ->
     Buffer.add_char buf (Char.chr tag_str);
-    write_string buf s
+    Varint.write_string buf s
   | Trace.Bool b ->
     Buffer.add_char buf (Char.chr tag_bool);
     Buffer.add_char buf (if b then '\001' else '\000')
@@ -76,7 +72,7 @@ let kind_instant = 2
 let kind_counter = 3
 
 let write_event buf (e : Trace.event) =
-  write_string buf e.name;
+  Varint.write_string buf e.name;
   (match e.kind with
   | Trace.Begin -> Buffer.add_char buf (Char.chr kind_begin)
   | Trace.End -> Buffer.add_char buf (Char.chr kind_end)
@@ -96,7 +92,7 @@ let encode b =
   List.iter
     (fun (name, v) ->
       if v < 0 then invalid_arg "Relay.encode: negative counter delta";
-      write_string buf name;
+      Varint.write_string buf name;
       Varint.write buf v)
     b.r_counters;
   Varint.write buf (List.length b.r_events);

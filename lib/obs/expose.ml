@@ -94,23 +94,6 @@ type listener = {
 let path l = l.l_path
 let scrapes l = l.l_scrapes
 
-(* A client that disconnects mid-response (sftop killed between
-   scrapes, a reader closing during a large [series] dump) surfaces
-   here as EPIPE/ECONNRESET — client-gone, not an error.  SIGPIPE is
-   ignored in [serve]; with the default disposition the signal would
-   terminate the monitored process before EPIPE could be raised. *)
-let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let n = Bytes.length bytes in
-  let rec go off =
-    if off < n then
-      match Unix.write fd bytes off (n - off) with
-      | 0 -> ()
-      | written -> go (off + written)
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
-  in
-  go 0
-
 let first_line s =
   match String.index_opt s '\n' with Some i -> Some (String.sub s 0 i) | None -> None
 
@@ -157,7 +140,14 @@ let handle_client l client =
           | "series" -> scrape (fun () -> Series.to_json l.l_series ^ "\n")
           | other -> Printf.sprintf "err unknown command %S\n" other
         in
-        write_all client body))
+        (* A client that disconnects mid-response (sftop killed
+           between scrapes, a reader closing during a large [series]
+           dump) surfaces here as EPIPE/ECONNRESET — client-gone, not
+           an error.  SIGPIPE is ignored in [serve]; with the default
+           disposition the signal would terminate the monitored
+           process before EPIPE could be raised. *)
+        try Frame.write_all client body
+        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()))
 
 let accept_loop l =
   while l.l_running do
@@ -169,15 +159,10 @@ let accept_loop l =
       | client, _ -> ( try handle_client l client with _ -> ()))
   done
 
-(* Claiming a unix-domain path safely is the same problem for every
-   long-lived listener in the repo; the discipline lives in Sock and
-   is re-exported here so existing callers keep their name. *)
-let claim_unix_path = Sock.claim_unix_path
-
 let serve ?(backlog = 8) ~series ~path () =
   (* Sock.bind_unix also ignores SIGPIPE process-wide: a departing
      client must never kill the run it monitors — writing a response
-     to a half-closed socket raises EPIPE (handled in [write_all]). *)
+     to a half-closed socket raises EPIPE (handled in [handle_client]). *)
   let fd = Sock.bind_unix ~backlog ~who:"Expose.serve" path in
   let l =
     { l_path = path; l_fd = fd; l_series = series; l_scrapes = 0; l_running = true; l_thread = None }

@@ -36,16 +36,6 @@ val render_json : scrapes:int -> unit -> string
 
 (** {1 The listener} *)
 
-val claim_unix_path : who:string -> string -> unit
-(** Alias of {!Sock.claim_unix_path}, kept so existing callers read
-    naturally: make a filesystem path safe to bind a fresh unix-domain
-    stream socket at — a stale socket left by a dead process is
-    unlinked and reclaimed; anything else is refused. Every long-lived
-    listener in the repo (this one, [lib/serve], [lib/fabric]) shares
-    the one implementation.
-    @raise Invalid_argument on an empty path, one at or beyond the
-    [sun_path] limit (104 chars), or an unreclaimable [path]. *)
-
 type listener
 
 val serve : ?backlog:int -> series:Series.t -> path:string -> unit -> listener

@@ -32,6 +32,14 @@ let claim_unix_path ~who path =
     (try Unix.unlink path with Unix.Unix_error _ -> ())
   | _ -> invalid_arg (Printf.sprintf "%s: %s exists and is not a socket" who path)
 
+let stream domain setup =
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (try setup fd
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  fd
+
 let bind_unix ?(backlog = 8) ~who path =
   (* Never let a departing client kill the process behind the socket:
      writing to a half-closed connection must raise EPIPE (every
@@ -39,19 +47,8 @@ let bind_unix ?(backlog = 8) ~who path =
      SIGPIPE. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   claim_unix_path ~who path;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.bind fd (Unix.ADDR_UNIX path);
-     Unix.listen fd backlog
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  fd
+  stream Unix.PF_UNIX (fun fd ->
+      Unix.bind fd (Unix.ADDR_UNIX path);
+      Unix.listen fd backlog)
 
-let connect_unix path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX path)
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  fd
+let connect_unix path = stream Unix.PF_UNIX (fun fd -> Unix.connect fd (Unix.ADDR_UNIX path))

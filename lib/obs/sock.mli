@@ -15,6 +15,10 @@ val claim_unix_path : who:string -> string -> unit
     @raise Invalid_argument on an empty path, one at or beyond the
     [sun_path] limit (104 chars), or an unreclaimable [path]. *)
 
+val stream : Unix.socket_domain -> (Unix.file_descr -> unit) -> Unix.file_descr
+(** A fresh stream socket after [setup] ran on it; if [setup] raises,
+    the socket is closed and the exception re-raised. *)
+
 val bind_unix : ?backlog:int -> who:string -> string -> Unix.file_descr
 (** {!claim_unix_path}, then socket + bind + listen (default backlog
     8), returning the listening descriptor. Also ignores SIGPIPE

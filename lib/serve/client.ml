@@ -5,73 +5,37 @@
    keep many requests in flight on one connection and match replies
    by id. *)
 
-type t = {
-  fd : Unix.file_descr;
-  mutable buf : string; (* received, not yet framed-out *)
-  mutable pos : int;
-}
+module Frame = Sf_obs.Frame
+
+(* [send] only writes the descriptor and [recv] alone owns the reader,
+   so one thread may send while another receives *)
+type t = { fd : Unix.file_descr; rd : Frame.reader }
 
 let connect ep =
   let fd =
     match ep with
-    | Wire.Unix_path _ -> Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0
-    | Wire.Tcp _ -> Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0
+    | Wire.Unix_path path -> Sf_obs.Sock.connect_unix path
+    | Wire.Tcp (host, port) ->
+      Sf_obs.Sock.stream Unix.PF_INET (fun fd ->
+          Unix.connect fd (Unix.ADDR_INET (Wire.inet_addr host, port));
+          Unix.setsockopt fd Unix.TCP_NODELAY true)
   in
-  (try
-     (match ep with
-     | Wire.Unix_path path -> Unix.connect fd (Unix.ADDR_UNIX path)
-     | Wire.Tcp (host, port) ->
-       let addr =
-         try Unix.inet_addr_of_string host
-         with Failure _ -> (
-           match Unix.gethostbyname host with
-           | { Unix.h_addr_list = [||]; _ } -> failwith ("no address for host " ^ host)
-           | h -> h.Unix.h_addr_list.(0))
-       in
-       Unix.connect fd (Unix.ADDR_INET (addr, port));
-       Unix.setsockopt fd Unix.TCP_NODELAY true)
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  { fd; buf = ""; pos = 0 }
+  { fd; rd = Frame.reader ~min_payload:Wire.min_payload ~max_payload:Wire.max_payload_default }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let set_receive_timeout t seconds =
   Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO seconds
 
-let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let n = Bytes.length bytes in
-  let rec go off = if off < n then go (off + Unix.write fd bytes off (n - off)) in
-  go 0
+let send t req = Frame.write_all t.fd (Wire.frame (Wire.encode_request req))
 
-let send t req = write_all t.fd (Wire.frame (Wire.encode_request req))
-
-let recv_payload t =
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match Wire.pop t.buf ~pos:t.pos with
-    | `Frame (payload, next) ->
-      t.pos <- next;
-      if t.pos = String.length t.buf then begin
-        t.buf <- "";
-        t.pos <- 0
-      end;
-      payload
-    | `Bad msg -> failwith ("malformed frame from server: " ^ msg)
-    | `Need_more -> (
-      match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-      | 0 -> raise End_of_file
-      | n ->
-        t.buf <-
-          (if t.pos = 0 then t.buf
-           else String.sub t.buf t.pos (String.length t.buf - t.pos))
-          ^ Bytes.sub_string chunk 0 n;
-        t.pos <- 0;
-        go ())
-  in
-  go ()
+(* a timed-out read raises out of here with the partial frame still
+   buffered, so the next call resumes it *)
+let rec recv_payload t =
+  match Frame.next t.rd with
+  | `Frame payload -> payload
+  | `Bad msg -> failwith ("malformed frame from server: " ^ msg)
+  | `Need_more -> if Frame.read t.rd t.fd = 0 then raise End_of_file else recv_payload t
 
 let recv t = Wire.decode_response (recv_payload t)
 

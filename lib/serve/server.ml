@@ -25,6 +25,7 @@ module Oracle = Sf_search.Oracle
 module Runner = Sf_search.Runner
 module Strategy = Sf_search.Strategy
 module E = Sf_store.Codec_error
+module Frame = Sf_obs.Frame
 
 let c_requests = Registry.counter "serve.requests"
 let c_replies = Registry.counter "serve.replies"
@@ -99,9 +100,8 @@ let config ?default_target ?default_budget ?(max_payload = Wire.max_payload_defa
 
 type conn = {
   c_fd : Unix.file_descr;
-  c_in : Buffer.t;
-  mutable c_out : string;
-  mutable c_out_off : int;
+  c_in : Frame.reader;
+  c_out : Frame.queue;
   mutable c_alive : bool;
   mutable c_close_after_flush : bool;
   (* search replies sitting in c_out, most recent first: enqueue time
@@ -130,31 +130,15 @@ type t = {
 let bind_endpoint ~backlog ep =
   let fd =
     match ep with
-    | Wire.Unix_path path ->
-      Sf_obs.Sock.claim_unix_path ~who:"Serve.listen" path;
-      Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0
-    | Wire.Tcp _ -> Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0
+    | Wire.Unix_path path -> Sf_obs.Sock.bind_unix ~backlog ~who:"Serve.listen" path
+    | Wire.Tcp (host, port) ->
+      Sf_obs.Sock.stream Unix.PF_INET (fun fd ->
+          Unix.setsockopt fd Unix.SO_REUSEADDR true;
+          let addr = if host = "*" then Unix.inet_addr_any else Wire.inet_addr host in
+          Unix.bind fd (Unix.ADDR_INET (addr, port));
+          Unix.listen fd backlog)
   in
-  (try
-     (match ep with
-     | Wire.Unix_path path -> Unix.bind fd (Unix.ADDR_UNIX path)
-     | Wire.Tcp (host, port) ->
-       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-       let addr =
-         if host = "*" then Unix.inet_addr_any
-         else
-           try Unix.inet_addr_of_string host
-           with Failure _ -> (
-             match Unix.gethostbyname host with
-             | { Unix.h_addr_list = [||]; _ } -> failwith ("no address for host " ^ host)
-             | h -> h.Unix.h_addr_list.(0))
-       in
-       Unix.bind fd (Unix.ADDR_INET (addr, port)));
-     Unix.listen fd backlog;
-     Unix.set_nonblock fd
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
+  Unix.set_nonblock fd;
   (fd, ep)
 
 let strategy_table () =
@@ -203,12 +187,7 @@ let close_conn c =
   end
 
 let enqueue c resp =
-  let bytes = Wire.frame (Wire.encode_response resp) in
-  c.c_out <-
-    (if c.c_out_off = 0 then c.c_out
-     else String.sub c.c_out c.c_out_off (String.length c.c_out - c.c_out_off))
-    ^ bytes;
-  c.c_out_off <- 0;
+  Frame.push c.c_out (Wire.encode_response resp);
   Counter.incr c_replies
 
 (* the reply-write stage closes when the connection's buffer fully
@@ -231,17 +210,14 @@ let settle_replies c =
         end)
       (List.rev pending)
 
+let pending_out c = c.c_alive && Frame.pending c.c_out > 0
+
 let flush_conn c =
-  if c.c_alive && String.length c.c_out > c.c_out_off then begin
-    match
-      Unix.write_substring c.c_fd c.c_out c.c_out_off (String.length c.c_out - c.c_out_off)
-    with
+  if pending_out c then begin
+    match Frame.flush c.c_out c.c_fd with
     | n ->
       Counter.add c_bytes_out n;
-      c.c_out_off <- c.c_out_off + n;
-      if c.c_out_off = String.length c.c_out then begin
-        c.c_out <- "";
-        c.c_out_off <- 0;
+      if Frame.pending c.c_out = 0 then begin
         settle_replies c;
         if c.c_close_after_flush then close_conn c
       end
@@ -249,17 +225,12 @@ let flush_conn c =
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> close_conn c
   end
 
-let pending_out c = c.c_alive && String.length c.c_out > c.c_out_off
-
 (* EOF or a connection reset mid-frame is the client's prerogative —
    drop the connection, keep serving everyone else *)
 let read_conn c =
-  let chunk = Bytes.create 65536 in
-  match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
+  match Frame.read c.c_in c.c_fd with
   | 0 -> close_conn c
-  | n ->
-    Buffer.add_subbytes c.c_in chunk 0 n;
-    Counter.add c_bytes_in n
+  | n -> Counter.add c_bytes_in n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> close_conn c
 
@@ -357,13 +328,11 @@ let handle_search t (s : Wire.search) : Wire.response =
    Searches are collected for the batch; everything else is answered
    inline. *)
 let parse_conn t c acc =
-  let data = Buffer.contents c.c_in in
-  let len = String.length data in
-  let rec go pos acc =
-    if not c.c_alive then (pos, acc)
+  let rec go acc =
+    if not c.c_alive then acc
     else
-      match Wire.pop ~max_payload:t.cfg.max_payload data ~pos with
-      | `Need_more -> (pos, acc)
+      match Frame.next c.c_in with
+      | `Need_more -> acc
       | `Bad msg ->
         (* the length prefix itself is garbage: no resynchronisation is
            possible, so answer once and drop the connection *)
@@ -371,8 +340,9 @@ let parse_conn t c acc =
         Counter.incr c_errors;
         enqueue c (Wire.Error { err_id = 0; code = Wire.Bad_frame; message = msg });
         c.c_close_after_flush <- true;
-        (len, acc)
-      | `Frame (payload, next) -> (
+        Frame.clear c.c_in;
+        acc
+      | `Frame payload -> (
         match Wire.decode_request payload with
         | exception E.Error e ->
           (* framing is intact, the payload is mutilated: report and
@@ -381,26 +351,20 @@ let parse_conn t c acc =
           Counter.incr c_errors;
           enqueue c
             (Wire.Error { err_id = 0; code = Wire.Bad_frame; message = E.to_string e });
-          go next acc
-        | Wire.Search s -> go next ((c, s, Timer.now_s ()) :: acc)
+          go acc
+        | Wire.Search s -> go ((c, s, Timer.now_s ()) :: acc)
         | Wire.Ping id ->
           enqueue c (Wire.Pong id);
-          go next acc
+          go acc
         | Wire.Stats id ->
           enqueue c (stats_reply t id);
-          go next acc
+          go acc
         | Wire.Shutdown id ->
           enqueue c (Wire.Shutdown_ack id);
           t.draining <- true;
-          go next acc)
+          go acc)
   in
-  let consumed, acc = go 0 acc in
-  if consumed > 0 then begin
-    let rest = String.sub data consumed (len - consumed) in
-    Buffer.clear c.c_in;
-    Buffer.add_string c.c_in rest
-  end;
-  acc
+  go acc
 
 (* The batch: every search currently in flight, across all
    connections, dealt to the domain pool. Pool.mapi brackets each task
@@ -465,9 +429,8 @@ let accept_ready t lfd =
       t.conns <-
         {
           c_fd = fd;
-          c_in = Buffer.create 4096;
-          c_out = "";
-          c_out_off = 0;
+          c_in = Frame.reader ~min_payload:Wire.min_payload ~max_payload:t.cfg.max_payload;
+          c_out = Frame.queue ();
           c_alive = true;
           c_close_after_flush = false;
           c_pending_replies = [];

@@ -11,7 +11,7 @@ module E = Sf_store.Codec_error
 
 let version = 1
 let max_payload_default = 1 lsl 20
-let frame_header_bytes = 4
+let frame_header_bytes = Sf_obs.Frame.header_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Endpoints                                                           *)
@@ -47,6 +47,13 @@ let endpoint_of_string s =
         Ok (Tcp ((if host = "" then "127.0.0.1" else host), p))
       | Some _ | None -> Error (Printf.sprintf "bad tcp port %S" port))
   else Ok (Unix_path s) (* a bare path is a unix socket, as in --telemetry *)
+
+let inet_addr host =
+  try Unix.inet_addr_of_string host
+  with Failure _ -> (
+    match Unix.gethostbyname host with
+    | { Unix.h_addr_list = [||]; _ } -> failwith ("no address for host " ^ host)
+    | h -> h.Unix.h_addr_list.(0))
 
 (* ------------------------------------------------------------------ *)
 (* Messages                                                            *)
@@ -155,17 +162,6 @@ let rflag_gave_up = 0x04
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let write_string buf s =
-  Varint.write buf (String.length s);
-  Buffer.add_string buf s
-
-let finish_payload buf =
-  let crc = Crc32.string (Buffer.contents buf) in
-  let tail = Bytes.create 4 in
-  Bytes.set_int32_le tail 0 crc;
-  Buffer.add_bytes buf tail;
-  Buffer.contents buf
-
 let start_payload kind =
   let buf = Buffer.create 64 in
   Buffer.add_char buf (Char.chr version);
@@ -178,7 +174,7 @@ let encode_request req =
     | Search s ->
       let buf = start_payload kind_search in
       Varint.write buf s.id;
-      write_string buf s.strategy;
+      Varint.write_string buf s.strategy;
       let flags =
         (if s.source <> None then flag_source else 0)
         lor (if s.target <> None then flag_target else 0)
@@ -209,7 +205,7 @@ let encode_request req =
       Varint.write buf id;
       buf
   in
-  finish_payload buf
+  Crc32.seal buf
 
 let encode_response resp =
   let buf =
@@ -254,10 +250,10 @@ let encode_response resp =
       let buf = start_payload kind_error in
       Varint.write buf err_id;
       Varint.write buf (error_code_to_int code);
-      write_string buf message;
+      Varint.write_string buf message;
       buf
   in
-  finish_payload buf
+  Crc32.seal buf
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -267,19 +263,10 @@ let encode_response resp =
 let min_payload = 7
 
 let check_envelope s =
-  let len = String.length s in
-  if len < min_payload then E.fail (E.Truncated "payload");
+  if String.length s < min_payload then E.fail (E.Truncated "payload");
   let v = Char.code s.[0] in
   if v <> version then E.fail (E.Unsupported_version v);
-  let stored = String.get_int32_le s (len - 4) in
-  let computed = Crc32.sub s ~pos:0 ~len:(len - 4) in
-  if stored <> computed then E.fail (E.Checksum_mismatch { stored; computed });
-  (Char.code s.[1], len - 4)
-
-let read_string s ~payload_end ~pos =
-  let n, pos = Varint.read s ~pos in
-  if n < 0 || pos + n > payload_end then E.fail (E.Truncated "string");
-  (String.sub s pos n, pos + n)
+  (Char.code s.[1], Crc32.check_sealed s)
 
 let read_byte s ~payload_end ~pos =
   if pos >= payload_end then E.fail (E.Truncated "flags");
@@ -297,7 +284,7 @@ let decode_request s =
   let kind, payload_end = check_envelope s in
   if kind = kind_search then begin
     let id, pos = Varint.read s ~pos:2 in
-    let strategy, pos = read_string s ~payload_end ~pos in
+    let strategy, pos = Varint.read_string s ~limit:payload_end ~pos in
     let flags, pos = read_byte s ~payload_end ~pos in
     if
       flags
@@ -404,7 +391,7 @@ let decode_response s =
   else if kind = kind_error then begin
     let id, pos = Varint.read s ~pos:2 in
     let code, pos = Varint.read s ~pos in
-    let message, pos = read_string s ~payload_end ~pos in
+    let message, pos = Varint.read_string s ~limit:payload_end ~pos in
     match error_code_of_int code with
     | None -> E.fail (E.Malformed (Printf.sprintf "unknown error code %d" code))
     | Some code -> finish ~payload_end ~pos (Error { err_id = id; code; message })
@@ -415,24 +402,7 @@ let decode_response s =
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let frame payload =
-  let n = String.length payload in
-  let b = Buffer.create (n + frame_header_bytes) in
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_le hdr 0 (Int32.of_int n);
-  Buffer.add_bytes b hdr;
-  Buffer.add_string b payload;
-  Buffer.contents b
+let frame = Sf_obs.Frame.encode
 
 let pop ?(max_payload = max_payload_default) s ~pos =
-  let avail = String.length s - pos in
-  if avail < frame_header_bytes then `Need_more
-  else
-    (* unsigned 32-bit read: a garbage length like 0xFFFFFFFF must
-       surface as oversized, not as a negative int *)
-    let len = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF in
-    if len < min_payload || len > max_payload then
-      `Bad
-        (Printf.sprintf "frame length %d outside %d..%d" len min_payload max_payload)
-    else if avail - frame_header_bytes < len then `Need_more
-    else `Frame (String.sub s (pos + frame_header_bytes) len, pos + frame_header_bytes + len)
+  Sf_obs.Frame.pop ~min_payload ~max_payload s ~pos

@@ -25,6 +25,10 @@ val max_payload_default : int
 val frame_header_bytes : int
 (** [4]. *)
 
+val min_payload : int
+(** [7] — version, kind, one body byte and the CRC: the shortest
+    payload a frame may declare. *)
+
 (** {1 Endpoints}
 
     One syntax shared by every flag that names a serving socket
@@ -37,6 +41,10 @@ val endpoint_of_string : string -> (endpoint, string) result
 val endpoint_to_string : endpoint -> string
 (** Round-trips through {!endpoint_of_string}; bare paths render as
     [unix:PATH]. *)
+
+val inet_addr : string -> Unix.inet_addr
+(** A TCP endpoint's host: a numeric address, else the first one the
+    resolver returns. @raise Failure when it has none. *)
 
 (** {1 Messages} *)
 
@@ -112,16 +120,13 @@ val decode_response : string -> response
 (** {1 Framing} *)
 
 val frame : string -> string
-(** Prefix a payload with its 4-byte little-endian length. *)
+(** {!Sf_obs.Frame.encode}. *)
 
 val pop :
   ?max_payload:int ->
   string ->
   pos:int ->
   [ `Frame of string * int | `Need_more | `Bad of string ]
-(** Incremental frame extraction from a receive buffer: [`Frame
-    (payload, next_pos)] when a whole frame is available at [pos],
-    [`Need_more] when bytes are missing, [`Bad msg] when the declared
-    length is below the minimum payload size or above [max_payload] —
-    the stream cannot be resynchronised after that, so the connection
-    must be dropped. *)
+(** {!Sf_obs.Frame.pop} between {!min_payload} and [max_payload]
+    (default {!max_payload_default}); after [`Bad] the connection must
+    be dropped. *)

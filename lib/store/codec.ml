@@ -60,11 +60,7 @@ let encode g =
         prev := id)
       ids
   end;
-  let crc = Crc32.string (Buffer.contents buf) in
-  let tail = Bytes.create 4 in
-  Bytes.set_int32_le tail 0 crc;
-  Buffer.add_bytes buf tail;
-  Buffer.contents buf
+  Crc32.seal buf
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -79,13 +75,10 @@ let decode s =
   if len < 10 then E.fail (E.Truncated "header");
   let v = Char.code s.[4] in
   if v <> version then E.fail (E.Unsupported_version v);
-  let stored = String.get_int32_le s (len - 4) in
-  let computed = Crc32.sub s ~pos:0 ~len:(len - 4) in
-  if stored <> computed then E.fail (E.Checksum_mismatch { stored; computed });
+  let payload_end = Crc32.check_sealed s in
   let flags = Char.code s.[5] in
   if flags land lnot flag_permutation <> 0 then
     E.fail (E.Malformed (Printf.sprintf "unknown flag bits %#x" flags));
-  let payload_end = len - 4 in
   (* varint reads are bounds-checked against the whole string; a read
      that strays into the checksum tail is caught by the final
      position check below *)

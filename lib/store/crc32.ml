@@ -24,3 +24,16 @@ let sub ?(init = 0l) s ~pos ~len =
   Int32.lognot !crc
 
 let string ?init s = sub ?init s ~pos:0 ~len:(String.length s)
+
+let seal buf =
+  let tail = Bytes.create 4 in
+  Bytes.set_int32_le tail 0 (string (Buffer.contents buf));
+  Buffer.add_bytes buf tail;
+  Buffer.contents buf
+
+let check_sealed s =
+  let len = String.length s - 4 in
+  let stored = String.get_int32_le s len in
+  let computed = sub s ~pos:0 ~len in
+  if stored <> computed then Codec_error.fail (Codec_error.Checksum_mismatch { stored; computed });
+  len

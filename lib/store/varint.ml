@@ -31,3 +31,12 @@ let read s ~pos =
 let read_signed s ~pos =
   let v, next = read s ~pos in
   ((v lsr 1) lxor (-(v land 1)), next)
+
+let write_string buf s =
+  write buf (String.length s);
+  Buffer.add_string buf s
+
+let read_string s ~limit ~pos =
+  let n, pos = read s ~pos in
+  if n > limit - pos then Codec_error.fail (Codec_error.Truncated "string");
+  (String.sub s pos n, pos + n)

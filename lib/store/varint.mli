@@ -25,3 +25,10 @@ val read : string -> pos:int -> int * int
 
 val read_signed : string -> pos:int -> int * int
 (** [read] followed by the inverse zigzag map. *)
+
+val write_string : Buffer.t -> string -> unit
+(** Append the length, then the bytes. *)
+
+val read_string : string -> limit:int -> pos:int -> string * int
+(** Read a {!write_string} image that must end by [limit].
+    @raise Codec_error.Error on truncation. *)

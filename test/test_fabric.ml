@@ -160,7 +160,27 @@ let test_proto_roundtrip () =
     | `Need_more -> ()
     | `Frame _ -> Alcotest.failf "prefix %d popped a frame" cut
     | `Bad _ -> Alcotest.failf "prefix %d unrecoverable" cut
-  done
+  done;
+  (* every message back to back through the shared receive buffer in
+     1-byte reads: each surfaces exactly when its last byte lands *)
+  let frames = List.map (fun m -> Proto.frame (Proto.encode m)) all_msgs in
+  let expected =
+    List.rev
+      (snd
+         (List.fold_left2
+            (fun (at, acc) m f ->
+              let at = at + String.length f in
+              (at, (at, m) :: acc))
+            (0, []) all_msgs frames))
+  in
+  let got =
+    Drip.frames ~min_payload:7 ~max_payload:Proto.max_payload_default
+      (String.concat "" frames)
+    |> List.map (function
+         | at, `Frame p -> (at, Proto.decode p)
+         | _, `Bad m -> Alcotest.failf "1-byte reads: bad stream: %s" m)
+  in
+  Alcotest.(check bool) "1-byte reads: each message on its last byte" true (got = expected)
 
 let test_proto_rejects () =
   let e = Proto.encode (Proto.Done { job = 5; body = "hello" }) in
@@ -221,6 +241,40 @@ let test_proto_pump () =
       match Proto.pump ca with
       | `Eof -> ()
       | `Msgs _ | `Bad _ -> Alcotest.fail "closed peer was not Eof")
+
+(* One Done frame of [size] body bytes through recv_block over a
+   socketpair, written by a second thread; seconds to reassemble. *)
+let time_recv_block size =
+  let body = String.make size 'd' in
+  let framed = Proto.frame (Proto.encode (Proto.Done { job = 1; body })) in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      let writer = Thread.create (fun () -> Sf_obs.Frame.write_all a framed) () in
+      let t0 = Unix.gettimeofday () in
+      let got = Proto.recv_block (Proto.conn b) in
+      let dt = Unix.gettimeofday () -. t0 in
+      Thread.join writer;
+      Alcotest.(check bool) "big frame intact" true (got = Some (Proto.Done { job = 1; body }));
+      dt)
+
+let test_proto_linear_reassembly () =
+  (* linear reassembly makes 4x the bytes cost about 4x the time; a
+     buffer re-copied on every 64 KiB read makes it about 14x *)
+  let t8 = ref infinity and t32 = ref infinity in
+  (* interleaved, so a slow spell of the host hits both sizes *)
+  for _ = 1 to 3 do
+    t8 := min !t8 (time_recv_block (8 lsl 20));
+    t32 := min !t32 (time_recv_block (32 lsl 20))
+  done;
+  let t8 = !t8 and t32 = !t32 in
+  Gc.compact ();
+  Printf.printf "recv_block: 8 MiB %.3f s, 32 MiB %.3f s, ratio %.2f\n" t8 t32 (t32 /. t8);
+  if t32 /. t8 >= 8. then
+    Alcotest.failf "32 MiB took %.3f s, 8 MiB %.3f s: ratio %.1f, want < 8" t32 t8 (t32 /. t8)
 
 (* ---- checkpoint codec ------------------------------------------------- *)
 
@@ -815,6 +869,7 @@ let suite =
     ("proto: round trips", `Quick, test_proto_roundtrip);
     ("proto: rejects mutilated input", `Quick, test_proto_rejects);
     ("proto: pump and recv over sockets", `Quick, test_proto_pump);
+    ("proto: reassembly linear in frame size", `Slow, test_proto_linear_reassembly);
     ("ckpt: round trips", `Quick, test_ckpt_roundtrip);
     ("ckpt: rejects mutilated input", `Quick, test_ckpt_rejects);
     ("ckpt: counter bookkeeping", `Quick, test_counter_helpers);

@@ -176,7 +176,7 @@ let test_shard_stress_trace_sink () =
   (* the Perfetto export of a concurrently-emitted stream stays valid *)
   let doc = Trace_export.perfetto_json events in
   match Test_trace.parse_json doc with
-  | Test_trace.J_obj fields ->
+  | Sf_perf.Json.Obj fields ->
     Alcotest.(check bool) "perfetto doc has traceEvents" true
       (List.mem_assoc "traceEvents" fields)
   | _ -> Alcotest.fail "perfetto export is not a JSON object"

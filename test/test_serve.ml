@@ -280,9 +280,25 @@ let test_frame_pop () =
   (match Wire.pop (header_of 2_000_000) ~pos:0 with
   | `Bad _ -> ()
   | _ -> Alcotest.fail "accepted an oversized frame");
-  match Wire.pop ~max_payload:4_000_000 (header_of 2_000_000) ~pos:0 with
+  (match Wire.pop ~max_payload:4_000_000 (header_of 2_000_000) ~pos:0 with
   | `Need_more -> ()
-  | _ -> Alcotest.fail "max_payload override ignored"
+  | _ -> Alcotest.fail "max_payload override ignored");
+  (* the same streams through the shared receive buffer in 1-byte
+     reads: a frame surfaces exactly when its last byte lands, a bad
+     length as soon as its header is complete *)
+  let drip ?(max_payload = Wire.max_payload_default) s =
+    Drip.frames ~min_payload:Wire.min_payload ~max_payload s
+  in
+  let bad_at_header = function [ (4, `Bad _) ] -> true | _ -> false in
+  Alcotest.(check bool) "1-byte reads: each frame on its last byte" true
+    (drip buf
+    = [ (String.length (Wire.frame p1), `Frame p1); (String.length buf, `Frame p2) ]);
+  Alcotest.(check bool) "1-byte reads: below-minimum length" true
+    (bad_at_header (drip (header_of 3 ^ "xxx")));
+  Alcotest.(check bool) "1-byte reads: oversized length" true
+    (bad_at_header (drip (header_of 2_000_000)));
+  Alcotest.(check bool) "1-byte reads: max_payload override" true
+    (drip ~max_payload:4_000_000 (header_of 2_000_000) = [])
 
 (* ---------------------------------------------------------------- *)
 (* the daemon, end to end                                            *)
@@ -474,6 +490,34 @@ let test_oversized_frame_drops_connection_only () =
           | Wire.Pong 5 -> ()
           | _ -> Alcotest.fail "server should survive an oversized frame"))
 
+(* A receive timeout mid-frame loses nothing: the next recv resumes
+   the partial frame (sfload and the end-to-end benchmark poll with
+   short timeouts). *)
+let test_client_timeout_resumes_frame () =
+  let path = temp_sock () in
+  let lfd = Sf_obs.Sock.bind_unix ~who:"test" path in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close lfd;
+      Sys.remove path)
+    (fun () ->
+      with_client path (fun c ->
+          let srv, _ = Unix.accept lfd in
+          Fun.protect
+            ~finally:(fun () -> Unix.close srv)
+            (fun () ->
+              Client.set_receive_timeout c 0.05;
+              let whole = Wire.frame (Wire.encode_response (Wire.Pong 6)) in
+              let cut = String.length whole / 2 in
+              raw_write srv (String.sub whole 0 cut);
+              (match Client.recv c with
+              | _ -> Alcotest.fail "a half frame was decoded"
+              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+              raw_write srv (String.sub whole cut (String.length whole - cut));
+              match Client.recv c with
+              | Wire.Pong 6 -> ()
+              | _ -> Alcotest.fail "expected Pong 6 after the timeout")))
+
 let test_socket_claim_lifecycle () =
   (* stale socket: a bound-then-abandoned path is reclaimed *)
   let path = temp_sock () in
@@ -534,6 +578,12 @@ let load_cfg path ~connections ~seed =
     ~mix:[ ("high-degree", 2.); ("rand-walk", 1.) ]
     ~budget:150 ~timeout:30. ~seed ~requests:48 (Wire.Unix_path path)
 
+(* CRC-32 reply digest of [load_cfg ~connections:2 ~seed:9] against
+   the shared 600-vertex graph at server seed 5.  If a legitimate
+   change moves search outcomes (rng stream, strategy semantics),
+   update it together with the golden-output fixtures. *)
+let pinned_reply_crc = 0xef55f335l
+
 let test_load_determinism () =
   let summary1, digest1 =
     with_server ~jobs:1 (fun path _ ->
@@ -551,6 +601,9 @@ let test_load_determinism () =
   Alcotest.(check string)
     "summary byte-identical across jobs and connection counts" summary1 summary2;
   Alcotest.(check bool) "reply digests agree" true (digest1 = digest2);
+  (* the cross-PR golden: the same reply bytes as every earlier
+     transport, not merely the same across --jobs *)
+  Alcotest.(check int32) "reply digest pinned" pinned_reply_crc digest1;
   (* A different seed is a different plan — and the digest must see it.
      Regression: a CRC over whole payloads (self-checksummed blocks)
      collapses to a content-independent constant per reply, making the
@@ -748,6 +801,7 @@ let suite =
     ("robustness: mid-frame disconnect", `Quick, test_mid_frame_disconnect);
     ("robustness: garbage payload", `Quick, test_garbage_payload_keeps_connection);
     ("robustness: oversized frame", `Quick, test_oversized_frame_drops_connection_only);
+    ("robustness: client timeout resumes a frame", `Quick, test_client_timeout_resumes_frame);
     ("robustness: socket claim lifecycle", `Quick, test_socket_claim_lifecycle);
     ("robustness: shutdown request", `Quick, test_shutdown_request);
     ("load: determinism", `Slow, test_load_determinism);

@@ -26,170 +26,18 @@ let with_sink sink body =
 let collector acc =
   { Trace.descr = "test-collector"; emit = (fun e -> acc := e :: !acc); close = ignore }
 
-(* --- a minimal JSON reader ---------------------------------------------
+(* --- JSON checks ---------------------------------------------------------
 
-   Enough of RFC 8259 to validate what the exporters emit (objects,
-   arrays, strings with escapes, numbers, booleans, null). Failing to
-   parse raises, which fails the test — exactly the check we want:
-   "external tools can read this file". *)
+   The exporters' output must parse as JSON: "external tools can read
+   this file". A parse error fails the test. *)
 
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of json list
-  | J_obj of (string * json) list
+module Json = Sf_perf.Json
 
-exception Bad_json of string
+let parse_json s =
+  match Json.parse s with Ok v -> v | Error msg -> Alcotest.failf "invalid JSON: %s" msg
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-        | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-          in
-          (* raw code point is fine for validation purposes *)
-          Buffer.add_char buf (Char.chr (code land 0x7f));
-          pos := !pos + 4;
-          go ()
-        | _ -> fail "bad escape")
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let number_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when number_char c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        J_obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((key, v) :: acc)
-          | _ -> fail "expected ',' or '}'"
-        in
-        J_obj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        J_arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "expected ',' or ']'"
-        in
-        J_arr (elements [])
-      end
-    | Some '"' -> J_str (parse_string ())
-    | Some 't' -> literal "true" (J_bool true)
-    | Some 'f' -> literal "false" (J_bool false)
-    | Some 'n' -> literal "null" J_null
-    | Some _ -> J_num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let obj_field name = function
-  | J_obj fields -> List.assoc_opt name fields
-  | _ -> None
-
-let str_field name j =
-  match obj_field name j with Some (J_str s) -> Some s | _ -> None
+let obj_field = Json.member
+let str_field name j = Option.bind (Json.member name j) Json.as_str
 
 (* --- the stream --------------------------------------------------------- *)
 
@@ -331,7 +179,7 @@ let test_perfetto_export_is_valid_json () =
   | Some u -> Alcotest.(check string) "display unit" "ms" u
   | None -> Alcotest.fail "missing displayTimeUnit");
   match obj_field "traceEvents" j with
-  | Some (J_arr events) ->
+  | Some (Json.Arr events) ->
     Alcotest.(check bool) "non-empty traceEvents" true (events <> []);
     let phs =
       List.filter_map (fun e -> str_field "ph" e) events |> List.sort_uniq compare
@@ -343,16 +191,16 @@ let test_perfetto_export_is_valid_json () =
         match str_field "ph" e with
         | Some "X" ->
           (match obj_field "dur" e with
-          | Some (J_num d) ->
+          | Some (Json.Num d) ->
             Alcotest.(check bool) "slice durations non-negative" true (d >= 0.)
           | _ -> Alcotest.fail "X record without dur");
           (match obj_field "ts" e with
-          | Some (J_num ts) ->
+          | Some (Json.Num ts) ->
             Alcotest.(check bool) "timestamps relative, non-negative" true (ts >= 0.)
           | _ -> Alcotest.fail "X record without ts")
         | Some "C" ->
           (match obj_field "args" e with
-          | Some (J_obj _) -> ()
+          | Some (Json.Obj _) -> ()
           | _ -> Alcotest.fail "counter without args")
         | _ -> ())
       events;
@@ -373,7 +221,7 @@ let test_jsonl_lines_parse () =
     (fun e ->
       let line = Trace_export.event_jsonl e in
       match parse_json line with
-      | J_obj fields ->
+      | Json.Obj fields ->
         Alcotest.(check bool) "has seq/ts/ph/name" true
           (List.mem_assoc "seq" fields && List.mem_assoc "ts" fields
           && List.mem_assoc "ph" fields && List.mem_assoc "name" fields)
@@ -410,7 +258,7 @@ let test_file_sink_selection () =
       Alcotest.(check int) "jsonl: one line per event" 2 (List.length lines);
       List.iter (fun l -> ignore (parse_json l)) lines;
       match obj_field "traceEvents" (parse_json (read json)) with
-      | Some (J_arr evs) ->
+      | Some (Json.Arr evs) ->
         (* one record per event, plus the process_name metadata record *)
         Alcotest.(check int) "perfetto: one record per event" 3 (List.length evs)
       | _ -> Alcotest.fail "perfetto file missing traceEvents")
@@ -587,15 +435,15 @@ let test_multiproc_export_tracks () =
       [ ("coordinator", coord); ("worker-1", w1); ("worker-2", w2) ]
   in
   match obj_field "traceEvents" (parse_json doc) with
-  | Some (J_arr events) ->
+  | Some (Json.Arr events) ->
     (* each track is announced exactly once, pids in first-seen order *)
     let tracks =
       List.filter_map
         (fun e ->
           match (str_field "ph" e, obj_field "pid" e, obj_field "args" e) with
-          | Some "M", Some (J_num pid), Some (J_obj args) -> (
+          | Some "M", Some (Json.Num pid), Some (Json.Obj args) -> (
             match List.assoc_opt "name" args with
-            | Some (J_str name) -> Some (int_of_float pid, name)
+            | Some (Json.Str name) -> Some (int_of_float pid, name)
             | _ -> None)
           | _ -> None)
         events
@@ -610,7 +458,7 @@ let test_multiproc_export_tracks () =
       List.filter_map
         (fun e ->
           match (str_field "ph" e, str_field "name" e, obj_field "pid" e) with
-          | Some "X", Some name, Some (J_num pid) -> Some (int_of_float pid, name)
+          | Some "X", Some name, Some (Json.Num pid) -> Some (int_of_float pid, name)
           | _ -> None)
         events
       |> List.sort compare
@@ -623,7 +471,7 @@ let test_multiproc_export_tracks () =
       List.filter_map
         (fun e ->
           match (str_field "ph" e, obj_field "pid" e) with
-          | Some "i", Some (J_num pid) -> Some (int_of_float pid)
+          | Some "i", Some (Json.Num pid) -> Some (int_of_float pid)
           | _ -> None)
         events
     in
