@@ -107,6 +107,7 @@ let run model n p m alpha exponent strategy_name source target trials budget see
             let outcome, trace =
               Sf_search.Runner.run_traced ?budget ~rng:trial_rng strategy oracle
             in
+            Sf_search.Oracle.release oracle;
             let oc = open_out path in
             output_string oc (Sf_search.Runner.trace_to_csv trace);
             close_out oc;

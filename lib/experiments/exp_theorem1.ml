@@ -281,6 +281,7 @@ let t14_simulation_factor ~quick ~seed =
           if Sf_search.Oracle.is_explored oracle v then
             sim_cost := !sim_cost + Sf_search.Oracle.degree oracle v
         done;
+        Sf_search.Oracle.release oracle;
         let max_deg = Sf_graph.Ugraph.max_degree g in
         if !sim_cost > (max_deg + 1) * max 1 strong_cost then within := false;
         if strong_cost > 0 then

@@ -20,33 +20,111 @@ type vertex = int
 type handle = int
 type model = Weak | Strong
 
-(* Per-vertex flags live in Bytes, not [bool array]: one byte per
-   vertex instead of one word, which is what keeps a single oracle on
-   a 10M-vertex CSR graph to tens of MB of search state
-   (doc/SCALING.md). *)
+(* The search state of a query lives in an arena that its domain
+   reuses from one query to the next, so [start] costs O(deg target),
+   not O(n) (doc/SCALING.md).
+
+   [slot] is the only per-vertex array: one word per vertex. Each query
+   owns the stamps [base, base + stride); a stamp below [base] is left
+   over from an earlier query and means "nothing known". [base + 1]
+   marks the target's closed neighbourhood until discovery, and
+   [base + 2 + i] the vertex discovered [i]-th. Raising [base] by
+   [stride] therefore resets every vertex at once.
+
+   Everything else is indexed by discovery rank and grows with the
+   search: the discovery sequence, the discovery-tree parent (0 for
+   the source), the handle lists, and [mark] — twice the number of the
+   last strong request that listed the vertex, plus 1 once the vertex
+   was itself strong-requested. *)
+type arena = {
+  slot : int array;
+  stride : int;
+  mutable base : int;
+  mutable order : int array;
+  mutable parent : int array;
+  mutable handle_lists : int array array;
+  mutable mark : int array;
+  mutable scratch : int array; (* request_strong's distinct neighbours *)
+}
+
+let new_arena n =
+  let cap = min n 64 in
+  {
+    slot = Array.make n 0;
+    stride = n + 2;
+    base = 0;
+    order = Array.make cap 0;
+    parent = Array.make cap 0;
+    handle_lists = Array.make cap [||];
+    mark = Array.make cap 0;
+    scratch = [||];
+  }
+
+(* A fresh stamp range. With 63-bit ints it runs out only after about
+   2^62 / n queries on one arena; the slots are then cleared once. *)
+let next_query a =
+  if a.base > max_int - (2 * a.stride) then begin
+    Array.fill a.slot 0 (Array.length a.slot) 0;
+    a.base <- a.stride
+  end
+  else a.base <- a.base + a.stride
+
+(* Discovery can never outgrow the vertex count, so neither do the
+   rank-indexed buffers. *)
+let grow a =
+  let cap = min (Array.length a.slot) (2 * Array.length a.order) in
+  let extend old fill =
+    let arr = Array.make cap fill in
+    Array.blit old 0 arr 0 (Array.length old);
+    arr
+  in
+  a.order <- extend a.order 0;
+  a.parent <- extend a.parent 0;
+  a.handle_lists <- extend a.handle_lists [||];
+  a.mark <- extend a.mark 0
+
+(* The domain keeps at most one free arena. The cell is atomic because
+   systhreads of one domain share it. *)
+let free_arena : arena option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let take_arena n =
+  match Atomic.exchange (Domain.DLS.get free_arena) None with
+  | Some a when Array.length a.slot >= n -> a
+  | Some _ | None -> new_arena n
+
+let return_arena a =
+  let cell = Domain.DLS.get free_arena in
+  match Atomic.get cell with
+  | Some kept when Array.length kept.slot >= Array.length a.slot -> ()
+  | cur -> ignore (Atomic.compare_and_set cell cur (Some a))
+
 type t = {
   model : model;
   g : Ugraph.t;
   target : vertex;
   source : vertex;
-  near_target : Bytes.t; (* target's closed neighbourhood *)
   rng : Rng.t;
   obfuscate : bool;
   pub_of_real : (int, int) Hashtbl.t;
   real_of_pub : Vec.t;
-  discovered : Bytes.t;
-  order : Vec.t; (* discovery sequence *)
-  parent : int array; (* discovery tree: revealing vertex, 0 for roots *)
-  handle_lists : int array array; (* vertex-1 -> public handles, [||] until discovered *)
   requested : (int, unit) Hashtbl.t; (* public ids of paid weak requests *)
-  explored : Bytes.t; (* strong-requested vertices *)
+  arena : arena;
+  slot : int array; (* arena.slot *)
+  near : int; (* stamp of the target's closed neighbourhood *)
+  first : int; (* stamp of the first discovery *)
+  mutable count : int; (* vertices discovered *)
+  mutable released : bool;
   mutable request_count : int;
   mutable found_at : int option;
   mutable neighbor_at : int option;
 }
 
-let flag flags v = Bytes.get flags (v - 1) <> '\000'
-let set_flag flags v = Bytes.set flags (v - 1) '\001'
+let live t name = if t.released then invalid_arg ("Oracle." ^ name ^ ": oracle released")
+
+(* [v] must be a vertex of the graph; [slot] is at least that long. *)
+let known t v = Array.unsafe_get t.slot (v - 1) >= t.first
+let rank t v = Array.unsafe_get t.slot (v - 1) - t.first
 
 let publicize t real_id =
   if not t.obfuscate then real_id
@@ -68,49 +146,55 @@ let realize t pub =
   else Vec.get t.real_of_pub pub
 
 let discover ?(via = 0) t v =
-  if not (flag t.discovered v) then begin
+  let stamp = Array.unsafe_get t.slot (v - 1) in
+  if stamp < t.first then begin
     if Sf_obs.Registry.enabled () then Sf_obs.Counter.incr obs_discoveries;
-    set_flag t.discovered v;
-    t.parent.(v - 1) <- via;
-    Vec.push t.order v;
+    let a = t.arena in
+    let i = t.count in
+    if i = Array.length a.order then grow a;
+    Array.unsafe_set t.slot (v - 1) (t.first + i);
+    a.order.(i) <- v;
+    a.parent.(i) <- via;
+    a.mark.(i) <- 0;
+    t.count <- i + 1;
     (* an explicit ascending loop: publicize assigns public ids in
        first-exposure order, so the fill order is load-bearing *)
     let d = Ugraph.degree t.g v in
     let pubs = Array.make d 0 in
-    for i = 0 to d - 1 do
-      pubs.(i) <- publicize t (Ugraph.incident_nth t.g v i)
+    for k = 0 to d - 1 do
+      pubs.(k) <- publicize t (Ugraph.incident_nth t.g v k)
     done;
     if t.obfuscate then Sf_prng.Shuffle.in_place t.rng pubs;
-    t.handle_lists.(v - 1) <- pubs;
-    if flag t.near_target v && t.neighbor_at = None then
-      t.neighbor_at <- Some t.request_count;
+    a.handle_lists.(i) <- pubs;
+    if stamp = t.near && t.neighbor_at = None then t.neighbor_at <- Some t.request_count;
     if v = t.target && t.found_at = None then t.found_at <- Some t.request_count
   end
 
 let start ?(obfuscate = true) ~rng model g ~source ~target =
   if not (Ugraph.mem_vertex g source) then invalid_arg "Oracle.start: bad source";
   if not (Ugraph.mem_vertex g target) then invalid_arg "Oracle.start: bad target";
-  let n = Ugraph.n_vertices g in
-  let near_target = Bytes.make n '\000' in
-  set_flag near_target target;
-  Ugraph.iter_neighbors g target (fun u -> set_flag near_target u);
+  let arena = take_arena (Ugraph.n_vertices g) in
+  next_query arena;
+  let slot = arena.slot and near = arena.base + 1 in
+  slot.(target - 1) <- near;
+  Ugraph.iter_neighbors g target (fun u -> slot.(u - 1) <- near);
   let t =
     {
       model;
       g;
       target;
       source;
-      near_target;
       rng = Rng.split rng;
       obfuscate;
       pub_of_real = Hashtbl.create 64;
       real_of_pub = Vec.create ();
-      discovered = Bytes.make n '\000';
-      order = Vec.create ();
-      parent = Array.make n 0;
-      handle_lists = Array.make n [||];
       requested = Hashtbl.create 64;
-      explored = Bytes.make n '\000';
+      arena;
+      slot;
+      near;
+      first = arena.base + 2;
+      count = 0;
+      released = false;
       request_count = 0;
       found_at = None;
       neighbor_at = None;
@@ -120,36 +204,71 @@ let start ?(obfuscate = true) ~rng model g ~source ~target =
   discover t source;
   t
 
-let model t = t.model
-let n_vertices t = Ugraph.n_vertices t.g
-let target t = t.target
-let source t = t.source
-let requests t = t.request_count
+let release t =
+  if not t.released then begin
+    t.released <- true;
+    (* so that the free arena pins none of this query's handle lists *)
+    Array.fill t.arena.handle_lists 0 t.count [||];
+    return_arena t.arena
+  end
 
-let is_discovered t v = Ugraph.mem_vertex t.g v && flag t.discovered v
+let model t =
+  live t "model";
+  t.model
 
-let discovered_count t = Vec.length t.order
-let discovered_nth t i = Vec.get t.order i
+let n_vertices t =
+  live t "n_vertices";
+  Ugraph.n_vertices t.g
 
-let check_discovered t v name =
-  if not (is_discovered t v) then invalid_arg ("Oracle." ^ name ^ ": vertex not discovered")
+let target t =
+  live t "target";
+  t.target
 
-let handles t v =
-  check_discovered t v "handles";
-  t.handle_lists.(v - 1)
+let source t =
+  live t "source";
+  t.source
+
+let requests t =
+  live t "requests";
+  t.request_count
+
+let is_discovered t v =
+  live t "is_discovered";
+  Ugraph.mem_vertex t.g v && known t v
+
+let discovered_count t =
+  live t "discovered_count";
+  t.count
+
+let discovered_nth t i =
+  live t "discovered_nth";
+  if i < 0 || i >= t.count then invalid_arg "Oracle.discovered_nth: index out of bounds";
+  t.arena.order.(i)
+
+(* The discovery rank of [v], read with one load and compare. *)
+let rank_of_discovered t v name =
+  live t name;
+  let r = if Ugraph.mem_vertex t.g v then rank t v else -1 in
+  if r < 0 then invalid_arg ("Oracle." ^ name ^ ": vertex not discovered");
+  r
+
+let handles t v = t.arena.handle_lists.(rank_of_discovered t v "handles")
 
 let degree t v = Array.length (handles t v)
 
-let handle_requested t h = Hashtbl.mem t.requested h
+let handle_requested t h =
+  live t "handle_requested";
+  Hashtbl.mem t.requested h
 
 let endpoints_if_known t h =
+  live t "endpoints_if_known";
   let real = realize t h in
   let s, d = Ugraph.endpoints t.g real in
-  if flag t.discovered s && flag t.discovered d then Some (s, d) else None
+  if known t s && known t d then Some (s, d) else None
 
 let trace_request t ~kind ~at ~before =
-  let after = Vec.length t.order in
-  let revealed = List.init (after - before) (fun i -> Vec.get t.order (before + i)) in
+  let after = t.count in
+  let revealed = List.init (after - before) (fun i -> t.arena.order.(before + i)) in
   Sf_obs.Trace.emit request_event_name Sf_obs.Trace.Instant
     ~args:
       [
@@ -161,8 +280,9 @@ let trace_request t ~kind ~at ~before =
       ]
 
 let request_weak t ~owner h =
+  live t "request_weak";
   if t.model <> Weak then invalid_arg "Oracle.request_weak: not a weak-model instance";
-  check_discovered t owner "request_weak";
+  ignore (rank_of_discovered t owner "request_weak");
   let real = realize t h in
   let far = Ugraph.other_endpoint t.g ~edge_id:real owner in
   if Sf_obs.Registry.enabled () then begin
@@ -170,50 +290,72 @@ let request_weak t ~owner h =
     Sf_obs.Counter.incr obs_requests_weak
   end;
   let tracing = Sf_obs.Trace.active () in
-  let before = if tracing then Vec.length t.order else 0 in
+  let before = t.count in
   t.request_count <- t.request_count + 1;
   Hashtbl.replace t.requested h ();
   discover ~via:owner t far;
   if tracing then trace_request t ~kind:"weak-edge" ~at:owner ~before;
   far
 
+(* Multiplicity is collapsed with [mark]: a neighbour is listed when
+   its mark does not yet carry this request's number. The distinct
+   neighbours collect in [scratch], in first-occurrence order. *)
 let request_strong t v =
+  live t "request_strong";
   if t.model <> Strong then invalid_arg "Oracle.request_strong: not a strong-model instance";
-  check_discovered t v "request_strong";
+  let iv = rank_of_discovered t v "request_strong" in
   if Sf_obs.Registry.enabled () then begin
     Sf_obs.Counter.incr obs_requests;
     Sf_obs.Counter.incr obs_requests_strong
   end;
   let tracing = Sf_obs.Trace.active () in
-  let before = if tracing then Vec.length t.order else 0 in
+  let before = t.count in
   t.request_count <- t.request_count + 1;
-  set_flag t.explored v;
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
+  let a = t.arena in
+  a.mark.(iv) <- a.mark.(iv) lor 1;
+  let d = Ugraph.degree t.g v in
+  if Array.length a.scratch < d then a.scratch <- Array.make (max d (2 * Array.length a.scratch)) 0;
+  let stamp = t.request_count lsl 1 in
+  let listed = ref 0 in
   Ugraph.iter_neighbors t.g v (fun u ->
       discover ~via:v t u;
-      if not (Hashtbl.mem seen u) then begin
-        Hashtbl.replace seen u ();
-        acc := u :: !acc
+      let i = rank t u in
+      let m = a.mark.(i) in
+      if m lsr 1 <> t.request_count then begin
+        a.mark.(i) <- stamp lor (m land 1);
+        a.scratch.(!listed) <- u;
+        incr listed
       end);
   if tracing then trace_request t ~kind:"strong-vertex" ~at:v ~before;
-  List.rev !acc
+  let acc = ref [] in
+  for k = !listed - 1 downto 0 do
+    acc := a.scratch.(k) :: !acc
+  done;
+  !acc
 
-let is_explored t v =
-  check_discovered t v "is_explored";
-  flag t.explored v
+let is_explored t v = t.arena.mark.(rank_of_discovered t v "is_explored") land 1 = 1
 
 let discovery_parent t v =
-  check_discovered t v "discovery_parent";
-  if t.parent.(v - 1) = 0 then None else Some t.parent.(v - 1)
+  match t.arena.parent.(rank_of_discovered t v "discovery_parent") with
+  | 0 -> None
+  | parent -> Some parent
 
 let discovery_path t v =
-  check_discovered t v "discovery_path";
+  ignore (rank_of_discovered t v "discovery_path");
+  let parent = t.arena.parent in
   let rec climb v acc =
-    match t.parent.(v - 1) with 0 -> v :: acc | parent -> climb parent (v :: acc)
+    match parent.(rank t v) with 0 -> v :: acc | p -> climb p (v :: acc)
   in
   climb v []
 
-let target_found t = t.found_at <> None
-let requests_when_found t = t.found_at
-let requests_when_neighbor t = t.neighbor_at
+let target_found t =
+  live t "target_found";
+  t.found_at <> None
+
+let requests_when_found t =
+  live t "requests_when_found";
+  t.found_at
+
+let requests_when_neighbor t =
+  live t "requests_when_neighbor";
+  t.neighbor_at

@@ -14,6 +14,25 @@ let metric_component s =
       match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> c | _ -> '_')
     s
 
+(* search.strategy.<name>.requests, resolved once per strategy name:
+   the registry's get-or-create takes a global mutex, so runs read this
+   lock-free map instead. Get-or-create returns one counter per name,
+   so a lost compare-and-set only means a later run resolves it again. *)
+module Names = Map.Make (String)
+
+let strategy_counters : Sf_obs.Counter.t Names.t Atomic.t = Atomic.make Names.empty
+
+let strategy_counter name =
+  match Names.find_opt name (Atomic.get strategy_counters) with
+  | Some c -> c
+  | None ->
+    let c =
+      Sf_obs.Registry.counter ("search.strategy." ^ metric_component name ^ ".requests")
+    in
+    let known = Atomic.get strategy_counters in
+    ignore (Atomic.compare_and_set strategy_counters known (Names.add name c known));
+    c
+
 type outcome = {
   strategy : string;
   n_vertices : int;
@@ -75,10 +94,7 @@ let run ?budget ?(stop_at = At_target) ~rng (strategy : Strategy.t) oracle =
     if Oracle.requests oracle >= budget && not (stopped stop_at oracle) then
       Sf_obs.Counter.incr obs_budget_exhausted;
     Sf_obs.Histo.observe_int obs_requests_per_run paid;
-    Sf_obs.Counter.add
-      (Sf_obs.Registry.counter
-         ("search.strategy." ^ metric_component strategy.Strategy.name ^ ".requests"))
-      paid
+    Sf_obs.Counter.add (strategy_counter strategy.Strategy.name) paid
   end;
   {
     strategy = strategy.Strategy.name;
@@ -155,4 +171,6 @@ let search ?obfuscate ?budget ?stop_at ~rng g (strategy : Strategy.t) ~source ~t
   let oracle =
     Oracle.start ?obfuscate ~rng strategy.Strategy.model g ~source ~target
   in
-  run ?budget ?stop_at ~rng strategy oracle
+  Fun.protect
+    ~finally:(fun () -> Oracle.release oracle)
+    (fun () -> run ?budget ?stop_at ~rng strategy oracle)

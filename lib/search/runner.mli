@@ -76,4 +76,4 @@ val search :
   target:int ->
   outcome
 (** Convenience wrapper: build the oracle (model taken from the
-    strategy) and run. *)
+    strategy), run, and {!Oracle.release} it. *)

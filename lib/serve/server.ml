@@ -311,6 +311,7 @@ let handle_search t (s : Wire.search) : Wire.response =
             List.length (Oracle.discovery_path oracle target) - 1
           else 0
         in
+        Oracle.release oracle;
         Counter.incr c_requests;
         Histo.observe h_latency ((Timer.now_s () -. t0) *. 1e6);
         Wire.Search_reply

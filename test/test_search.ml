@@ -565,6 +565,202 @@ let prop_requests_never_decrease_knowledge =
            (fun (ok, prev) e -> (ok && e.Runner.discovered_total >= prev, e.Runner.discovered_total))
            (true, 1) trace))
 
+(* --- Oracle arena ---------------------------------------------------------- *)
+
+(* Everything a query reveals: the outcome, then per discovered vertex
+   (in discovery order) its discovery path, its handles in list order
+   and its explored flag. *)
+let snapshot oracle outcome =
+  ( outcome,
+    List.init (Oracle.discovered_count oracle) (fun i ->
+        let v = Oracle.discovered_nth oracle i in
+        ( Oracle.discovery_path oracle v,
+          Array.to_list (Oracle.handles oracle v),
+          Oracle.is_explored oracle v )) )
+
+let query_rng seed k = Rng.of_seed ((seed * 1000) + k)
+
+let run_query ~seed g strategy k (source, target) =
+  let rng = query_rng seed k in
+  let oracle = Oracle.start ~rng strategy.Strategy.model g ~source ~target in
+  let outcome = Runner.run ~budget:(4 * Ugraph.n_vertices g) ~rng strategy oracle in
+  (oracle, snapshot oracle outcome)
+
+let prop_arena_reuse_equivalence =
+  (* a released arena serves the next query exactly as a fresh one
+     would: the references run on a new domain that never releases, so
+     each of its oracles gets a new arena *)
+  let strategies =
+    Array.of_list (Strategies.weak_portfolio () @ Strategies.strong_portfolio ())
+  in
+  QCheck.Test.make ~name:"arena reuse = fresh oracle" ~count:40
+    QCheck.(
+      make
+        ~print:(fun (seed, cf, si, qs) ->
+          Printf.sprintf "seed=%d cf=%b strategy=%s queries=[%s]" seed cf
+            strategies.(si).Strategy.name
+            (String.concat "; " (List.map (fun (s, t) -> Printf.sprintf "%d->%d" s t) qs)))
+        Gen.(
+          quad (int_bound 100_000) bool
+            (int_bound (Array.length strategies - 1))
+            (list_size (int_range 1 6) (pair (int_range 1 200) (int_range 1 200)))))
+    (fun (seed, cf, si, qs) ->
+      let rng = Rng.of_seed seed in
+      let g =
+        if cf then
+          Ugraph.of_digraph
+            (Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default ~n:150)
+        else Ugraph.of_digraph (Sf_gen.Mori.graph rng ~p:0.6 ~m:2 ~n:150)
+      in
+      let n = Ugraph.n_vertices g in
+      let qs = List.map (fun (s, t) -> (1 + ((s - 1) mod n), 1 + ((t - 1) mod n))) qs in
+      let strategy = strategies.(si) in
+      let fresh =
+        Domain.join
+          (Domain.spawn (fun () ->
+               List.mapi (fun k q -> snd (run_query ~seed g strategy k q)) qs))
+      in
+      let reused =
+        List.mapi
+          (fun k q ->
+            let oracle, snap = run_query ~seed g strategy k q in
+            Oracle.release oracle;
+            snap)
+          qs
+      in
+      fresh = reused)
+
+let raises_invalid name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no exception after release" name
+  | exception Invalid_argument _ -> ()
+
+let test_use_after_release () =
+  let g = Ugraph.of_digraph (Sf_gen.Mori.tree (Rng.of_seed 8) ~p:0.5 ~t:60) in
+  let o = Oracle.start ~rng:(Rng.of_seed 9) Oracle.Weak g ~source:1 ~target:60 in
+  let h = (Oracle.handles o 1).(0) in
+  ignore (Oracle.request_weak o ~owner:1 h);
+  let s = Oracle.start ~rng:(Rng.of_seed 9) Oracle.Strong g ~source:1 ~target:60 in
+  Oracle.release o;
+  Oracle.release s;
+  Oracle.release o;
+  (* the arena now serves another query; the released oracles must not
+     read its state *)
+  let next = Oracle.start ~rng:(Rng.of_seed 10) Oracle.Weak g ~source:2 ~target:3 in
+  List.iter
+    (fun o ->
+      List.iter
+        (fun (name, f) -> raises_invalid name f)
+        [
+          ("model", fun () -> ignore (Oracle.model o));
+          ("n_vertices", fun () -> ignore (Oracle.n_vertices o));
+          ("target", fun () -> ignore (Oracle.target o));
+          ("source", fun () -> ignore (Oracle.source o));
+          ("requests", fun () -> ignore (Oracle.requests o));
+          ("is_discovered", fun () -> ignore (Oracle.is_discovered o 1));
+          ("discovered_count", fun () -> ignore (Oracle.discovered_count o));
+          ("discovered_nth", fun () -> ignore (Oracle.discovered_nth o 0));
+          ("degree", fun () -> ignore (Oracle.degree o 1));
+          ("handles", fun () -> ignore (Oracle.handles o 1));
+          ("handle_requested", fun () -> ignore (Oracle.handle_requested o h));
+          ("endpoints_if_known", fun () -> ignore (Oracle.endpoints_if_known o h));
+          ("request_weak", fun () -> ignore (Oracle.request_weak o ~owner:1 h));
+          ("request_strong", fun () -> ignore (Oracle.request_strong o 1));
+          ("is_explored", fun () -> ignore (Oracle.is_explored o 1));
+          ("discovery_parent", fun () -> ignore (Oracle.discovery_parent o 1));
+          ("discovery_path", fun () -> ignore (Oracle.discovery_path o 1));
+          ("target_found", fun () -> ignore (Oracle.target_found o));
+          ("requests_when_found", fun () -> ignore (Oracle.requests_when_found o));
+          ("requests_when_neighbor", fun () -> ignore (Oracle.requests_when_neighbor o));
+        ])
+    [ o; s ];
+  Alcotest.check_raises "the message names the call"
+    (Invalid_argument "Oracle.handles: oracle released") (fun () ->
+      ignore (Oracle.handles o 1));
+  Alcotest.(check int) "the live oracle is untouched" 1 (Oracle.discovered_count next);
+  Oracle.release next
+
+let test_two_live_oracles () =
+  (* two oracles live on one domain, stepped in alternation, end exactly
+     where each ends alone; a third started after one is released (so
+     it takes that arena) leaves the other alone *)
+  let g = Ugraph.of_digraph (Sf_gen.Mori.graph (Rng.of_seed 77) ~p:0.6 ~m:2 ~n:300) in
+  let alone strategy k ~target =
+    let oracle, snap = run_query ~seed:5 g strategy k (1, target) in
+    Oracle.release oracle;
+    snap
+  in
+  let a_ref = alone Strategies.high_degree 0 ~target:290
+  and b_ref = alone Strategies.strong_high_degree 1 ~target:280 in
+  let stepper strategy k ~target =
+    let rng = query_rng 5 k in
+    let oracle = Oracle.start ~rng strategy.Strategy.model g ~source:1 ~target in
+    (oracle, strategy, rng)
+  in
+  let ((a, _, _) as qa) = stepper Strategies.high_degree 0 ~target:290 in
+  let ((b, _, _) as qb) = stepper Strategies.strong_high_degree 1 ~target:280 in
+  (* Runner.run splits the query rng for the strategy, so the same
+     split is made here *)
+  let step_of (oracle, strategy, rng) =
+    let next = strategy.Strategy.prepare (Rng.split rng) oracle in
+    fun () ->
+      if Oracle.target_found oracle || Oracle.requests oracle >= 1200 then false
+      else
+        match next () with
+        | Strategy.Request_edge (owner, h) ->
+          ignore (Oracle.request_weak oracle ~owner h);
+          true
+        | Strategy.Request_vertex v ->
+          ignore (Oracle.request_strong oracle v);
+          true
+        | Strategy.Give_up -> false
+  in
+  let step_a = step_of qa and step_b = step_of qb in
+  let rec alternate a_on b_on =
+    if a_on || b_on then begin
+      let a_on = a_on && step_a () in
+      let b_on = b_on && step_b () in
+      alternate a_on b_on
+    end
+  in
+  alternate true true;
+  let check name (expected, vertices) oracle =
+    Alcotest.(check int) (name ^ ": requests") expected.Runner.total_requests
+      (Oracle.requests oracle);
+    Alcotest.(check bool) (name ^ ": same discoveries, paths and handles") true
+      (vertices = snd (snapshot oracle expected))
+  in
+  check "weak, interleaved" a_ref a;
+  check "strong, interleaved" b_ref b;
+  Oracle.release a;
+  let c, _ = run_query ~seed:5 g Strategies.bfs 2 (1, 250) in
+  check "strong, after a third query took the released arena" b_ref b;
+  Oracle.release b;
+  Oracle.release c
+
+let test_warm_start_allocation () =
+  (* on a warm domain, start + release allocates a constant: nothing
+     proportional to n. Source and target are the two newest vertices
+     of a Móri tree, leaves whose degree does not grow with n. *)
+  let alloc_at n =
+    let g = Ugraph.of_digraph (Sf_gen.Mori.tree (Rng.of_seed 3) ~p:0.5 ~t:n) in
+    let go () =
+      Oracle.release
+        (Oracle.start ~rng:(Rng.of_seed 4) Oracle.Weak g ~source:n ~target:(n - 1))
+    in
+    go ();
+    let before = Gc.allocated_bytes () in
+    go ();
+    Gc.allocated_bytes () -. before
+  in
+  let small = alloc_at (1 lsl 12) and large = alloc_at (1 lsl 16) in
+  Alcotest.(check bool)
+    (Printf.sprintf "small constant (Gc.allocated_bytes grew %.0f at 2^12, %.0f at 2^16)" small
+       large)
+    true
+    (small < 4096. && large < 4096.);
+  Alcotest.(check (float 0.)) "same at 2^12 and 2^16" small large
+
 (* --- Observability ----------------------------------------------------- *)
 
 let test_obs_counters_match_outcome () =
@@ -640,8 +836,12 @@ let suite =
     ("percolation finds", `Quick, test_percolation_finds_on_small_graph);
     ("percolation needs probability", `Quick, test_percolation_zero_prob_rarely_hits);
     ("obs counters match outcome", `Quick, test_obs_counters_match_outcome);
+    ("arena: use after release", `Quick, test_use_after_release);
+    ("arena: two live oracles", `Quick, test_two_live_oracles);
+    ("arena: warm start allocation", `Quick, test_warm_start_allocation);
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_strong_equals_weak_closure;
     QCheck_alcotest.to_alcotest prop_kleinberg_distance_is_metric;
     QCheck_alcotest.to_alcotest prop_requests_never_decrease_knowledge;
+    QCheck_alcotest.to_alcotest prop_arena_reuse_equivalence;
   ]
