@@ -321,31 +321,44 @@ let write_manifest opts ~wall0 ~cpu0 ~telem path =
    have been registered by this run — a missing name means an
    instrumentation site was lost.  Values and timings are never
    compared.  Extra names are fine (new instrumentation lands before
-   the baseline is refreshed). *)
+   the baseline is refreshed).  A baseline that does not parse, or has
+   no "metrics" object, fails the check. *)
+let baseline_metric_names path =
+  let module Json = Sf_obs.Json in
+  match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Error msg -> Error ("not valid JSON: " ^ msg)
+  | Ok doc -> (
+    match Json.member "metrics" doc with
+    | Some (Json.Obj fields) -> Ok (List.map fst fields)
+    | _ -> Error "no \"metrics\" object")
+
 let baseline_shape_check path =
   if not (Sys.file_exists path) then begin
     Printf.printf "baseline %s not found; skipping the metric shape check\n" path;
     true
   end
-  else begin
-    let wanted = Sf_obs.Export.metric_names_of_file path in
-    let have = Sf_obs.Registry.names () in
-    let missing = List.filter (fun n -> not (List.mem n have)) wanted in
-    let extra = List.filter (fun n -> not (List.mem n wanted)) have in
-    if extra <> [] then
-      Printf.printf "baseline: %d new metric(s) not yet in %s: %s\n" (List.length extra) path
-        (String.concat ", " extra);
-    if missing = [] then begin
-      Printf.printf "baseline: all %d metric names from %s present.\n" (List.length wanted)
-        path;
-      true
-    end
-    else begin
-      Printf.printf "baseline: %d metric name(s) MISSING vs %s: %s\n" (List.length missing)
-        path (String.concat ", " missing);
+  else
+    match baseline_metric_names path with
+    | Error msg ->
+      Printf.printf "baseline %s: %s\n" path msg;
       false
-    end
-  end
+    | Ok wanted ->
+      let have = Sf_obs.Registry.names () in
+      let missing = List.filter (fun n -> not (List.mem n have)) wanted in
+      let extra = List.filter (fun n -> not (List.mem n wanted)) have in
+      if extra <> [] then
+        Printf.printf "baseline: %d new metric(s) not yet in %s: %s\n" (List.length extra) path
+          (String.concat ", " extra);
+      if missing = [] then begin
+        Printf.printf "baseline: all %d metric names from %s present.\n" (List.length wanted)
+          path;
+        true
+      end
+      else begin
+        Printf.printf "baseline: %d metric name(s) MISSING vs %s: %s\n" (List.length missing)
+          path (String.concat ", " missing);
+        false
+      end
 
 (* The [--trace] sinks: the file exporter plus a flight recorder armed
    to dump on the first gave-up run; the top-level handler below dumps

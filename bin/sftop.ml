@@ -14,7 +14,7 @@
      printf 'metrics\n' | socat - UNIX-CONNECT:/tmp/sf.sock *)
 
 open Cmdliner
-module Json = Sf_perf.Json
+module Json = Sf_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* socket client                                                       *)

@@ -12,44 +12,36 @@
 
 module Varint = Sf_store.Varint
 
-let put_string buf s =
-  Varint.write buf (String.length s);
-  Buffer.add_string buf s
-
-let get_string data ~pos =
-  let n, pos = Varint.read data ~pos in
-  if n < 0 || pos + n > String.length data then failwith "Distrib: truncated body";
-  (String.sub data pos n, pos + n)
-
 let encode_done (result : Exp.result) ~counters =
   let buf = Buffer.create 1024 in
-  put_string buf result.Exp.id;
-  put_string buf result.Exp.title;
-  put_string buf result.Exp.output;
+  Varint.write_string buf result.Exp.id;
+  Varint.write_string buf result.Exp.title;
+  Varint.write_string buf result.Exp.output;
   Varint.write buf (List.length result.Exp.checks);
   List.iter
     (fun (name, ok) ->
-      put_string buf name;
+      Varint.write_string buf name;
       Buffer.add_char buf (if ok then '\001' else '\000'))
     result.Exp.checks;
   Varint.write buf (List.length counters);
   List.iter
     (fun (name, v) ->
-      put_string buf name;
+      Varint.write_string buf name;
       Varint.write buf v)
     counters;
   Buffer.contents buf
 
 let decode_done data =
-  let id, pos = get_string data ~pos:0 in
-  let title, pos = get_string data ~pos in
-  let output, pos = get_string data ~pos in
+  let limit = String.length data in
+  let id, pos = Varint.read_string data ~limit ~pos:0 in
+  let title, pos = Varint.read_string data ~limit ~pos in
+  let output, pos = Varint.read_string data ~limit ~pos in
   let n_checks, pos = Varint.read data ~pos in
   let pos = ref pos in
   let checks =
     List.init n_checks (fun _ ->
-        let name, p = get_string data ~pos:!pos in
-        if p >= String.length data then failwith "Distrib: truncated checks";
+        let name, p = Varint.read_string data ~limit ~pos:!pos in
+        if p >= limit then failwith "Distrib: truncated checks";
         pos := p + 1;
         (name, data.[p] = '\001'))
   in
@@ -57,7 +49,7 @@ let decode_done data =
   pos := p;
   let counters =
     List.init n_counters (fun _ ->
-        let name, p = get_string data ~pos:!pos in
+        let name, p = Varint.read_string data ~limit ~pos:!pos in
         let v, p = Varint.read data ~pos:p in
         pos := p;
         (name, v))

@@ -193,7 +193,8 @@ let run ~dir ~workers ?(ckpt_every = 16) ?(fault_rate = 0.) ?stop_after ?max_spa
     let worker_names : (int, string) Hashtbl.t = Hashtbl.create 8 in
     let on_telemetry ~pid ~job:_ ~body =
       match Relay.decode body with
-      | exception _ -> () (* the frame CRC passed, so this is a version skew, not corruption; drop *)
+      | exception Sf_store.Codec_error.Error _ ->
+        () (* the frame CRC passed, so this is a version skew, not corruption; drop *)
       | batch ->
         let proc =
           match Hashtbl.find_opt worker_names pid with

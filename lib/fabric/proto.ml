@@ -38,11 +38,7 @@ let kind_telemetry = 0x26
 (* Payload codec                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let start_payload kind =
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf (Char.chr version);
-  Buffer.add_char buf (Char.chr kind);
-  buf
+let start_payload = Crc32.start_payload ~version
 
 let encode msg =
   let buf =
@@ -78,25 +74,11 @@ let encode msg =
   in
   Crc32.seal buf
 
-(* version (1) + kind (1) + at least one varint body byte + crc (4) *)
-let min_payload = 7
-
-let check_envelope s =
-  if String.length s < min_payload then E.fail (E.Truncated "payload");
-  let v = Char.code s.[0] in
-  if v <> version then E.fail (E.Unsupported_version v);
-  (Char.code s.[1], Crc32.check_sealed s)
-
-let finish ~payload_end ~pos value =
-  if pos <> payload_end then
-    E.fail (E.Malformed (Printf.sprintf "%d trailing payload byte(s)" (payload_end - pos)));
-  value
-
 let decode s =
-  let kind, payload_end = check_envelope s in
+  let kind, payload_end = Crc32.check_envelope ~version s in
   if kind = kind_hello then begin
     let pid, pos = Varint.read s ~pos:2 in
-    finish ~payload_end ~pos (Hello pid)
+    Crc32.finish ~payload_end ~pos (Hello pid)
   end
   else if
     kind = kind_assign || kind = kind_done || kind = kind_progress
@@ -104,7 +86,7 @@ let decode s =
   then begin
     let job, pos = Varint.read s ~pos:2 in
     let body, pos = Varint.read_string s ~limit:payload_end ~pos in
-    finish ~payload_end ~pos
+    Crc32.finish ~payload_end ~pos
       (if kind = kind_assign then Assign { job; body }
        else if kind = kind_done then Done { job; body }
        else if kind = kind_progress then Progress { job; body }
@@ -113,7 +95,7 @@ let decode s =
   else if kind = kind_quit then begin
     let zero, pos = Varint.read s ~pos:2 in
     if zero <> 0 then E.fail (E.Malformed "quit body");
-    finish ~payload_end ~pos Quit
+    Crc32.finish ~payload_end ~pos Quit
   end
   else E.fail (E.Malformed (Printf.sprintf "unknown fabric kind %#x" kind))
 
@@ -124,7 +106,7 @@ let decode s =
 let frame = Frame.encode
 
 let pop ?(max_payload = max_payload_default) s ~pos =
-  Frame.pop ~min_payload ~max_payload s ~pos
+  Frame.pop ~min_payload:Crc32.min_payload ~max_payload s ~pos
 
 type conn = {
   c_fd : Unix.file_descr;
@@ -135,7 +117,7 @@ type conn = {
 let conn fd =
   {
     c_fd = fd;
-    c_in = Frame.reader ~min_payload ~max_payload:max_payload_default;
+    c_in = Frame.reader ~min_payload:Crc32.min_payload ~max_payload:max_payload_default;
     c_pending = [];
   }
 

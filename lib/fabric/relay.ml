@@ -101,11 +101,6 @@ let encode b =
 
 (* ---- decoding ------------------------------------------------------ *)
 
-let read_string s ~pos =
-  let n, pos = Varint.read s ~pos in
-  if pos + n > String.length s then E.fail (E.Truncated "relay string");
-  (String.sub s pos n, pos + n)
-
 let read_byte s ~pos =
   if pos >= String.length s then E.fail (E.Truncated "relay byte");
   (Char.code s.[pos], pos + 1)
@@ -115,7 +110,7 @@ let read_f64 s ~pos =
   (Int64.float_of_bits (String.get_int64_le s pos), pos + 8)
 
 let read_arg s ~pos =
-  let k, pos = read_string s ~pos in
+  let k, pos = Varint.read_string s ~limit:(String.length s) ~pos in
   let tag, pos = read_byte s ~pos in
   if tag = tag_int then
     let v, pos = Varint.read_signed s ~pos in
@@ -124,7 +119,7 @@ let read_arg s ~pos =
     let v, pos = read_f64 s ~pos in
     ((k, Trace.Float v), pos)
   else if tag = tag_str then
-    let v, pos = read_string s ~pos in
+    let v, pos = Varint.read_string s ~limit:(String.length s) ~pos in
     ((k, Trace.Str v), pos)
   else if tag = tag_bool then
     let b, pos = read_byte s ~pos in
@@ -144,7 +139,7 @@ let read_arg s ~pos =
   else E.fail (E.Malformed (Printf.sprintf "unknown relay arg tag %d" tag))
 
 let read_event s ~pos =
-  let name, pos = read_string s ~pos in
+  let name, pos = Varint.read_string s ~limit:(String.length s) ~pos in
   let tag, pos = read_byte s ~pos in
   let kind, pos =
     if tag = kind_begin then (Trace.Begin, pos)
@@ -174,7 +169,7 @@ let decode s =
   let pos = ref pos in
   let counters =
     List.init n_counters (fun _ ->
-        let name, p = read_string s ~pos:!pos in
+        let name, p = Varint.read_string s ~limit:(String.length s) ~pos:!pos in
         let v, p = Varint.read s ~pos:p in
         pos := p;
         (name, v))

@@ -137,84 +137,3 @@ let write_manifest_checked ?extra ~tool ~seed ~mode ~path () =
       write_manifest ?extra ~tool ~seed ~mode ~path ();
       `Written
     with Sys_error msg -> `Error msg
-
-(* --- reading manifests back (the baseline shape check) ------------- *)
-
-(* Scan a JSON document for the keys of the object bound to "metrics":
-   after the opening brace of that object, every string at nesting
-   depth 1 that is followed by ':' is a metric name.  A full parser is
-   not needed — manifests are machine-written by this module. *)
-
-let scan_string src i =
-  (* src.[i] = '"'; returns (contents, index after closing quote) *)
-  let b = Buffer.create 16 in
-  let n = String.length src in
-  let rec go i =
-    if i >= n then (Buffer.contents b, i)
-    else
-      match src.[i] with
-      | '"' -> (Buffer.contents b, i + 1)
-      | '\\' when i + 1 < n ->
-        (match src.[i + 1] with
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'u' -> Buffer.add_char b '?' (* names never contain escapes *)
-        | c -> Buffer.add_char b c);
-        go (i + 2)
-      | c ->
-        Buffer.add_char b c;
-        go (i + 1)
-  in
-  go (i + 1)
-
-let next_nonspace src i =
-  let n = String.length src in
-  let rec go i = if i < n && (src.[i] = ' ' || src.[i] = '\n' || src.[i] = '\t' || src.[i] = '\r') then go (i + 1) else i in
-  go i
-
-let find_metrics_object src =
-  (* index of the '{' opening the "metrics" object, if any *)
-  let n = String.length src in
-  let rec go i =
-    if i >= n then None
-    else if src.[i] = '"' then begin
-      let key, j = scan_string src i in
-      let j' = next_nonspace src j in
-      if key = "metrics" && j' < n && src.[j'] = ':' then begin
-        let k = next_nonspace src (j' + 1) in
-        if k < n && src.[k] = '{' then Some k else None
-      end
-      else go j
-    end
-    else go (i + 1)
-  in
-  go 0
-
-let metric_names_of_manifest src =
-  match find_metrics_object src with
-  | None -> []
-  | Some start ->
-    let n = String.length src in
-    let rec go i depth acc =
-      if i >= n || depth = 0 then List.rev acc
-      else
-        match src.[i] with
-        | '{' | '[' -> go (i + 1) (depth + 1) acc
-        | '}' | ']' -> go (i + 1) (depth - 1) acc
-        | '"' ->
-          let s, j = scan_string src i in
-          let j' = next_nonspace src j in
-          if depth = 1 && j' < n && src.[j'] = ':' then go j' depth (s :: acc)
-          else go j depth acc
-        | _ -> go (i + 1) depth acc
-    in
-    go (start + 1) 1 []
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let metric_names_of_file path = metric_names_of_manifest (read_file path)

@@ -9,9 +9,9 @@
     committed [bench/baseline_quick.json] (names only, no timing
     assertions). The schema is documented in [doc/OBSERVABILITY.md].
 
-    JSON is rendered and re-scanned by hand: manifests are flat,
-    machine-written documents, and this library must not grow a
-    dependency for them. *)
+    JSON is rendered by hand, and read back with {!Json}: manifests
+    are flat, machine-written documents, and this library must not
+    grow a dependency for them. *)
 
 (** {1 Rendering} *)
 
@@ -71,14 +71,3 @@ val json_string : string -> string
 
 val json_float : float -> string
 (** A JSON number, or [null] for non-finite values. *)
-
-(** {1 Reading manifests back} *)
-
-val metric_names_of_manifest : string -> string list
-(** The keys of the ["metrics"] object of a manifest document, in
-    document order; [[]] if the document has none. Tolerant scanner,
-    not a validator — intended for manifests this module wrote. *)
-
-val metric_names_of_file : string -> string list
-(** {!metric_names_of_manifest} over a file's contents.
-    @raise Sys_error if the file cannot be read. *)

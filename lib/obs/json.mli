@@ -1,10 +1,14 @@
-(** A minimal JSON reader for the performance-trajectory files.
+(** The one JSON reader: a small total parser over an explicit value
+    type. Run manifests, the baseline manifest, BENCH files, the cache
+    index, telemetry scrapes and trace files are all read back through
+    it; every writer renders its JSON by hand with
+    {!Export.json_string} and {!Export.json_float}. Same dependency
+    policy as the rest of the observability stack: machine-written
+    documents, no JSON package.
 
-    [lib/obs] renders its manifests by hand and re-scans them with a
-    tolerant string scanner; BENCH files need more — sample arrays must
-    be read back exactly — so this module is a small total parser over
-    an explicit value type. Same dependency policy as the rest of the
-    observability stack: machine-written documents, no JSON package. *)
+    Strings decode every RFC 8259 escape. A four-digit unicode escape
+    becomes the UTF-8 bytes of its code point, and a surrogate (which
+    has none) becomes U+FFFD. *)
 
 type t =
   | Null

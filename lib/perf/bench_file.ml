@@ -1,3 +1,5 @@
+module Json = Sf_obs.Json
+
 let schema_id = "scalefree.bench/1"
 
 type host = { hostname : string; os : string; word_size : int; ocaml : string }

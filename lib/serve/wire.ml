@@ -162,11 +162,7 @@ let rflag_gave_up = 0x04
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let start_payload kind =
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf (Char.chr version);
-  Buffer.add_char buf (Char.chr kind);
-  buf
+let start_payload = Crc32.start_payload ~version
 
 let encode_request req =
   let buf =
@@ -259,29 +255,17 @@ let encode_response resp =
 (* Decoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* version (1) + kind (1) + at least one varint body byte + crc (4) *)
-let min_payload = 7
-
-let check_envelope s =
-  if String.length s < min_payload then E.fail (E.Truncated "payload");
-  let v = Char.code s.[0] in
-  if v <> version then E.fail (E.Unsupported_version v);
-  (Char.code s.[1], Crc32.check_sealed s)
+let min_payload = Crc32.min_payload
 
 let read_byte s ~payload_end ~pos =
   if pos >= payload_end then E.fail (E.Truncated "flags");
   (Char.code s.[pos], pos + 1)
 
-let finish ~payload_end ~pos value =
-  if pos <> payload_end then
-    E.fail (E.Malformed (Printf.sprintf "%d trailing payload byte(s)" (payload_end - pos)));
-  value
-
 (* varint reads are bounds-checked against the whole string, so a read
-   straying into the CRC tail is caught by [finish]'s position check,
+   straying into the CRC tail is caught by [Crc32.finish]'s position check,
    exactly as in Codec.decode *)
 let decode_request s =
-  let kind, payload_end = check_envelope s in
+  let kind, payload_end = Crc32.check_envelope ~version s in
   if kind = kind_search then begin
     let id, pos = Varint.read s ~pos:2 in
     let strategy, pos = Varint.read_string s ~limit:payload_end ~pos in
@@ -309,7 +293,7 @@ let decode_request s =
         let span, pos = Varint.read s ~pos in
         (Some { Sf_obs.Tctx.trace; span }, pos)
     in
-    finish ~payload_end ~pos
+    Crc32.finish ~payload_end ~pos
       (Search
          {
            id;
@@ -323,13 +307,13 @@ let decode_request s =
   end
   else if kind = kind_ping || kind = kind_stats || kind = kind_shutdown then begin
     let id, pos = Varint.read s ~pos:2 in
-    finish ~payload_end ~pos
+    Crc32.finish ~payload_end ~pos
       (if kind = kind_ping then Ping id else if kind = kind_stats then Stats id else Shutdown id)
   end
   else E.fail (E.Malformed (Printf.sprintf "unknown request kind %#x" kind))
 
 let decode_response s =
-  let kind, payload_end = check_envelope s in
+  let kind, payload_end = Crc32.check_envelope ~version s in
   if kind = kind_search_reply then begin
     let id, pos = Varint.read s ~pos:2 in
     let flags, pos = read_byte s ~payload_end ~pos in
@@ -346,7 +330,7 @@ let decode_response s =
     let to_neighbor, pos = opt rflag_to_neighbor pos in
     let discovered, pos = Varint.read s ~pos in
     let path_len, pos = Varint.read s ~pos in
-    finish ~payload_end ~pos
+    Crc32.finish ~payload_end ~pos
       (Search_reply
          {
            sr_id = id;
@@ -360,7 +344,7 @@ let decode_response s =
   end
   else if kind = kind_pong || kind = kind_shutdown_ack then begin
     let id, pos = Varint.read s ~pos:2 in
-    finish ~payload_end ~pos (if kind = kind_pong then Pong id else Shutdown_ack id)
+    Crc32.finish ~payload_end ~pos (if kind = kind_pong then Pong id else Shutdown_ack id)
   end
   else if kind = kind_stats_reply then begin
     let id, pos = Varint.read s ~pos:2 in
@@ -373,7 +357,7 @@ let decode_response s =
     let batch_us, pos = Varint.read s ~pos in
     let search_us, pos = Varint.read s ~pos in
     let reply_us, pos = Varint.read s ~pos in
-    finish ~payload_end ~pos
+    Crc32.finish ~payload_end ~pos
       (Stats_reply
          {
            ss_id = id;
@@ -394,7 +378,7 @@ let decode_response s =
     let message, pos = Varint.read_string s ~limit:payload_end ~pos in
     match error_code_of_int code with
     | None -> E.fail (E.Malformed (Printf.sprintf "unknown error code %d" code))
-    | Some code -> finish ~payload_end ~pos (Error { err_id = id; code; message })
+    | Some code -> Crc32.finish ~payload_end ~pos (Error { err_id = id; code; message })
   end
   else E.fail (E.Malformed (Printf.sprintf "unknown response kind %#x" kind))
 

@@ -45,82 +45,33 @@ let entry_line e =
 
 let touch_line fp seq = Printf.sprintf "{\"touch\":%s,\"seq\":%d}" (E.json_string fp) seq
 
-(* Minimal field scanners for the lines this module writes. They are
-   deliberately tolerant: any line they cannot make sense of is
-   dropped on replay — losing an index line only costs a
-   regeneration, never a wrong answer. *)
-let scan_string line name =
-  let pat = "\"" ^ name ^ "\":\"" in
-  let plen = String.length pat in
-  let rec search i =
-    if i + plen > String.length line then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else search (i + 1)
-  in
-  match search 0 with
-  | None -> None
-  | Some start ->
-    let buf = Buffer.create 32 in
-    let rec consume i =
-      if i >= String.length line then None
-      else
-        match line.[i] with
-        | '"' -> Some (Buffer.contents buf)
-        | '\\' when i + 1 < String.length line ->
-          Buffer.add_char buf line.[i + 1];
-          consume (i + 2)
-        | c ->
-          Buffer.add_char buf c;
-          consume (i + 1)
-    in
-    consume start
-
-let scan_int line name =
-  let pat = "\"" ^ name ^ "\":" in
-  let plen = String.length pat in
-  let rec search i =
-    if i + plen > String.length line then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else search (i + 1)
-  in
-  match search 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < String.length line
-      && (match line.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
-    do
-      incr stop
-    done;
-    if !stop = start then None else int_of_string_opt (String.sub line start (!stop - start))
-
 let hex_only s = s <> "" && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
 
+(* Replay is deliberately tolerant: a line that does not parse or
+   lacks a field is dropped — losing an index line only costs a
+   regeneration, never a wrong answer. *)
 let apply_line t line =
-  match scan_string line "touch" with
-  | Some fp -> (
-    match (Hashtbl.find_opt t.table fp, scan_int line "seq") with
-    | Some e, Some seq ->
-      Hashtbl.replace t.table fp { e with seq };
-      t.seq <- max t.seq seq
-    | _ -> ())
-  | None -> (
-    match
-      ( scan_string line "fp",
-        scan_string line "gen",
-        scan_string line "desc",
-        scan_int line "n",
-        scan_int line "target",
-        scan_string line "rng",
-        scan_int line "bytes",
-        scan_int line "seq" )
-    with
-    | Some fp, Some gen, Some desc, Some n, Some target, Some rng_after, Some bytes, Some seq
-      when hex_only fp && String.length rng_after = 64 && hex_only rng_after ->
-      Hashtbl.replace t.table fp { fp; gen; desc; n; target; rng_after; bytes; seq };
-      t.seq <- max t.seq seq
-    | _ -> () (* malformed line: dropped, see module doc *))
+  match Sf_obs.Json.parse line with
+  | Error _ -> ()
+  | Ok j -> (
+    let field conv name = Option.bind (Sf_obs.Json.member name j) conv in
+    let str = field Sf_obs.Json.as_str and int = field Sf_obs.Json.as_int in
+    match str "touch" with
+    | Some fp -> (
+      match (Hashtbl.find_opt t.table fp, int "seq") with
+      | Some e, Some seq ->
+        Hashtbl.replace t.table fp { e with seq };
+        t.seq <- max t.seq seq
+      | _ -> ())
+    | None -> (
+      match
+        (str "fp", str "gen", str "desc", int "n", int "target", str "rng", int "bytes", int "seq")
+      with
+      | Some fp, Some gen, Some desc, Some n, Some target, Some rng_after, Some bytes, Some seq
+        when hex_only fp && String.length rng_after = 64 && hex_only rng_after ->
+        Hashtbl.replace t.table fp { fp; gen; desc; n; target; rng_after; bytes; seq };
+        t.seq <- max t.seq seq
+      | _ -> ()))
 
 let mkdir_p path =
   if not (Sys.file_exists path) then (

@@ -9,8 +9,9 @@
 
     The index is a log, not a table: an entry line re-registers its
     fingerprint, a touch line refreshes its LRU position, and the last
-    line wins. Loading replays the log (skipping any malformed line),
-    {!gc} compacts it. Object files are written to a [.tmp.<pid>] name
+    line wins. Loading replays the log, parsing each line with
+    {!Sf_obs.Json} and skipping any line that does not parse or lacks
+    a field; {!gc} compacts it. Object files are written to a [.tmp.<pid>] name
     and renamed into place, so readers never observe a half-written
     graph; concurrent writers of the same fingerprint carry identical
     bytes by construction (the address is a pure function of the

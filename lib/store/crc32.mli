@@ -21,3 +21,28 @@ val check_sealed : string -> int
 (** Verify a {!seal}ed string (at least 4 bytes); returns where the
     trailer starts.
     @raise Codec_error.Error [Checksum_mismatch] when it disagrees. *)
+
+(** {1 Versioned payloads}
+
+    The envelope shared by the serve wire and the fabric protocol: a
+    version byte, a kind byte, a varint body from offset 2, then the
+    {!seal} trailer. *)
+
+val start_payload : version:int -> int -> Buffer.t
+(** A fresh buffer holding the version and kind bytes; {!seal} it once
+    the body is written. *)
+
+val min_payload : int
+(** [7] — version, kind, one body byte and the CRC: the shortest
+    well-formed payload. *)
+
+val check_envelope : version:int -> string -> int * int
+(** [(kind, payload_end)], where [payload_end] is where the trailer
+    starts.
+    @raise Codec_error.Error [Truncated] below {!min_payload},
+    [Unsupported_version] on a version other than [version], and
+    [Checksum_mismatch] as {!check_sealed}. *)
+
+val finish : payload_end:int -> pos:int -> 'a -> 'a
+(** [value] when the body was read exactly up to [payload_end].
+    @raise Codec_error.Error [Malformed] on trailing body bytes. *)

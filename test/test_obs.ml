@@ -12,6 +12,7 @@ module Histo = Sf_obs.Histo
 module Span = Sf_obs.Span
 module Registry = Sf_obs.Registry
 module Export = Sf_obs.Export
+module Json = Sf_obs.Json
 
 (* --- counters ---------------------------------------------------------- *)
 
@@ -205,6 +206,16 @@ let test_registry_gauge_and_names () =
 
 (* --- export round-trip --------------------------------------------------- *)
 
+(* the keys of a document's "metrics" object, read the way the
+   baseline shape check reads them *)
+let metric_names doc =
+  match Json.parse doc with
+  | Error msg -> Alcotest.failf "not valid JSON: %s" msg
+  | Ok j -> (
+    match Json.member "metrics" j with
+    | Some (Json.Obj fields) -> List.map fst fields
+    | _ -> [])
+
 let test_manifest_roundtrip () =
   ignore (Registry.counter "test.obs.roundtrip");
   let manifest =
@@ -212,15 +223,27 @@ let test_manifest_roundtrip () =
       ~extra:[ ("note", Export.json_string "shape only: {\"metrics\": tricky}") ]
       ~tool:"test" ~seed:7 ~mode:"unit" ()
   in
-  let names = Export.metric_names_of_manifest manifest in
+  let names = metric_names manifest in
   Alcotest.(check (list string)) "manifest names = registry names" (Registry.names ()) names;
-  (* the scanner is not fooled by nested objects inside metric values *)
+  (* nested objects inside metric values are not metric names *)
   Alcotest.(check bool) "no bucket keys leak" true
     (List.for_all (fun n -> n <> "kind" && n <> "value" && n <> "buckets") names)
 
 let test_manifest_without_metrics_section () =
   Alcotest.(check (list string)) "no metrics object" []
-    (Export.metric_names_of_manifest {|{"tool": "x", "seed": 3}|})
+    (metric_names {|{"tool": "x", "seed": 3}|})
+
+(* Export.json_string and Json.parse are inverse on every byte
+   string: control bytes travel as unicode escapes *)
+let test_json_string_roundtrip () =
+  let s = String.init 256 Char.chr in
+  Alcotest.(check bool) "all 256 bytes round-trip" true
+    (Json.parse (Export.json_string s) = Ok (Json.Str s));
+  Alcotest.(check bool) "escape decodes to UTF-8" true
+    (Json.parse {|"\u00e9\u20ac"|} = Ok (Json.Str "\xc3\xa9\xe2\x82\xac"));
+  Alcotest.(check bool) "lone surrogate is U+FFFD" true
+    (Json.parse {|"\ud800"|} = Ok (Json.Str "\xef\xbf\xbd"));
+  Alcotest.(check bool) "short escape rejected" true (Result.is_error (Json.parse {|"\u12"|}))
 
 let test_csv_export_covers_registry () =
   let csv = Export.metrics_csv () in
@@ -284,4 +307,5 @@ let suite =
     ("csv export", `Quick, test_csv_export_covers_registry);
     ("csv export escapes tricky names", `Quick, test_csv_export_escapes_tricky_names);
     ("disabled mode freezes counters", `Quick, test_disabled_counters_freeze_sites);
+    ("json string round-trip", `Quick, test_json_string_roundtrip);
   ]

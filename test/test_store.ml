@@ -466,6 +466,25 @@ let test_cache_tolerates_index_garbage () =
             (List.length (Cache.entries cache));
           Alcotest.(check bool) "and still hits" true (Cache.find cache k <> None)))
 
+(* index lines round-trip through the JSON writer and reader: a
+   description holding a tab, a quote, a backslash and a control byte
+   (written as a unicode escape) replays to the same entry *)
+let test_cache_index_replays_escapes () =
+  with_temp_dir (fun dir ->
+      let k = key ~n:3 ~params:[ ("label", "tab\there \"quoted\" back\\slash \001") ] () in
+      let cache = Cache.open_dir dir in
+      Cache.add cache k ~graph:(Digraph.of_edges ~n:3 [ (1, 2) ]) ~target:2
+        ~rng_after:(String.make 64 'a');
+      let before = Cache.entries cache in
+      Cache.close cache;
+      let cache = Cache.open_dir dir in
+      Fun.protect
+        ~finally:(fun () -> Cache.close cache)
+        (fun () ->
+          Alcotest.(check string) "description keeps its escapes" (Fingerprint.describe k)
+            (List.hd (Cache.entries cache)).Cache.desc;
+          Alcotest.(check bool) "every entry field replays" true (Cache.entries cache = before)))
+
 let test_cache_ugraph_both_containers () =
   with_cache (fun dir cache ->
       let u = Sf_gen.Mori.graph_giant (Rng.of_seed 71) ~p:0.6 ~m:2 ~n:80 in
@@ -646,4 +665,5 @@ let suite =
     ("corpus: hit skips generation", `Quick, test_corpus_hit_skips_generation_and_restores_stream);
     ("corpus: golden cold/warm at jobs 1 and 4", `Slow, test_measure_golden_cold_warm_jobs);
     ("corpus: parallel cold fill", `Slow, test_measure_parallel_cold_matches);
+    ("cache: index replays escaped fields", `Quick, test_cache_index_replays_escapes);
   ]

@@ -19,7 +19,7 @@ module Export = Sf_obs.Export
 module Flight = Sf_obs.Flight
 module Trace = Sf_obs.Trace
 module Pool = Sf_parallel.Pool
-module Json = Sf_perf.Json
+module Json = Sf_obs.Json
 module Rng = Sf_prng.Rng
 module Ugraph = Sf_graph.Ugraph
 module Strategies = Sf_search.Strategies

@@ -31,7 +31,7 @@ let collector acc =
    The exporters' output must parse as JSON: "external tools can read
    this file". A parse error fails the test. *)
 
-module Json = Sf_perf.Json
+module Json = Sf_obs.Json
 
 let parse_json s =
   match Json.parse s with Ok v -> v | Error msg -> Alcotest.failf "invalid JSON: %s" msg
