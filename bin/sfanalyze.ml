@@ -66,17 +66,12 @@ let run model n p m alpha exponent seed graph_file distances (obs : Obs_cli.t) =
     | Some path -> Sf_store.Csr_codec.load_ugraph ~path ()
     | None -> (
       match model with
-      (* samplewise identical to the legacy path, so reports match
-         old ones draw for draw — just without the boxed detour *)
-      | "mori" -> Sf_gen.Mori.graph_giant rng ~p ~m ~n
+      | "mori" -> Sf_gen.Mori.graph rng ~p ~m ~n
       | "ba" -> boxed (Sf_gen.Barabasi_albert.generate rng ~n ~m:(max m 1))
       | "lcd" -> boxed (Sf_gen.Lcd.generate rng ~n ~m:(max m 1))
       | "cooper-frieze" ->
         let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-        boxed (Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n)
-      | "cooper-frieze-giant" ->
-        let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-        Sf_gen.Cooper_frieze.generate_n_vertices_giant rng params ~n
+        Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n
       | "config" -> boxed (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ())
       | "uniform" -> boxed (Sf_gen.Uniform_attachment.tree rng ~t:n)
       | other -> failwith ("unknown model: " ^ other))
@@ -85,7 +80,7 @@ let run model n p m alpha exponent seed graph_file distances (obs : Obs_cli.t) =
   0
 
 let model_arg =
-  Arg.(value & opt string "mori" & info [ "model" ] ~doc:"mori | ba | lcd | cooper-frieze | cooper-frieze-giant | config | uniform")
+  Arg.(value & opt string "mori" & info [ "model" ] ~doc:"mori | ba | lcd | cooper-frieze | config | uniform")
 
 let n_arg = Arg.(value & opt int 10_000 & info [ "n" ] ~doc:"Vertices")
 let p_arg = Arg.(value & opt float 0.5 & info [ "p" ] ~doc:"Mori parameter")

@@ -41,15 +41,6 @@ let parse_sizes s =
          | Some v when v > 0 -> v
          | _ -> failwith ("bad size: " ^ tok))
 
-let instance_maker ~model ~p ~m ~alpha ~exponent =
-  match model with
-  | "mori" -> Sf_core.Searchability.mori_instance ~p ~m
-  | "cooper-frieze" ->
-    let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-    Sf_core.Searchability.cooper_frieze_instance params
-  | "config" -> Sf_core.Searchability.config_model_instance ~exponent
-  | other -> failwith ("unknown model: " ^ other ^ " (mori | cooper-frieze | config)")
-
 let build dir model p m alpha exponent sizes trials strategies seed (obs : Obs_cli.t) =
   Obs_cli.with_session obs ~tool:"sfcorpus" ~seed ~mode:("build-" ^ model) @@ fun () ->
   let sizes = parse_sizes sizes in
@@ -58,7 +49,11 @@ let build dir model p m alpha exponent sizes trials strategies seed (obs : Obs_c
   if strategies < 1 then failwith "--strategies: need at least 1";
   let cache = open_cache dir in
   let before = List.length (Sf_store.Cache.entries cache) in
-  let make = instance_maker ~model ~p ~m ~alpha ~exponent in
+  let make =
+    match Sf_core.Searchability.instance_of_model model ~p ~m ~alpha ~exponent with
+    | Ok make -> make
+    | Error msg -> failwith msg
+  in
   let master = Sf_prng.Rng.of_seed seed in
   let total = List.length sizes * strategies * trials in
   let progress =

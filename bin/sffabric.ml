@@ -34,7 +34,7 @@ let strings_conv =
 
 let model_arg =
   Arg.(value & opt string "mori" & info [ "model" ] ~docv:"MODEL"
-         ~doc:"Graph model: mori | cooper-frieze | cooper-frieze-giant | config.")
+         ~doc:"Graph model: mori | cooper-frieze | config.")
 
 let p_arg = Arg.(value & opt float 0.5 & info [ "p" ] ~doc:"Mori preferential-attachment weight")
 let m_arg = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Mori out-degree / merge factor")

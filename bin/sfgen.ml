@@ -4,53 +4,34 @@
    Examples:
      sfgen mori -n 10000 -p 0.5 --seed 7 --out g.edges
      sfgen mori -n 10000 -p 0.5 --seed 7 --out g.sfg --format bin
-     sfgen mori -n 10000000 -p 0.5 --engine giant --out g.sfg --format csr
+     sfgen mori -n 10000000 -p 0.5 --out g.sfg --format csr
      sfgen cooper-frieze -n 5000 --alpha 0.9 --stats
      sfgen config -n 100000 --exponent 2.3 --out -
      sfgen kleinberg --side 64 --r 2.0 --dot grid.dot *)
 
 open Cmdliner
 
-(* The giant engines build CSR-backed undirected views and never
-   materialise a boxed Digraph; models without a giant engine always
-   come out boxed.  Everything downstream (stats, writers) handles
-   both. *)
-type built = Boxed of Sf_graph.Digraph.t | Giant of Sf_graph.Ugraph.t
+(* Mori and Cooper-Frieze grow straight into CSR-backed undirected
+   views and never materialise a boxed Digraph; the other models come
+   out boxed.  Everything downstream (stats, writers) handles both. *)
+type built = Boxed of Sf_graph.Digraph.t | Flat of Sf_graph.Ugraph.t
 
-(* --engine auto switches Mori / Cooper-Frieze to the giant engine at
-   this size; explicit --engine giant|legacy overrides.  200k vertices
-   is where the boxed representation's memory (~100 B/vertex plus
-   per-edge boxes) starts to dominate a default container. *)
-let auto_giant_threshold = 200_000
-
-let generate_graph ~model ~engine ~n ~p ~m ~alpha ~exponent ~d_min ~side ~r ~q ~seed =
+let generate_graph ~model ~n ~p ~m ~alpha ~exponent ~d_min ~side ~r ~q ~seed =
   let rng = Sf_prng.Rng.of_seed seed in
-  let giant =
-    match engine with
-    | `Giant -> true
-    | `Legacy -> false
-    | `Auto -> n >= auto_giant_threshold
-  in
-  match (model, giant) with
-  | "mori", true -> Ok (Giant (Sf_gen.Mori.graph_giant rng ~p ~m ~n))
-  | "mori", false -> Ok (Boxed (Sf_gen.Mori.graph rng ~p ~m ~n))
-  | "cooper-frieze", true ->
+  match model with
+  | "mori" -> Ok (Flat (Sf_gen.Mori.graph rng ~p ~m ~n))
+  | "cooper-frieze" ->
     let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-    Ok (Giant (Sf_gen.Cooper_frieze.generate_n_vertices_giant rng params ~n))
-  | "cooper-frieze", false ->
-    let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-    Ok (Boxed (Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n))
-  | other, true when engine = `Giant ->
-    Error (`Msg ("model has no giant engine: " ^ other ^ " (mori and cooper-frieze do)"))
-  | "ba", _ -> Ok (Boxed (Sf_gen.Barabasi_albert.generate rng ~n ~m))
-  | "config", _ -> Ok (Boxed (Sf_gen.Config_model.power_law rng ~n ~exponent ~d_min ()))
-  | "config-giant", _ ->
+    Ok (Flat (Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n))
+  | "ba" -> Ok (Boxed (Sf_gen.Barabasi_albert.generate rng ~n ~m))
+  | "config" -> Ok (Boxed (Sf_gen.Config_model.power_law rng ~n ~exponent ~d_min ()))
+  | "config-giant" ->
     Ok (Boxed (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ~d_min ()))
-  | "kleinberg", _ ->
+  | "kleinberg" ->
     Ok (Boxed (Sf_gen.Kleinberg.generate rng ~side ~r ~q ()).Sf_gen.Kleinberg.graph)
-  | "uniform", _ -> Ok (Boxed (Sf_gen.Uniform_attachment.tree rng ~t:n))
-  | "gnm", _ -> Ok (Boxed (Sf_gen.Erdos_renyi.gnm rng ~n ~m:(n * m)))
-  | other, _ -> Error (`Msg ("unknown model: " ^ other))
+  | "uniform" -> Ok (Boxed (Sf_gen.Uniform_attachment.tree rng ~t:n))
+  | "gnm" -> Ok (Boxed (Sf_gen.Erdos_renyi.gnm rng ~n ~m:(n * m)))
+  | other -> Error (`Msg ("unknown model: " ^ other))
 
 let print_stats g =
   let u = Sf_graph.Ugraph.of_digraph g in
@@ -113,81 +94,54 @@ let ugraph_edge_list u =
   done;
   Buffer.contents buf
 
-let write_output built ~out ~format =
-  match (built, out, format) with
-  | _, None, _ -> Ok false
-  | Boxed g, Some "-", `Edges ->
-    print_string (Sf_graph.Gio.to_edge_list g);
-    Ok true
-  | Giant u, Some "-", `Edges ->
+(* Every writer takes the CSR view; a boxed graph is frozen first, which
+   keeps its edge ids and so its bytes in every format. *)
+let write_output u ~out ~format =
+  match (out, format) with
+  | None, _ -> Ok false
+  | Some "-", `Csr -> Error (`Msg "--format csr needs a real --out path (it is written, not streamed)")
+  | Some "-", `Edges ->
     print_string (ugraph_edge_list u);
     Ok true
-  | Boxed g, Some "-", `Bin ->
-    set_binary_mode_out stdout true;
-    print_string (Sf_store.Codec.encode g);
-    Ok true
-  | Giant u, Some "-", `Bin ->
+  | Some "-", `Bin ->
     set_binary_mode_out stdout true;
     print_string (Sf_store.Codec.encode_ugraph u);
     Ok true
-  | _, Some "-", `Csr -> Error (`Msg "--format csr needs a real --out path (it is written, not streamed)")
-  | Boxed g, Some path, `Edges ->
-    Sf_graph.Gio.write_edge_list g ~path;
-    Printf.printf "wrote %s\n" path;
-    Ok true
-  | Giant u, Some path, `Edges ->
-    Out_channel.with_open_bin path (fun oc -> output_string oc (ugraph_edge_list u));
-    Printf.printf "wrote %s\n" path;
-    Ok true
-  | Boxed g, Some path, `Bin ->
-    Sf_store.Codec.write_graph_file g ~path;
-    Printf.printf "wrote %s\n" path;
-    Ok true
-  | Giant u, Some path, `Bin ->
-    Sf_store.Codec.write_graph_file (Sf_store.Codec.digraph_of_ugraph u) ~path;
-    Printf.printf "wrote %s\n" path;
-    Ok true
-  | Boxed g, Some path, `Csr ->
-    Sf_store.Csr_codec.write_ugraph_file (Sf_graph.Ugraph.of_digraph g) ~path;
-    Printf.printf "wrote %s\n" path;
-    Ok true
-  | Giant u, Some path, `Csr ->
-    Sf_store.Csr_codec.write_ugraph_file u ~path;
+  | Some path, format ->
+    (match format with
+    | `Edges -> Out_channel.with_open_bin path (fun oc -> output_string oc (ugraph_edge_list u))
+    | `Bin -> Sf_store.Codec.write_graph_file (Sf_graph.Ugraph.to_digraph u) ~path
+    | `Csr -> Sf_store.Csr_codec.write_ugraph_file u ~path);
     Printf.printf "wrote %s\n" path;
     Ok true
 
-let run model engine n p m alpha exponent d_min side r q seed out format dot stats
+let run model n p m alpha exponent d_min side r q seed out format dot stats
     (obs : Obs_cli.t) =
   Obs_cli.with_session obs ~tool:"sfgen" ~seed ~mode:model @@ fun () ->
   match
-    generate_graph ~model ~engine ~n ~p ~m ~alpha ~exponent ~d_min ~side ~r ~q ~seed
+    generate_graph ~model ~n ~p ~m ~alpha ~exponent ~d_min ~side ~r ~q ~seed
   with
   | Error (`Msg msg) ->
     Printf.eprintf "sfgen: %s\n" msg;
     1
   | Ok built -> (
-    match write_output built ~out ~format with
+    let u = match built with Boxed g -> Sf_graph.Ugraph.of_digraph g | Flat u -> u in
+    match write_output u ~out ~format with
     | Error (`Msg msg) ->
       Printf.eprintf "sfgen: %s\n" msg;
       1
     | Ok wrote ->
-      (match (dot, built) with
-      | Some path, Boxed g ->
-        let oc = open_out path in
-        output_string oc (Sf_graph.Gio.to_dot g);
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      | Some path, Giant u ->
-        (* DOT is for small demo graphs; the boxed detour is fine here *)
-        let oc = open_out path in
-        output_string oc (Sf_graph.Gio.to_dot (Sf_store.Codec.digraph_of_ugraph u));
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      | None, _ -> ());
+      Option.iter
+        (fun path ->
+          (* DOT is for small demo graphs; the boxed view is fine here *)
+          let g = match built with Boxed g -> g | Flat u -> Sf_graph.Ugraph.to_digraph u in
+          Out_channel.with_open_text path (fun oc -> output_string oc (Sf_graph.Gio.to_dot g));
+          Printf.printf "wrote %s\n" path)
+        dot;
       if stats || ((not wrote) && dot = None) then begin
         match built with
         | Boxed g -> print_stats g
-        | Giant u -> print_ugraph_stats u
+        | Flat u -> print_ugraph_stats u
       end;
       0)
 
@@ -196,19 +150,6 @@ let model_arg =
     "Model: mori | ba | cooper-frieze | config | config-giant | kleinberg | uniform | gnm"
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL" ~doc)
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("auto", `Auto); ("legacy", `Legacy); ("giant", `Giant) ]) `Auto
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Generation engine for mori and cooper-frieze: $(b,giant) builds straight \
-           into flat CSR storage (required beyond a few hundred thousand vertices, \
-           doc/SCALING.md), $(b,legacy) uses the boxed representation, $(b,auto) \
-           (default) picks giant at n >= 200000. The Mori giant engine draws the \
-           identical random sequence as legacy; the cooper-frieze one is equal in \
-           law only.")
 
 let n_arg = Arg.(value & opt int 1000 & info [ "n" ] ~doc:"Number of vertices")
 let p_arg = Arg.(value & opt float 0.5 & info [ "p" ] ~doc:"Mori preferential-attachment weight (0 < p <= 1)")
@@ -241,7 +182,7 @@ let cmd =
   Cmd.v
     (Cmd.info "sfgen" ~doc)
     Term.(
-      const run $ model_arg $ engine_arg $ n_arg $ p_arg $ m_arg $ alpha_arg $ exponent_arg
+      const run $ model_arg $ n_arg $ p_arg $ m_arg $ alpha_arg $ exponent_arg
       $ d_min_arg $ side_arg $ r_arg $ q_arg $ seed_arg $ out_arg $ format_arg $ dot_arg
       $ stats_arg $ Obs_cli.term)
 

@@ -35,18 +35,9 @@ let run model n p m alpha exponent strategy_name source target trials budget see
       let u = Sf_store.Csr_codec.load_ugraph ~path () in
       (u, Sf_graph.Ugraph.n_vertices u)
     | None -> (
-      match model with
-      | "mori" -> Sf_core.Searchability.mori_instance ~p ~m rng n
-      | "cooper-frieze" ->
-        let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-        Sf_core.Searchability.cooper_frieze_instance params rng n
-      | "cooper-frieze-giant" ->
-        let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-        Sf_core.Searchability.cooper_frieze_giant_instance params rng n
-      | "config" -> Sf_core.Searchability.config_model_instance ~exponent rng n
-      | other ->
-        failwith
-          ("unknown model: " ^ other ^ " (mori | cooper-frieze | cooper-frieze-giant | config)"))
+      match Sf_core.Searchability.instance_of_model model ~p ~m ~alpha ~exponent with
+      | Ok make -> make rng n
+      | Error msg -> failwith msg)
   in
   match strategy_of_name strategy_name with
   | None ->
@@ -154,7 +145,7 @@ let run model n p m alpha exponent strategy_name source target trials budget see
 let model_arg =
   Arg.(
     value & opt string "mori"
-    & info [ "model" ] ~doc:"mori | cooper-frieze | cooper-frieze-giant | config")
+    & info [ "model" ] ~doc:"mori | cooper-frieze | config")
 let n_arg = Arg.(value & opt int 10_000 & info [ "n" ] ~doc:"Target vertex / problem size")
 let p_arg = Arg.(value & opt float 0.5 & info [ "p" ] ~doc:"Mori parameter")
 let m_arg = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Mori merge factor")

@@ -28,24 +28,9 @@ let run model n p m alpha exponent graph_file listen seed target default_budget
       match graph_file with
       | Some path -> Sf_store.Csr_codec.load_ugraph ~path ()
       | None ->
-        fst
-          (match model with
-          | "mori" -> Sf_core.Searchability.mori_instance ~p ~m rng n
-          | "cooper-frieze" ->
-            let params =
-              { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha }
-            in
-            Sf_core.Searchability.cooper_frieze_instance params rng n
-          | "cooper-frieze-giant" ->
-            let params =
-              { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha }
-            in
-            Sf_core.Searchability.cooper_frieze_giant_instance params rng n
-          | "config" -> Sf_core.Searchability.config_model_instance ~exponent rng n
-          | other ->
-            failwith
-              ("unknown model: " ^ other
-             ^ " (mori | cooper-frieze | cooper-frieze-giant | config)"))
+        (match Sf_core.Searchability.instance_of_model model ~p ~m ~alpha ~exponent with
+        | Ok make -> fst (make rng n)
+        | Error msg -> failwith msg)
     in
     let cfg =
       Sf_serve.Server.config ?default_target:target ?default_budget
@@ -85,7 +70,7 @@ let run model n p m alpha exponent graph_file listen seed target default_budget
 let model_arg =
   Arg.(
     value & opt string "mori"
-    & info [ "model" ] ~doc:"mori | cooper-frieze | cooper-frieze-giant | config")
+    & info [ "model" ] ~doc:"mori | cooper-frieze | config")
 
 let n_arg =
   Arg.(value & opt int 10_000 & info [ "n" ] ~doc:"Generated graph size")

@@ -70,9 +70,7 @@ let () =
   let p = 0.6 in
   let bound = Sf_core.Lower_bound.theorem1 ~p ~m:2 ~n in
   let mori =
-    Sf_graph.Ugraph.of_digraph
-      (Sf_gen.Mori.graph (Sf_prng.Rng.split rng) ~p ~m:2
-         ~n:bound.Sf_core.Lower_bound.graph_size)
+    Sf_gen.Mori.graph (Sf_prng.Rng.split rng) ~p ~m:2 ~n:bound.Sf_core.Lower_bound.graph_size
   in
   Printf.printf "Evolving scale-free network (Mori graph, p = %.1f): find the newest peer\n" p;
   List.iter

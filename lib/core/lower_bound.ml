@@ -117,7 +117,8 @@ let theorem2_estimate rng params ~n ?window ~trials () =
   in
   let hits = ref 0 and class_sum = ref 0 in
   for _ = 1 to trials do
-    let g, arrival = Sf_gen.Cooper_frieze.generate_n_vertices_traced rng params ~n in
+    let u, arrival = Sf_gen.Cooper_frieze.generate_n_vertices_traced rng params ~n in
+    let g = Sf_graph.Ugraph.to_digraph u in
     if cf_event_holds g ~arrival ~n ~window then begin
       incr hits;
       class_sum := !class_sum + largest_out_degree_class g ~n ~window

@@ -195,11 +195,8 @@ let mori_instance ~p ~m rng n =
   cached ~gen:"mori"
     ~params:[ ("p", fparam p); ("m", string_of_int m) ]
     (fun rng n ->
-      (* the giant engine is draw-for-draw identical to Mori.graph on
-         the same stream (tested), so swapping it in changes memory
-         and speed, not results — coordinates and goldens carry over *)
       let bound = Lower_bound.theorem1 ~p ~m ~n in
-      (Sf_gen.Mori.graph_giant rng ~p ~m ~n:bound.Lower_bound.graph_size, n))
+      (Sf_gen.Mori.graph rng ~p ~m ~n:bound.Lower_bound.graph_size, n))
     rng n
 
 let cf_params_rendered (params : Sf_gen.Cooper_frieze.params) =
@@ -225,19 +222,7 @@ let cooper_frieze_instance params rng n =
   cached ~gen:"cooper-frieze" ~params:(cf_params_rendered params)
     (fun rng n ->
       let extra = int_of_float (sqrt (float_of_int n)) in
-      let g = Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n:(n + extra) in
-      (Ugraph.of_digraph g, n))
-    rng n
-
-let cooper_frieze_giant_instance params rng n =
-  (* a distinct coordinate, not a swap: the giant CF path consumes the
-     stream differently from the legacy one (alias out-degree draws),
-     so the two must never share cache objects or be compared
-     digest-for-digest — equal in law only *)
-  cached ~gen:"cooper-frieze-giant" ~params:(cf_params_rendered params)
-    (fun rng n ->
-      let extra = int_of_float (sqrt (float_of_int n)) in
-      (Sf_gen.Cooper_frieze.generate_n_vertices_giant rng params ~n:(n + extra), n))
+      (Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n:(n + extra), n))
     rng n
 
 let config_model_instance ~exponent rng n =
@@ -250,6 +235,14 @@ let config_model_instance ~exponent rng n =
       let target = if n' <= 1 then 1 else 2 + Rng.int rng (n' - 1) in
       (u, target))
     rng n
+
+let instance_of_model model ~p ~m ~alpha ~exponent =
+  match model with
+  | "mori" -> Ok (mori_instance ~p ~m)
+  | "cooper-frieze" ->
+    Ok (cooper_frieze_instance { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha })
+  | "config" -> Ok (config_model_instance ~exponent)
+  | other -> Error ("unknown model: " ^ other ^ " (mori | cooper-frieze | config)")
 
 let points_to_csv points =
   Sf_stats.Csv.to_string

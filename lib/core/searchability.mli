@@ -128,34 +128,34 @@ val trial_rng :
 
 val mori_instance :
   p:float -> m:int -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int
-(** The Theorem 1 workload: the merged Móri graph sized
-    [graph_size] from {!Lower_bound.theorem1} (so the equivalence
-    window exists), target = vertex [n]. Built by the giant engine
-    ({!Sf_gen.Mori.graph_giant}) at every size — it is draw-for-draw
-    identical to the legacy path, so this is a storage change, not a
-    distribution change. *)
+(** The Theorem 1 workload: the merged Móri graph ({!Sf_gen.Mori.graph})
+    sized [graph_size] from {!Lower_bound.theorem1} (so the equivalence
+    window exists), target = vertex [n]. *)
 
 val cooper_frieze_instance :
   Sf_gen.Cooper_frieze.params -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int
-(** The Theorem 2 workload: CF graph grown to [n + ⌊√n⌋] vertices,
-    target = vertex [n]. *)
-
-val cooper_frieze_giant_instance :
-  Sf_gen.Cooper_frieze.params -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int
-(** The Theorem 2 workload built by the flat-storage giant engine
-    ({!Sf_gen.Cooper_frieze.generate_n_vertices_giant}) — the choice
-    for [n] in the millions. Cached under its own coordinate
-    ([cooper-frieze-giant]): the giant path consumes the random
-    stream differently from the legacy one, so the two are equal in
-    law but not interchangeable draw-for-draw. (The Móri maker needs
-    no such split — its giant engine is samplewise identical and
-    {!mori_instance} already uses it.) *)
+(** The Theorem 2 workload: CF graph
+    ({!Sf_gen.Cooper_frieze.generate_n_vertices}) grown to [n + ⌊√n⌋]
+    vertices, target = vertex [n]. *)
 
 val config_model_instance :
   exponent:float -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int
 (** The Adamic et al. workload: largest component of a power-law
     configuration graph; the target is a uniform vertex distinct from
     the source-designate (vertex 1 after relabelling). *)
+
+val instance_of_model :
+  string ->
+  p:float ->
+  m:int ->
+  alpha:float ->
+  exponent:float ->
+  (Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int, string) result
+(** The maker a [--model] name selects: [mori] ({!mori_instance} with
+    [p], [m]), [cooper-frieze] ({!cooper_frieze_instance} with the
+    default parameters at [alpha]) or [config]
+    ({!config_model_instance} with [exponent]). An unknown name gives
+    [Error "unknown model: NAME (mori | cooper-frieze | config)"]. *)
 
 val exponent_fit : point list -> strategy:string -> Sf_stats.Regression.fit
 (** Log–log fit of [mean] against [n] for one strategy's points.

@@ -109,8 +109,9 @@ let t9_degree_law ~quick ~seed =
   (* Cooper-Frieze: report the fitted tail and assert heavy-tailedness *)
   let rng_cf = Rng.split_at master 960 in
   let cf =
-    Sf_gen.Cooper_frieze.generate_n_vertices rng_cf Sf_gen.Cooper_frieze.default
-      ~n:(Exp.pick ~quick:10_000 ~full:50_000 quick)
+    Sf_graph.Ugraph.to_digraph
+      (Sf_gen.Cooper_frieze.generate_n_vertices rng_cf Sf_gen.Cooper_frieze.default
+         ~n:(Exp.pick ~quick:10_000 ~full:50_000 quick))
   in
   let cf_degrees = Metrics.total_degrees cf in
   let cf_fit = fit_tail cf_degrees in

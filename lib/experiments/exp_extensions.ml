@@ -22,16 +22,18 @@ let t15_degree_correlations ~quick ~seed =
       ( "Cooper-Frieze",
         fun rng ->
           Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default ~n );
-      ("LCD (BA) m=2", fun rng -> Sf_gen.Lcd.generate rng ~n ~m:2);
+      ("LCD (BA) m=2", fun rng -> Ugraph.of_digraph (Sf_gen.Lcd.generate rng ~n ~m:2));
       ( "config model k=2.33",
-        fun rng -> Sf_gen.Config_model.searchable_power_law rng ~n ~exponent:2.33 () );
+        fun rng ->
+          Ugraph.of_digraph (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent:2.33 ())
+      );
     ]
   in
   let rows =
     List.mapi
       (fun i (name, make) ->
         let rng = Rng.split_at master (1500 + i) in
-        let u = Ugraph.of_digraph (make rng) in
+        let u = make rng in
         let assort = Correlation.assortativity u in
         let knn = Correlation.knn_slope u in
         let age = Correlation.age_degree_spearman u in
@@ -198,8 +200,7 @@ let t17_timestamp_leak ~quick ~seed =
         let costs = Sf_stats.Summary.create () in
         for trial = 0 to trials - 1 do
           let rng = Rng.split_at master ((si * 10_000) + (if obfuscate then 5_000 else 0) + trial) in
-          let g = Sf_gen.Mori.tree rng ~p ~t:bound.Lower_bound.graph_size in
-          let u = Ugraph.of_digraph g in
+          let u = Sf_gen.Mori.graph rng ~p ~m:1 ~n:bound.Lower_bound.graph_size in
           let outcome =
             Sf_search.Runner.search ~obfuscate ~stop_at:Sf_search.Runner.At_neighbor ~rng u
               strategy ~source:1 ~target:n

@@ -14,7 +14,7 @@ let t10_diameter ~quick ~seed =
     (Exp.section "T10: log diameter vs sqrt(n) search cost - small world, not searchable");
   let models =
     [
-      ("Mori p=0.5", fun rng n -> Sf_gen.Mori.tree rng ~p:0.5 ~t:n);
+      ("Mori p=0.5", fun rng n -> Sf_gen.Mori.graph rng ~p:0.5 ~m:1 ~n);
       ( "Cooper-Frieze",
         fun rng n -> Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default ~n );
     ]
@@ -26,7 +26,7 @@ let t10_diameter ~quick ~seed =
       List.iteri
         (fun si n ->
           let rng = Rng.split_at master ((mi * 100) + si) in
-          let g = Ugraph.of_digraph (make rng n) in
+          let g = make rng n in
           let diam = Traversal.diameter_double_sweep g rng in
           let mean_dist = Traversal.mean_distance_sampled g rng ~samples:3 in
           diams := (n, diam) :: !diams;

@@ -48,21 +48,13 @@ let core_spec spec =
     S.source = (spec.gs_source :> [ `Oldest | `Random ]);
   }
 
-let models = [ "mori"; "cooper-frieze"; "cooper-frieze-giant"; "config" ]
-
 let make_of_spec spec =
-  match spec.gs_model with
-  | "mori" -> S.mori_instance ~p:spec.gs_p ~m:spec.gs_m
-  | "cooper-frieze" ->
-    let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha = spec.gs_alpha } in
-    S.cooper_frieze_instance params
-  | "cooper-frieze-giant" ->
-    let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha = spec.gs_alpha } in
-    S.cooper_frieze_giant_instance params
-  | "config" -> S.config_model_instance ~exponent:spec.gs_exponent
-  | other ->
-    invalid_arg
-      (Printf.sprintf "Grid: unknown model %s (%s)" other (String.concat " | " models))
+  match
+    S.instance_of_model spec.gs_model ~p:spec.gs_p ~m:spec.gs_m ~alpha:spec.gs_alpha
+      ~exponent:spec.gs_exponent
+  with
+  | Ok make -> make
+  | Error msg -> invalid_arg ("Grid: " ^ msg)
 
 let strategies_of_spec spec =
   let all =

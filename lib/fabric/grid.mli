@@ -13,7 +13,7 @@
     the same fold {!Sf_core.Searchability.measure} uses. *)
 
 type spec = {
-  gs_model : string;  (** mori | cooper-frieze | cooper-frieze-giant | config *)
+  gs_model : string;  (** mori | cooper-frieze | config *)
   gs_p : float;
   gs_m : int;
   gs_alpha : float;

@@ -45,33 +45,29 @@ val default : params
 
 val validate : params -> (unit, string) result
 
-val generate : Sf_prng.Rng.t -> params -> steps:int -> Sf_graph.Digraph.t
+val generate : Sf_prng.Rng.t -> params -> steps:int -> Sf_graph.Ugraph.t
 (** Run exactly [steps] evolution steps from the initial graph.
+
+    There is one growth loop. Edges accumulate in flat int32 endpoint
+    vectors and the graph is built directly in CSR form, so graphs
+    with 10^7 vertices fit comfortably in memory (doc/SCALING.md).
+    Edge ids are insertion order and keep their orientation; use
+    {!Sf_graph.Ugraph.to_digraph} for in- and out-degrees.
     @raise Invalid_argument if [validate] fails. *)
 
-val generate_n_vertices : Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Digraph.t
+val generate_n_vertices : Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Ugraph.t
 (** Run steps until the graph has [n] vertices (so the number of steps
     is random, geometric in [alpha]); vertex [n] is the last arrival,
     the search target of Theorem 2. @raise Invalid_argument if
     [validate] fails or [n < 1]. *)
 
-val generate_n_vertices_giant : Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Ugraph.t
-(** Flat-storage counterpart of {!generate_n_vertices}: out-degree
-    counts come from precompiled alias tables (O(1) per draw instead
-    of a scan over the support) and edges accumulate in unboxed int32
-    vectors feeding a direct CSR build, so graphs with 10^7 vertices
-    fit comfortably in memory (doc/SCALING.md).  Same evolution, same
-    parameter checks; equal to {!generate_n_vertices} {e in law} but
-    not draw for draw — the alias draw consumes the random stream
-    differently, so the two paths diverge samplewise. *)
-
 val generate_n_vertices_traced :
-  Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Digraph.t * int array
-(** Like {!generate_n_vertices}, but also returns each vertex's
-    {e arrival out-degree} — the number of edges it was born with
-    ([a.(v-1)]; vertex 1's initial self-loop counts as 1). A vertex
-    whose final out-degree exceeds its arrival out-degree was later
-    used as an OLD-step source; the Theorem 2 equivalence event needs
-    to rule that out for the candidate window. *)
+  Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Ugraph.t * int array
+(** Like {!generate_n_vertices}, draw for draw, but also returns each
+    vertex's {e arrival out-degree} — the number of edges it was born
+    with ([a.(v-1)]; vertex 1's initial self-loop counts as 1). A
+    vertex whose final out-degree exceeds its arrival out-degree was
+    later used as an OLD-step source; the Theorem 2 equivalence event
+    needs to rule that out for the candidate window. *)
 
 val mean_out_degree : out_degree_dist -> float

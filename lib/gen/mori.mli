@@ -23,10 +23,13 @@
     parallel edges produced by merging are preserved. *)
 
 val tree : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Digraph.t
-(** [tree rng ~p ~t] grows the Móri tree [G_t] on vertices [1..t].
-    Vertex [k >= 2] has exactly one out-edge, created at time [k]; edge
-    id [k-2] is that edge, so edge ids are insertion timestamps.
-    @raise Invalid_argument unless [t >= 2] and [0 < p <= 1]. *)
+(** [tree rng ~p ~t] grows the Móri tree [G_t] on vertices [1..t], as
+    the oriented view of {!tree_fathers}: vertex [k >= 2] has exactly
+    one out-edge, created at time [k]; edge id [k-2] is that edge, so
+    edge ids are insertion timestamps. Lemmas 2–3 and the exhaustive
+    enumeration read the orientation from here.
+    @raise Invalid_argument unless [t >= 2], [0 < p <= 1] and
+    [t - 1 <= Csr.max_edges]. *)
 
 val tree_conditioned :
   Sf_prng.Rng.t -> p:float -> t:int -> a:int -> b:int -> Sf_graph.Digraph.t
@@ -35,32 +38,19 @@ val tree_conditioned :
     Conditioning is done step by step — conditional on the event's
     prefix, the indegree mass reachable by a constrained step lives
     entirely in [[1, a]], so the restricted step remains exactly
-    sampleable (no rejection). Used by the equivalence tests.
+    sampleable (no rejection). It is the growth loop of {!tree} with
+    the window [(a, b]] restricted; [a = b] restricts nothing. Used by
+    the equivalence tests.
     @raise Invalid_argument unless [2 <= a <= b <= t]. *)
 
 val tree_fathers : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Bigvec.t
-(** [tree_fathers rng ~p ~t] grows the same tree as {!tree} but keeps
-    only the father sequence in flat int32 storage: entry [k-2] is the
-    father of vertex [k].  Draw-for-draw identical to {!tree} — with
-    the same stream the two produce the same sequence (the equivalence
-    tests pin this), so results are interchangeable, not merely equal
-    in law.  Peak memory is ~4 bytes per vertex instead of the boxed
-    graph's ~100, which is what makes [t = 10^7] routine
-    (doc/SCALING.md).
-    @raise Invalid_argument unless [t >= 2] and [0 < p <= 1]. *)
-
-val tree_giant : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Ugraph.t
-(** [tree_giant rng ~p ~t] is {!tree_fathers} materialised as a
-    CSR-backed undirected graph, equal to
-    [Ugraph.of_digraph (tree rng ~p ~t)] on the same stream. *)
-
-val graph_giant : Sf_prng.Rng.t -> p:float -> m:int -> n:int -> Sf_graph.Ugraph.t
-(** [graph_giant rng ~p ~m ~n] is the m-out Móri graph of {!graph}
-    built directly in CSR form: the father sequence is mapped through
-    the block-merge projection edge by edge, skipping the boxed
-    intermediate tree entirely.  Equal (same edge ids, same endpoints)
-    to [Ugraph.of_digraph (graph rng ~p ~m ~n)] on the same stream.
-    Requires [n·m >= 2]. *)
+(** [tree_fathers rng ~p ~t] is the growth loop itself: the father
+    sequence in flat int32 storage, entry [k-2] the father of vertex
+    [k]. {!tree} and {!graph} are built from it, so on the same stream
+    all three describe the same tree. Peak memory is ~4 bytes per
+    vertex, which is what makes [t = 10^7] routine (doc/SCALING.md).
+    @raise Invalid_argument unless [t >= 2], [0 < p <= 1] and
+    [t - 1 <= Csr.max_edges], before any growth. *)
 
 val father : Sf_graph.Digraph.t -> int -> int
 (** [father tree k] is [N_k], the destination of [k]'s out-edge
@@ -75,10 +65,18 @@ val merge : m:int -> Sf_graph.Digraph.t -> Sf_graph.Digraph.t
     vertex [i]. Requires [m >= 1] and [m] dividing [n_vertices g].
     Every edge of [g] survives (possibly as a self-loop). *)
 
-val graph : Sf_prng.Rng.t -> p:float -> m:int -> n:int -> Sf_graph.Digraph.t
+val graph : Sf_prng.Rng.t -> p:float -> m:int -> n:int -> Sf_graph.Ugraph.t
 (** [graph rng ~p ~m ~n] is the m-out Móri graph [G^(m)] on [n]
-    vertices: the tree on [n·m] vertices merged by blocks of [m].
-    Requires [n·m >= 2]. *)
+    vertices: the tree on [n·m] vertices merged by blocks of [m], built
+    in CSR form by mapping {!tree_fathers} through the block-merge
+    projection edge by edge, with no boxed intermediate. Equal (same
+    edge ids, same endpoints) to
+    [Ugraph.of_digraph (merge ~m (tree rng ~p ~t:(n * m)))] on the
+    same stream; use {!Sf_graph.Ugraph.to_digraph} for the oriented
+    view.
+    @raise Invalid_argument unless [n, m >= 1] and [n·m >= 2]; and,
+    before any growth, when the [n·m - 1] edges exceed
+    {!Sf_graph.Csr.max_edges} ([n·m <= 2{^30}]). *)
 
 val expected_degree_exponent : p:float -> float
 (** The density exponent of the indegree power law predicted for this

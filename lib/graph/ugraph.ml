@@ -10,6 +10,15 @@ let csr t = t
 
 let of_digraph = Csr.of_digraph
 
+let to_digraph t =
+  let n = Csr.n_vertices t in
+  let g = Digraph.create ~expected_vertices:n () in
+  Digraph.add_vertices g n;
+  for id = 0 to Csr.n_edges t - 1 do
+    ignore (Digraph.add_edge g ~src:(Csr.src t id) ~dst:(Csr.dst t id))
+  done;
+  g
+
 let n_vertices = Csr.n_vertices
 let n_edges = Csr.n_edges
 let mem_vertex = Csr.mem_vertex

@@ -29,6 +29,12 @@ type t
 
 val of_digraph : Digraph.t -> t
 
+val to_digraph : t -> Digraph.t
+(** The oriented graph back, edges re-added in id order, so
+    [of_digraph (to_digraph t)] equals [t]. A fresh boxed copy, O(n + m):
+    for callers that need {!Digraph} semantics, such as out-degrees or a
+    self-loop counted twice. *)
+
 val of_csr : Csr.t -> t
 (** O(1) adoption of CSR storage — generator and mmap fast path. *)
 

@@ -30,13 +30,14 @@ let tests ~quick =
       (Printf.sprintf "gen: merged mori m=4 n=%d (T2)" (scale 2048))
       (fun () ->
         ignore (Sf_gen.Mori.graph (Sf_prng.Rng.copy rng0) ~p:0.5 ~m:4 ~n:(scale 2048)));
-    (* T4: Cooper-Frieze generation *)
+    (* T4: Cooper-Frieze generation, as the oriented view *)
     mk
       (Printf.sprintf "gen: cooper-frieze n=%d (T4)" (scale 4096))
       (fun () ->
         ignore
-          (Sf_gen.Cooper_frieze.generate_n_vertices (Sf_prng.Rng.copy rng0)
-             Sf_gen.Cooper_frieze.default ~n:(scale 4096)));
+          (Sf_graph.Ugraph.to_digraph
+             (Sf_gen.Cooper_frieze.generate_n_vertices (Sf_prng.Rng.copy rng0)
+                Sf_gen.Cooper_frieze.default ~n:(scale 4096))));
     (* T11: configuration-model generation *)
     mk
       (Printf.sprintf "gen: config model n=%d (T11)" (scale 8192))
@@ -126,18 +127,20 @@ let tests ~quick =
               (Sf_sim.Query_sim.Flood { ttl = 6 })
               ~source:1
               ~holders:(Sf_sim.Query_sim.single_target net (n_conf / 2)))));
-    (* giant-graph engine hot paths (doc/SCALING.md): the Bigvec-backed
-       Móri grower, the alias-sampled Cooper–Frieze grower, the CSR
-       freeze, and the SFGB-v2 write+map round trip *)
+    (* giant-graph hot paths (doc/SCALING.md): the Móri and
+       Cooper–Frieze growth loops straight into CSR (the "gen: mori
+       tree" and "gen: cooper-frieze" entries above time the same
+       loops plus the oriented Digraph view), the CSR freeze, and the
+       SFGB-v2 write+map round trip *)
     mk
       (Printf.sprintf "gen: mori giant tree t=%d (T1)" (scale 8192))
       (fun () ->
-        ignore (Sf_gen.Mori.tree_giant (Sf_prng.Rng.copy rng0) ~p:0.5 ~t:(scale 8192)));
+        ignore (Sf_gen.Mori.graph (Sf_prng.Rng.copy rng0) ~p:0.5 ~m:1 ~n:(scale 8192)));
     mk
       (Printf.sprintf "gen: cooper-frieze giant n=%d (T4)" (scale 4096))
       (fun () ->
         ignore
-          (Sf_gen.Cooper_frieze.generate_n_vertices_giant (Sf_prng.Rng.copy rng0)
+          (Sf_gen.Cooper_frieze.generate_n_vertices (Sf_prng.Rng.copy rng0)
              Sf_gen.Cooper_frieze.default ~n:(scale 4096)));
     mk
       (Printf.sprintf "graph: csr freeze n=%d" (scale 16_384))

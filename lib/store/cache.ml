@@ -225,7 +225,7 @@ let register t key ~target ~rng_after ~path =
 let add_ugraph t key ~graph ~target ~rng_after ~format =
   let path = object_path t (Fingerprint.hex key) in
   (match format with
-  | `V1 -> Codec.write_graph_file (Codec.digraph_of_ugraph graph) ~path
+  | `V1 -> Codec.write_graph_file (Sf_graph.Ugraph.to_digraph graph) ~path
   | `V2 -> Csr_codec.write_ugraph_file graph ~path);
   register t key ~target ~rng_after ~path
 

@@ -158,17 +158,7 @@ let decode s =
 (* The undirected view                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let digraph_of_ugraph u =
-  let n = Ugraph.n_vertices u and m = Ugraph.n_edges u in
-  let g = Digraph.create ~expected_vertices:n () in
-  Digraph.add_vertices g n;
-  for id = 0 to m - 1 do
-    let src, dst = Ugraph.endpoints u id in
-    ignore (Digraph.add_edge g ~src ~dst)
-  done;
-  g
-
-let encode_ugraph u = encode (digraph_of_ugraph u)
+let encode_ugraph u = encode (Ugraph.to_digraph u)
 let decode_ugraph s = Ugraph.of_digraph (decode s)
 
 (* ------------------------------------------------------------------ *)

@@ -34,11 +34,6 @@ val encode : Sf_graph.Digraph.t -> string
 val decode : string -> Sf_graph.Digraph.t
 (** @raise Codec_error.Error on any malformed input. *)
 
-val digraph_of_ugraph : Sf_graph.Ugraph.t -> Sf_graph.Digraph.t
-(** Exact inverse of {!Sf_graph.Ugraph.of_digraph}: the view retains
-    every edge's oriented endpoints in id order, so the directed
-    multigraph is recoverable bit-for-bit. *)
-
 val encode_ugraph : Sf_graph.Ugraph.t -> string
 (** Encodes the directed multigraph underlying the view — a
     {!Sf_graph.Ugraph.t} retains every edge's oriented endpoints in id

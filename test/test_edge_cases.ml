@@ -121,7 +121,7 @@ let test_tiny_generators () =
   Alcotest.(check int) "ba n=2" 2 (Digraph.n_vertices (Sf_gen.Barabasi_albert.generate r ~n:2 ~m:3));
   Alcotest.(check int) "lcd t=1" 1 (Digraph.n_vertices (Sf_gen.Lcd.tree1 r ~t:1));
   Alcotest.(check int) "cf n=1" 1
-    (Digraph.n_vertices (Sf_gen.Cooper_frieze.generate_n_vertices r Sf_gen.Cooper_frieze.default ~n:1));
+    (Ugraph.n_vertices (Sf_gen.Cooper_frieze.generate_n_vertices r Sf_gen.Cooper_frieze.default ~n:1));
   Alcotest.(check int) "gnm empty" 0 (Digraph.n_edges (Sf_gen.Erdos_renyi.gnm r ~n:5 ~m:0));
   Alcotest.(check int) "config all-zero degrees" 0
     (Digraph.n_edges (Sf_gen.Config_model.of_degree_sequence r [| 0; 0 |]))
@@ -233,7 +233,7 @@ let prop_gio_roundtrip =
   QCheck.Test.make ~name:"edge-list serialisation roundtrips" ~count:60
     QCheck.(pair (int_bound 100_000) (int_range 2 80))
     (fun (seed, t) ->
-      let g = Sf_gen.Mori.graph (Rng.of_seed seed) ~p:0.6 ~m:2 ~n:t in
+      let g = Ugraph.to_digraph (Sf_gen.Mori.graph (Rng.of_seed seed) ~p:0.6 ~m:2 ~n:t) in
       let g' = Sf_graph.Gio.of_edge_list (Sf_graph.Gio.to_edge_list g) in
       Digraph.equal_structure g g'
       && Digraph.canonical_key g = Digraph.canonical_key g')

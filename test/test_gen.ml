@@ -103,41 +103,45 @@ let test_mori_conditioned_matches_conditional_law () =
     true
     (Float.abs (freq -. exact) < 0.012)
 
-(* --- giant engine ----------------------------------------------------- *)
+(* --- one growth loop, two views ---------------------------------------- *)
+
+(* the CSR graph and the oriented view of the same stream *)
+let merged_tree rng ~p ~m ~n = Ugraph.of_digraph (Mori.merge ~m (Mori.tree rng ~p ~t:(n * m)))
 
 let test_mori_giant_samplewise_parity () =
-  (* the giant engine must be the SAME random variable as the legacy
-     path: same stream -> identical edge list, not merely equal law *)
+  (* Mori.graph must be the SAME random variable as merging the
+     oriented tree: same stream -> identical edge list, not merely
+     equal law *)
   List.iter
     (fun (p, m, n, seed) ->
-      let legacy = Ugraph.of_digraph (Mori.graph (Rng.of_seed seed) ~p ~m ~n) in
-      let giant = Mori.graph_giant (Rng.of_seed seed) ~p ~m ~n in
+      let oriented = merged_tree (Rng.of_seed seed) ~p ~m ~n in
+      let flat = Mori.graph (Rng.of_seed seed) ~p ~m ~n in
       Alcotest.(check bool)
         (Printf.sprintf "p=%g m=%d n=%d identical" p m n)
         true
-        (Sf_graph.Csr.equal (Ugraph.csr legacy) (Ugraph.csr giant)))
+        (Sf_graph.Csr.equal (Ugraph.csr oriented) (Ugraph.csr flat)))
     [ (0.5, 1, 100, 11); (0.5, 3, 64, 12); (0.9, 2, 500, 13); (0.1, 4, 25, 14); (1.0, 1, 50, 15) ]
 
 let test_mori_giant_fathers_match_tree () =
   let seed = 21 and p = 0.7 and t = 400 in
-  let legacy = Mori.fathers (Mori.tree (Rng.of_seed seed) ~p ~t) in
-  let giant = Mori.tree_fathers (Rng.of_seed seed) ~p ~t in
-  Alcotest.(check int) "length" (t - 1) (Sf_graph.Bigvec.length giant);
+  let oriented = Mori.fathers (Mori.tree (Rng.of_seed seed) ~p ~t) in
+  let flat = Mori.tree_fathers (Rng.of_seed seed) ~p ~t in
+  Alcotest.(check int) "length" (t - 1) (Sf_graph.Bigvec.length flat);
   Array.iteri
-    (fun i f -> Alcotest.(check int) "father" f (Sf_graph.Bigvec.get giant i))
-    legacy
+    (fun i f -> Alcotest.(check int) "father" f (Sf_graph.Bigvec.get flat i))
+    oriented
 
 let test_mori_giant_rng_stream_position () =
-  (* after generation both paths must leave the stream at the same
+  (* after generation both views must leave the stream at the same
      point — the corpus fingerprint/RNG-restore contract depends on a
      deterministic number of draws *)
   let rng_a = Rng.of_seed 31 and rng_b = Rng.of_seed 31 in
-  ignore (Mori.graph rng_a ~p:0.5 ~m:2 ~n:80);
-  ignore (Mori.graph_giant rng_b ~p:0.5 ~m:2 ~n:80);
+  ignore (merged_tree rng_a ~p:0.5 ~m:2 ~n:80);
+  ignore (Mori.graph rng_b ~p:0.5 ~m:2 ~n:80);
   Alcotest.(check int) "next draw agrees" (Rng.int rng_a 1_000_000) (Rng.int rng_b 1_000_000)
 
 let test_cf_giant_structure () =
-  let g = Cooper_frieze.generate_n_vertices_giant (Rng.of_seed 41) Cooper_frieze.default ~n:800 in
+  let g = Cooper_frieze.generate_n_vertices (Rng.of_seed 41) Cooper_frieze.default ~n:800 in
   Alcotest.(check int) "vertex count" 800 (Ugraph.n_vertices g);
   Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   (match Sf_graph.Csr.validate (Ugraph.csr g) with
@@ -145,38 +149,6 @@ let test_cf_giant_structure () =
   | Error msg -> Alcotest.fail ("CSR invalid: " ^ msg));
   (* vertex 1's self-loop survives as edge 0 *)
   Alcotest.(check (pair int int)) "initial self-loop" (1, 1) (Ugraph.endpoints g 0)
-
-let test_cf_giant_degree_law_chi_square () =
-  (* The giant path consumes the stream differently (alias draws), so
-     equality is in law only.  Pool vertex degrees over many small
-     builds from both paths and require the two-sample chi-square test
-     not to reject.  Deterministic seeds make this a fixed, replayable
-     comparison. *)
-  let n = 120 and reps = 120 in
-  let degree_counts sample_graph =
-    let tbl = Hashtbl.create 32 in
-    for rep = 1 to reps do
-      let g = sample_graph rep in
-      for v = 1 to Ugraph.n_vertices g do
-        let key = string_of_int (Ugraph.degree g v) in
-        Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-      done
-    done;
-    Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl []
-  in
-  let legacy =
-    degree_counts (fun rep ->
-        Ugraph.of_digraph
-          (Cooper_frieze.generate_n_vertices (Rng.of_seed (1000 + rep)) Cooper_frieze.default ~n))
-  in
-  let giant =
-    degree_counts (fun rep ->
-        Cooper_frieze.generate_n_vertices_giant (Rng.of_seed (5000 + rep)) Cooper_frieze.default ~n)
-  in
-  let stat, dof, p_value = Sf_stats.Tests.chi_square_two_sample legacy giant in
-  Alcotest.(check bool)
-    (Printf.sprintf "same degree law (chi2=%.2f dof=%d p=%.4f)" stat dof p_value)
-    true (p_value > 0.001)
 
 let test_merge_properties () =
   let rng = Rng.of_seed 8 in
@@ -202,7 +174,7 @@ let test_merge_m1_is_identity () =
 
 let test_mori_graph_out_degree () =
   let rng = Rng.of_seed 10 in
-  let g = Mori.graph rng ~p:0.7 ~m:4 ~n:50 in
+  let g = Ugraph.to_digraph (Mori.graph rng ~p:0.7 ~m:4 ~n:50) in
   Alcotest.(check int) "vertices" 50 (Digraph.n_vertices g);
   Alcotest.(check int) "edges" ((50 * 4) - 1) (Digraph.n_edges g);
   (* every merged vertex except the first has out-degree exactly m *)
@@ -260,27 +232,28 @@ let test_cf_validation () =
 let test_cf_growth_and_connectivity () =
   let rng = Rng.of_seed 14 in
   let g = Cooper_frieze.generate_n_vertices rng Cooper_frieze.default ~n:300 in
-  Alcotest.(check int) "vertex count" 300 (Digraph.n_vertices g);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g))
+  Alcotest.(check int) "vertex count" 300 (Ugraph.n_vertices g);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g)
 
 let test_cf_steps_count () =
   let rng = Rng.of_seed 15 in
   let g = Cooper_frieze.generate rng Cooper_frieze.default ~steps:500 in
   (* each NEW step adds one vertex; alpha = 1/2 so roughly 250 + 1 *)
-  let n = Digraph.n_vertices g in
+  let n = Ugraph.n_vertices g in
   Alcotest.(check bool) "plausible vertex count" true (n > 180 && n < 320);
   (* edges: every step adds >= 1 edge, plus the initial loop *)
-  Alcotest.(check bool) "edges >= steps" true (Digraph.n_edges g >= 501)
+  Alcotest.(check bool) "edges >= steps" true (Ugraph.n_edges g >= 501)
 
 let test_cf_alpha1_only_new () =
   let rng = Rng.of_seed 16 in
   let params = { Cooper_frieze.default with Cooper_frieze.alpha = 1.0 } in
   let g = Cooper_frieze.generate rng params ~steps:100 in
-  Alcotest.(check int) "every step adds a vertex" 101 (Digraph.n_vertices g)
+  Alcotest.(check int) "every step adds a vertex" 101 (Ugraph.n_vertices g)
 
 let test_cf_traced_arrival_degrees () =
   let rng = Rng.of_seed 17 in
-  let g, arrival = Cooper_frieze.generate_n_vertices_traced rng Cooper_frieze.default ~n:200 in
+  let u, arrival = Cooper_frieze.generate_n_vertices_traced rng Cooper_frieze.default ~n:200 in
+  let g = Ugraph.to_digraph u in
   Alcotest.(check int) "arrival array size" (Digraph.n_vertices g) (Array.length arrival);
   Alcotest.(check int) "vertex 1 born with the loop" 1 arrival.(0);
   let support = List.map fst Cooper_frieze.default.Cooper_frieze.q in
@@ -294,8 +267,7 @@ let test_cf_total_degree_mode () =
   let rng = Rng.of_seed 18 in
   let params = { Cooper_frieze.default with Cooper_frieze.preference = Cooper_frieze.Total_degree } in
   let g = Cooper_frieze.generate_n_vertices rng params ~n:200 in
-  Alcotest.(check bool) "connected in total-degree mode" true
-    (Traversal.is_connected (Ugraph.of_digraph g))
+  Alcotest.(check bool) "connected in total-degree mode" true (Traversal.is_connected g)
 
 let test_cf_mean_out_degree () =
   Alcotest.(check (float 1e-9)) "mean of default q" 1.5
@@ -577,7 +549,7 @@ let prop_cf_always_connected =
     (fun (seed, n, alpha) ->
       let params = { Cooper_frieze.default with Cooper_frieze.alpha } in
       let g = Cooper_frieze.generate_n_vertices (Rng.of_seed seed) params ~n in
-      Traversal.is_connected (Ugraph.of_digraph g))
+      Traversal.is_connected g)
 
 let prop_mori_giant_parity =
   QCheck.Test.make ~name:"Mori giant engine samplewise equals legacy" ~count:40
@@ -587,9 +559,97 @@ let prop_mori_giant_parity =
         Gen.(
           quad (int_bound 100_000) (float_range 0.05 1.0) (int_range 1 4) (int_range 2 120)))
     (fun (seed, p, m, n) ->
-      let legacy = Ugraph.of_digraph (Mori.graph (Rng.of_seed seed) ~p ~m ~n) in
-      let giant = Mori.graph_giant (Rng.of_seed seed) ~p ~m ~n in
-      Sf_graph.Csr.equal (Ugraph.csr legacy) (Ugraph.csr giant))
+      let oriented = merged_tree (Rng.of_seed seed) ~p ~m ~n in
+      let flat = Mori.graph (Rng.of_seed seed) ~p ~m ~n in
+      Sf_graph.Csr.equal (Ugraph.csr oriented) (Ugraph.csr flat))
+
+let test_mori_size_checked_up_front () =
+  (* n·m - 1 edges above Csr.max_edges are refused before any growth;
+     growing first would cost gigabytes and minutes before the CSR
+     build rejected the count.  No draw consumed shows nothing grew. *)
+  let max_edges = Sf_graph.Csr.max_edges in
+  let rng = Rng.of_seed 1 in
+  let too_many = Invalid_argument "Mori.graph: n * m - 1 edges exceed Csr.max_edges" in
+  Alcotest.check_raises "graph m=1" too_many (fun () ->
+      ignore (Mori.graph rng ~p:0.5 ~m:1 ~n:(max_edges + 2)));
+  Alcotest.check_raises "graph m=4" too_many (fun () ->
+      ignore (Mori.graph rng ~p:0.5 ~m:4 ~n:(((max_edges + 1) / 4) + 1)));
+  Alcotest.check_raises "graph n*m overflows" too_many (fun () ->
+      ignore (Mori.graph rng ~p:0.5 ~m:max_int ~n:2));
+  Alcotest.check_raises "tree_fathers"
+    (Invalid_argument "Mori: t - 1 edges exceed Csr.max_edges") (fun () ->
+      ignore (Mori.tree_fathers rng ~p:0.5 ~t:(max_edges + 2)));
+  Alcotest.(check int) "no draw consumed" (Rng.int (Rng.of_seed 1) 1_000_000) (Rng.int rng 1_000_000)
+
+(* --- pinned draws ------------------------------------------------------ *)
+
+(* Digests of the endpoint sections, and the next stream draw, after
+   fixed builds. The values were recorded when Móri and Cooper–Frieze
+   each had two growers, and every call below has the same type before
+   and after those were merged into one engine per model, so this test
+   shows that the merge moved no draw. [mori_instance] pins
+   [Mori.graph]; [cooper_frieze_instance] pins
+   [Cooper_frieze.generate_n_vertices]. *)
+
+let endpoint_digest u =
+  let c = Ugraph.csr u in
+  let b = Buffer.create ((8 * c.Sf_graph.Csr.m) + 16) in
+  Buffer.add_string b (Printf.sprintf "n=%d;" c.Sf_graph.Csr.n);
+  List.iter
+    (fun sec ->
+      for id = 0 to c.Sf_graph.Csr.m - 1 do
+        Buffer.add_int32_le b (Bigarray.Array1.get sec id)
+      done)
+    [ c.Sf_graph.Csr.srcs; c.Sf_graph.Csr.dsts ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_draws () =
+  let check name ~digest ~next build =
+    let rng, u = build () in
+    Alcotest.(check string) (name ^ " digest") digest (endpoint_digest u);
+    Alcotest.(check int) (name ^ " next draw") next (Rng.int rng 1_000_000_000)
+  in
+  List.iter
+    (fun ((p, m, n, seed), (tree_digest, tree_next), (graph_digest, graph_next)) ->
+      let name = Printf.sprintf "p=%g m=%d n=%d" p m n in
+      check ("merge tree " ^ name) ~digest:tree_digest ~next:tree_next (fun () ->
+          let rng = Rng.of_seed seed in
+          (rng, Ugraph.of_digraph (Mori.merge ~m (Mori.tree rng ~p ~t:(n * m)))));
+      check ("mori instance " ^ name) ~digest:graph_digest ~next:graph_next (fun () ->
+          let rng = Rng.of_seed seed in
+          (rng, fst (Sf_core.Searchability.mori_instance ~p ~m rng n))))
+    [
+      ( (0.5, 1, 100, 11),
+        ("96437d4456ebecd8beafc9226d015ed5", 206074522),
+        ("62143299821f0923bd4b290294b7532b", 519748740) );
+      ( (0.5, 3, 64, 12),
+        ("daaaca7a6976c8df19afb1100eca3609", 906592618),
+        ("ab788ed4b6b21e8035356eed3d9ac0f4", 133498088) );
+      ( (0.9, 2, 500, 13),
+        ("16c42bbab6cc25b3acc92da377761423", 652697894),
+        ("d40d6e2f936dfe5f4cf4f23ebc213f28", 698384694) );
+      ( (0.1, 4, 25, 14),
+        ("20b9edbba6f6eb77ac313a253fdd4804", 391864015),
+        ("29d20b4f4fd8bb5f5527e03814222e3d", 703221415) );
+      ( (1.0, 1, 50, 15),
+        ("4643d4f45579f01d3ff0ae9010a78e38", 609521775),
+        ("3b488be5ebda25054307d1debf3f9c0c", 643105785) );
+    ];
+  let cf = Cooper_frieze.default in
+  List.iter
+    (fun (name, params, digest, next) ->
+      check ("cooper-frieze " ^ name) ~digest ~next (fun () ->
+          let rng = Rng.of_seed 42 in
+          (rng, fst (Sf_core.Searchability.cooper_frieze_instance params rng 400))))
+    [
+      ("default", cf, "b9215ebbad0af58504016ccf9b3bb23d", 123376299);
+      ( "total degree",
+        { cf with Cooper_frieze.preference = Cooper_frieze.Total_degree },
+        "be1fd4f03364d83f3c55265b3d169b7b",
+        123376299 );
+      ("alpha=0.2", { cf with Cooper_frieze.alpha = 0.2 }, "64e95837f714d00a0f642139dd0511c1", 336128673);
+      ("alpha=0.9", { cf with Cooper_frieze.alpha = 0.9 }, "b8156c5d1fe73019b0ad7da446517602", 317741388);
+    ]
 
 let suite =
   [
@@ -604,7 +664,6 @@ let suite =
     ("mori giant fathers", `Quick, test_mori_giant_fathers_match_tree);
     ("mori giant stream position", `Quick, test_mori_giant_rng_stream_position);
     ("CF giant structure", `Quick, test_cf_giant_structure);
-    ("CF giant degree law", `Slow, test_cf_giant_degree_law_chi_square);
     ("merge properties", `Quick, test_merge_properties);
     ("merge m=1 identity", `Quick, test_merge_m1_is_identity);
     ("mori graph out-degrees", `Quick, test_mori_graph_out_degree);
@@ -645,4 +704,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_config_model_degrees;
     QCheck_alcotest.to_alcotest prop_cf_always_connected;
     QCheck_alcotest.to_alcotest prop_mori_giant_parity;
+    ("mori size checked before growth", `Quick, test_mori_size_checked_up_front);
+    ("pinned draws", `Quick, test_pinned_draws);
   ]

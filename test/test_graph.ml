@@ -490,8 +490,7 @@ let prop_coreness_bounded_by_degree =
   QCheck.Test.make ~name:"coreness <= degree, and k-cores nest" ~count:60 mori_arb
     (fun (seed, t) ->
       let rng = Rng.of_seed seed in
-      let g = Sf_gen.Mori.graph rng ~p:0.6 ~m:2 ~n:(max 2 (t / 2)) in
-      let u = Ugraph.of_digraph g in
+      let u = Sf_gen.Mori.graph rng ~p:0.6 ~m:2 ~n:(max 2 (t / 2)) in
       let core = Sf_graph.Kcore.coreness u in
       let deg_ok =
         Array.for_all Fun.id

@@ -308,8 +308,7 @@ let test_discovery_path_is_real_path () =
      from the source to the target in the discovery tree - the paper's
      actual deliverable ("find a path to vertex n") *)
   let rng = Rng.of_seed 90 in
-  let g = Sf_gen.Mori.graph rng ~p:0.6 ~m:2 ~n:250 in
-  let u = Ugraph.of_digraph g in
+  let u = Sf_gen.Mori.graph rng ~p:0.6 ~m:2 ~n:250 in
   List.iter
     (fun strategy ->
       let oracle =
@@ -520,7 +519,7 @@ let prop_strong_equals_weak_closure =
         Gen.(pair (int_bound 100_000) (int_range 3 60)))
     (fun (seed, t) ->
       let rng = Rng.of_seed seed in
-      let g = Ugraph.of_digraph (Sf_gen.Mori.graph rng ~p:0.7 ~m:2 ~n:t) in
+      let g = Sf_gen.Mori.graph rng ~p:0.7 ~m:2 ~n:t in
       let weak = Oracle.start ~rng:(Rng.of_seed seed) Oracle.Weak g ~source:1 ~target:t in
       let strong = Oracle.start ~rng:(Rng.of_seed seed) Oracle.Strong g ~source:1 ~target:t in
       ignore (Oracle.request_strong strong 1);
@@ -607,10 +606,8 @@ let prop_arena_reuse_equivalence =
     (fun (seed, cf, si, qs) ->
       let rng = Rng.of_seed seed in
       let g =
-        if cf then
-          Ugraph.of_digraph
-            (Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default ~n:150)
-        else Ugraph.of_digraph (Sf_gen.Mori.graph rng ~p:0.6 ~m:2 ~n:150)
+        if cf then Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default ~n:150
+        else Sf_gen.Mori.graph rng ~p:0.6 ~m:2 ~n:150
       in
       let n = Ugraph.n_vertices g in
       let qs = List.map (fun (s, t) -> (1 + ((s - 1) mod n), 1 + ((t - 1) mod n))) qs in
@@ -684,7 +681,7 @@ let test_two_live_oracles () =
   (* two oracles live on one domain, stepped in alternation, end exactly
      where each ends alone; a third started after one is released (so
      it takes that arena) leaves the other alone *)
-  let g = Ugraph.of_digraph (Sf_gen.Mori.graph (Rng.of_seed 77) ~p:0.6 ~m:2 ~n:300) in
+  let g = Sf_gen.Mori.graph (Rng.of_seed 77) ~p:0.6 ~m:2 ~n:300 in
   let alone strategy k ~target =
     let oracle, snap = run_query ~seed:5 g strategy k (1, target) in
     Oracle.release oracle;

@@ -126,10 +126,12 @@ let test_codec_preserves_insertion_order () =
 
 let random_model_graph rng =
   match Rng.int rng 3 with
-  | 0 -> Sf_gen.Mori.graph rng ~p:0.6 ~m:(1 + Rng.int rng 3) ~n:(2 + Rng.int rng 60)
+  | 0 ->
+    Ugraph.to_digraph (Sf_gen.Mori.graph rng ~p:0.6 ~m:(1 + Rng.int rng 3) ~n:(2 + Rng.int rng 60))
   | 1 ->
-    Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default
-      ~n:(2 + Rng.int rng 60)
+    Ugraph.to_digraph
+      (Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default
+         ~n:(2 + Rng.int rng 60))
   | _ ->
     let n = 2 + Rng.int rng 60 in
     Sf_gen.Erdos_renyi.gnm rng ~n ~m:(Rng.int rng (max 1 (n * (n - 1) / 4)))
@@ -193,7 +195,7 @@ let test_decode_rejects_truncations () =
 
 let test_decode_rejects_bit_flips () =
   let rng = Rng.of_seed 99 in
-  let g = Sf_gen.Mori.graph rng ~p:0.5 ~m:2 ~n:40 in
+  let g = Ugraph.to_digraph (Sf_gen.Mori.graph rng ~p:0.5 ~m:2 ~n:40) in
   let good = Codec.encode g in
   String.iteri
     (fun i _ ->
@@ -225,7 +227,7 @@ let same_ugraph a b = Sf_graph.Csr.equal (Ugraph.csr a) (Ugraph.csr b)
 let test_csr_codec_roundtrip () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "g.sfg" in
-      let u = Sf_gen.Mori.graph_giant (Rng.of_seed 61) ~p:0.6 ~m:2 ~n:300 in
+      let u = Sf_gen.Mori.graph (Rng.of_seed 61) ~p:0.6 ~m:2 ~n:300 in
       Csr_codec.write_ugraph_file u ~path;
       Alcotest.(check int)
         "file size is the documented arithmetic"
@@ -279,7 +281,7 @@ let test_csr_codec_rejects_truncations () =
 let test_csr_codec_rejects_bit_flips () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "g.sfg" in
-      let u = Sf_gen.Mori.graph_giant (Rng.of_seed 63) ~p:0.5 ~m:1 ~n:40 in
+      let u = Sf_gen.Mori.graph (Rng.of_seed 63) ~p:0.5 ~m:1 ~n:40 in
       Csr_codec.write_ugraph_file u ~path;
       let good = In_channel.with_open_bin path In_channel.input_all in
       let rng = Rng.of_seed 64 in
@@ -487,7 +489,7 @@ let test_cache_index_replays_escapes () =
 
 let test_cache_ugraph_both_containers () =
   with_cache (fun dir cache ->
-      let u = Sf_gen.Mori.graph_giant (Rng.of_seed 71) ~p:0.6 ~m:2 ~n:80 in
+      let u = Sf_gen.Mori.graph (Rng.of_seed 71) ~p:0.6 ~m:2 ~n:80 in
       List.iter
         (fun (what, format, k) ->
           Cache.add_ugraph cache k ~graph:u ~target:5 ~rng_after:(String.make 64 'a') ~format;
@@ -532,8 +534,7 @@ let counted_maker calls rng n =
   Corpus.instance ~gen:"count-test" ~params:[]
     (fun rng n ->
       incr calls;
-      let g = Sf_gen.Mori.graph rng ~p:0.6 ~m:1 ~n in
-      (Ugraph.of_digraph g, n))
+      (Sf_gen.Mori.graph rng ~p:0.6 ~m:1 ~n, n))
     rng n
 
 let test_corpus_identity_when_unset () =
@@ -572,7 +573,7 @@ let test_corpus_v2_threshold () =
             Corpus.instance ~gen:"giant-test" ~params:[ ("p", "0.6") ]
               (fun rng n ->
                 incr calls;
-                (Sf_gen.Mori.graph_giant rng ~p:0.6 ~m:1 ~n, n))
+                (Sf_gen.Mori.graph rng ~p:0.6 ~m:1 ~n, n))
               rng n
           in
           let run () =
