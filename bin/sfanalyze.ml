@@ -92,7 +92,7 @@ let graph_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "graph" ] ~doc:"Graph file to analyse (edge list or binary, sniffed by magic)")
+    & info [ "graph" ] ~doc:"Graph file to analyse (an SFGB v2 container, mapped, or a text edge list)")
 let distances_arg = Arg.(value & flag & info [ "distances" ] ~doc:"Also estimate diameter and mean distance")
 
 let cmd =

@@ -3,7 +3,6 @@
 
    Examples:
      sfgen mori -n 10000 -p 0.5 --seed 7 --out g.edges
-     sfgen mori -n 10000 -p 0.5 --seed 7 --out g.sfg --format bin
      sfgen mori -n 10000000 -p 0.5 --out g.sfg --format csr
      sfgen cooper-frieze -n 5000 --alpha 0.9 --stats
      sfgen config -n 100000 --exponent 2.3 --out -
@@ -103,14 +102,9 @@ let write_output u ~out ~format =
   | Some "-", `Edges ->
     print_string (ugraph_edge_list u);
     Ok true
-  | Some "-", `Bin ->
-    set_binary_mode_out stdout true;
-    print_string (Sf_store.Codec.encode_ugraph u);
-    Ok true
   | Some path, format ->
     (match format with
     | `Edges -> Out_channel.with_open_bin path (fun oc -> output_string oc (ugraph_edge_list u))
-    | `Bin -> Sf_store.Codec.write_graph_file (Sf_graph.Ugraph.to_digraph u) ~path
     | `Csr -> Sf_store.Csr_codec.write_ugraph_file u ~path);
     Printf.printf "wrote %s\n" path;
     Ok true
@@ -166,14 +160,12 @@ let out_arg = Arg.(value & opt (some string) None & info [ "out"; "o" ] ~doc:"Gr
 let format_arg =
   Arg.(
     value
-    & opt (enum [ ("edges", `Edges); ("bin", `Bin); ("csr", `Csr) ]) `Edges
+    & opt (enum [ ("edges", `Edges); ("csr", `Csr) ]) `Edges
     & info [ "format" ] ~docv:"FMT"
         ~doc:
-          "Output format for --out: $(b,edges) (text edge list), $(b,bin) (the \
-           compact varint container, SFGB v1 — exact round trip including \
-           edge-insertion order) or $(b,csr) (the mmap-readable giant container, \
-           SFGB v2 — what sfsearch/sfanalyze open without a decode pass; \
-           doc/STORAGE.md)")
+          "Output format for --out: $(b,edges) (text edge list) or $(b,csr) (the \
+           mmap-readable graph container, SFGB v2 — exact round trip of edge ids, \
+           opened by every --graph flag without a decode pass; doc/STORAGE.md)")
 let dot_arg = Arg.(value & opt (some string) None & info [ "dot" ] ~doc:"GraphViz DOT output path")
 let stats_arg = Arg.(value & flag & info [ "stats" ] ~doc:"Print summary statistics")
 

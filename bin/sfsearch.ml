@@ -30,8 +30,8 @@ let run model n p m alpha exponent strategy_name source target trials budget see
   let graph, default_target =
     match graph_file with
     | Some path ->
-      (* version-sniffing load: SFGB v2 files are mmap-backed CSR (no
-         decode pass, doc/SCALING.md), v1 and edge lists decode *)
+      (* SFGB v2 files are mmap-backed CSR (no decode pass,
+         doc/SCALING.md); text edge lists are parsed *)
       let u = Sf_store.Csr_codec.load_ugraph ~path () in
       (u, Sf_graph.Ugraph.n_vertices u)
     | None -> (
@@ -162,7 +162,7 @@ let graph_arg =
     value
     & opt (some string) None
     & info [ "graph" ]
-        ~doc:"Load a graph file (edge list or binary, sniffed by magic) instead of generating")
+        ~doc:"Load a graph file (an SFGB v2 container, mapped, or a text edge list) instead of generating")
 let trace_csv_arg =
   Arg.(value & opt (some string) None & info [ "trace-csv" ] ~doc:"Write the first trial's request trace to this CSV file")
 

@@ -90,8 +90,8 @@ let graph_arg =
     & opt (some string) None
     & info [ "graph" ]
         ~doc:
-          "Serve a graph file (edge list or binary, sniffed by magic) instead of \
-           generating")
+          "Serve a graph file (an SFGB v2 container, mapped, or a text edge list) \
+           instead of generating")
 
 let listen_arg =
   Arg.(

@@ -28,12 +28,12 @@ let run protocol_name n exponent ttl k q trials seed latency graph_file (obs : O
   let g, overlay_desc =
     match graph_file with
     | Some path ->
-      (Sf_store.Codec.read_any_file ~path, Printf.sprintf "loaded from %s" path)
+      (Sf_store.Csr_codec.load_ugraph ~path (), Printf.sprintf "loaded from %s" path)
     | None ->
-      ( Sf_gen.Config_model.searchable_power_law rng ~n ~exponent (),
+      ( Sf_graph.Ugraph.of_digraph (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ()),
         Printf.sprintf "power-law giant component, exponent %.2f" exponent )
   in
-  let net = Sf_sim.Network.create ~latency:(parse_latency latency) (Sf_graph.Ugraph.of_digraph g) in
+  let net = Sf_sim.Network.create ~latency:(parse_latency latency) g in
   let n' = Sf_sim.Network.n_nodes net in
   Printf.printf "overlay: %s peers (%s)\n" (Sf_stats.Table.fmt_int_grouped n') overlay_desc;
   let hits = ref 0 in
@@ -99,8 +99,8 @@ let graph_arg =
     & opt (some string) None
     & info [ "graph" ]
         ~doc:
-          "Use this graph file as the overlay (edge list or binary, sniffed by magic) \
-           instead of generating a configuration model")
+          "Use this graph file as the overlay (an SFGB v2 container, mapped, or a \
+           text edge list) instead of generating a configuration model")
 
 let cmd =
   let doc = "simulate P2P query dissemination protocols" in

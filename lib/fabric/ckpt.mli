@@ -4,7 +4,7 @@
     One file per shard, rewritten atomically (tmp+rename, the
     {!Sf_store} discipline) every few trials: a worker killed at any
     instant leaves either the previous checkpoint or the next, never a
-    torn file. Strict decode in the {!Sf_store.Codec} style — magic,
+    torn file. Strict decode in the {!Sf_store.Csr_codec} style — magic,
     version byte, varint fields, trailing CRC-32; every mutilated
     input raises {!Sf_store.Codec_error.Error}.
 

@@ -1,9 +1,9 @@
 (* The coordinator/worker control protocol: length-prefixed frames
    carrying versioned, CRC-checked payloads — the same codec
-   discipline as lib/serve/wire and lib/store/codec (varint bodies,
-   strict decode, trailing CRC-32, canonical encoding), with its own
-   kind space and a larger frame cap because Done bodies carry whole
-   experiment outputs.  Framing and the connection buffer are
+   discipline as lib/serve/wire (varint bodies, strict decode,
+   trailing CRC-32, canonical encoding), with its own kind space and
+   a larger frame cap because Done bodies carry whole experiment
+   outputs.  Framing and the connection buffer are
    Sf_obs.Frame; the grammar is documented in doc/FABRIC.md. *)
 
 module Varint = Sf_store.Varint

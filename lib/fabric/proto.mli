@@ -1,7 +1,6 @@
 (** The coordinator/worker control protocol (version 1) —
     length-prefixed frames carrying versioned, CRC-checked payloads,
-    in the codec discipline of {!Sf_store.Codec} and the serve wire
-    format: varint bodies, canonical encoding, strict decode where
+    in the codec discipline of the serve wire format: varint bodies, canonical encoding, strict decode where
     every mutilated input raises {!Sf_store.Codec_error.Error}.
 
     Six message kinds make the whole conversation: a worker opens

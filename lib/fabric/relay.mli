@@ -10,7 +10,7 @@
     coordinator can reconcile exact counts from checkpoints at the
     end of the run ({!Coordinator}).
 
-    Same codec discipline as {!Proto} and {!Sf_store.Codec}: version
+    Same codec discipline as {!Proto} and the serve wire format: version
     byte, varint sizes, canonical encoding, strict decode with a
     trailing-bytes check (the enclosing frame carries the CRC-32).
     Grammar in doc/OBSERVABILITY.md. *)

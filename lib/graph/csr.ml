@@ -87,7 +87,7 @@ let check_counts ~n ~m =
 (* Build the incidence sections from endpoint arrays: two counting-sort
    passes over the edges, O(n + m), no boxed intermediates.  Scanning
    ids in ascending order keeps every row id-sorted — the invariant the
-   oracle's handle lists and the codec's row encoding both rely on.  A
+   oracle's handle lists rely on.  A
    self-loop occupies one incidence slot (Ugraph's observable-degree
    convention). *)
 let build ~n ~m (srcs : buf) (dsts : buf) =

@@ -1,9 +1,8 @@
 (* The sfserve wire protocol: length-prefixed frames carrying
-   versioned, CRC-checked request/response payloads, hand-rolled in
-   the style of lib/store/codec (varint bodies, strict decode, a
-   trailing CRC-32 so any corruption is an error, never a silently
-   wrong answer).  The grammar is documented for humans in
-   doc/SERVING.md. *)
+   versioned, CRC-checked request/response payloads, hand-rolled
+   (varint bodies, strict decode, a trailing CRC-32 so any corruption
+   is an error, never a silently wrong answer).  The grammar is
+   documented for humans in doc/SERVING.md. *)
 
 module Varint = Sf_store.Varint
 module Crc32 = Sf_store.Crc32
@@ -262,8 +261,7 @@ let read_byte s ~payload_end ~pos =
   (Char.code s.[pos], pos + 1)
 
 (* varint reads are bounds-checked against the whole string, so a read
-   straying into the CRC tail is caught by [Crc32.finish]'s position check,
-   exactly as in Codec.decode *)
+   straying into the CRC tail is caught by [Crc32.finish]'s position check *)
 let decode_request s =
   let kind, payload_end = Crc32.check_envelope ~version s in
   if kind = kind_search then begin

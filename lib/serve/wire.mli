@@ -4,8 +4,8 @@
     A frame is a 4-byte little-endian payload length followed by the
     payload; a payload is [version byte, kind byte, varint body,
     CRC-32 (little-endian, over everything before it)] — the same
-    strict-decode discipline as the binary graph store
-    ({!Sf_store.Codec}): every mutilated input raises
+    strict-decode discipline as the binary graph container
+    ({!Sf_store.Csr_codec}): every mutilated input raises
     {!Sf_store.Codec_error.Error}, nothing is repaired. The full
     grammar, with the determinism contract it carries, is documented
     in [doc/SERVING.md].

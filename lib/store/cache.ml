@@ -140,6 +140,9 @@ let drop_entry t fp =
     (try Sys.remove (object_path t fp) with Sys_error _ -> ())
   end
 
+(* A hit maps the object (CRC verified); a missing, truncated or
+   bit-rotted object — or one in a retired container version — is
+   evicted and reported as a miss so the caller regenerates *)
 let find t key =
   let fp = Fingerprint.hex key in
   let entry = with_lock t (fun () -> Hashtbl.find_opt t.table fp) in
@@ -149,44 +152,7 @@ let find t key =
     trace_cache "cache.miss" key fp;
     None
   | Some e -> (
-    match Codec.read_graph_file ~path:(object_path t fp) with
-    | g ->
-      count obs_hit;
-      trace_cache "cache.hit" key fp;
-      with_lock t (fun () ->
-          t.seq <- t.seq + 1;
-          let e = { e with seq = t.seq } in
-          Hashtbl.replace t.table fp e;
-          append_line t (touch_line fp t.seq));
-      Some (g, e)
-    | exception (Codec_error.Error _ | Sys_error _) ->
-      (* missing, truncated or bit-rotted object: evict and report a
-         miss so the caller regenerates *)
-      count obs_corrupt;
-      trace_cache "cache.corrupt" key fp;
-      with_lock t (fun () -> drop_entry t fp);
-      None)
-
-(* The ugraph variants serve both container versions through one
-   address space: objects keep the same <fp>.sfg name and the version
-   byte in the file decides the read path, so gc, verify and the index
-   never care which container an object uses. *)
-let find_ugraph t key =
-  let fp = Fingerprint.hex key in
-  let entry = with_lock t (fun () -> Hashtbl.find_opt t.table fp) in
-  match entry with
-  | None ->
-    count obs_miss;
-    trace_cache "cache.miss" key fp;
-    None
-  | Some e -> (
-    let path = object_path t fp in
-    let load () =
-      match Csr_codec.sniff_version path with
-      | Some v when v = Csr_codec.version -> Csr_codec.map_ugraph_file ~path ()
-      | _ -> Sf_graph.Ugraph.of_digraph (Codec.read_graph_file ~path)
-    in
-    match load () with
+    match Csr_codec.map_ugraph_file ~path:(object_path t fp) () with
     | g ->
       count obs_hit;
       trace_cache "cache.hit" key fp;
@@ -201,38 +167,11 @@ let find_ugraph t key =
       trace_cache "cache.corrupt" key fp;
       with_lock t (fun () -> drop_entry t fp);
       None)
-
-let register t key ~target ~rng_after ~path =
-  let fp = Fingerprint.hex key in
-  let bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
-  with_lock t (fun () ->
-      t.seq <- t.seq + 1;
-      let e =
-        {
-          fp;
-          desc = Fingerprint.describe key;
-          gen = key.Fingerprint.gen;
-          n = key.Fingerprint.n;
-          target;
-          rng_after;
-          bytes;
-          seq = t.seq;
-        }
-      in
-      Hashtbl.replace t.table fp e;
-      append_line t (entry_line e))
-
-let add_ugraph t key ~graph ~target ~rng_after ~format =
-  let path = object_path t (Fingerprint.hex key) in
-  (match format with
-  | `V1 -> Codec.write_graph_file (Sf_graph.Ugraph.to_digraph graph) ~path
-  | `V2 -> Csr_codec.write_ugraph_file graph ~path);
-  register t key ~target ~rng_after ~path
 
 let add t key ~graph ~target ~rng_after =
   let fp = Fingerprint.hex key in
   let path = object_path t fp in
-  Codec.write_graph_file graph ~path;
+  Csr_codec.write_ugraph_file graph ~path;
   let bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
   with_lock t (fun () ->
       t.seq <- t.seq + 1;
@@ -302,29 +241,16 @@ let gc t ~budget_bytes =
 let verify t =
   entries t
   |> List.map (fun e ->
-         (* the checksum is the integrity guarantee; no plausibility
-            checks against the coordinate — e.g. config-giant stores
-            its giant component, legitimately smaller than the
-            requested n *)
-         let path = object_path t e.fp in
+         (* the checksum plus the deep structural audit that the mmap
+            read path deliberately skips; no plausibility checks
+            against the coordinate — e.g. config-giant stores its
+            giant component, legitimately smaller than the requested
+            n *)
          let status =
-           match Csr_codec.sniff_version path with
-           | Some v when v = Csr_codec.version -> (
-             (* giant container: CRC plus the deep structural audit —
-                the mmap read path skips the latter, so verify is
-                where it runs *)
-             match Csr_codec.map_ugraph_file ~path () with
-             | u -> (
-               match Sf_graph.Csr.validate (Sf_graph.Ugraph.csr u) with
-               | Ok () -> Ok ()
-               | Error msg -> Error msg)
-             | exception Codec_error.Error err -> Error (Codec_error.to_string err)
-             | exception Sys_error msg -> Error msg)
-           | _ -> (
-             match Codec.decode (In_channel.with_open_bin path In_channel.input_all) with
-             | (_ : Sf_graph.Digraph.t) -> Ok ()
-             | exception Codec_error.Error err -> Error (Codec_error.to_string err)
-             | exception Sys_error msg -> Error msg)
+           match Csr_codec.map_ugraph_file ~path:(object_path t e.fp) () with
+           | u -> Sf_graph.Csr.validate (Sf_graph.Ugraph.csr u)
+           | exception Codec_error.Error err -> Error (Codec_error.to_string err)
+           | exception Sys_error msg -> Error msg
          in
          (e, status))
 

@@ -4,7 +4,7 @@
     {v
     DIR/
       index.jsonl          one JSON object per line (append-only log)
-      objects/<fp>.sfg     codec-encoded graphs, named by fingerprint
+      objects/<fp>.sfg     SFGB v2 graphs ({!Csr_codec}), named by fingerprint
     v}
 
     The index is a log, not a table: an entry line re-registers its
@@ -18,16 +18,18 @@
     generation coordinate), so last-write-wins renames are safe.
 
     {b Corruption handling.} A hit whose object file is missing,
-    truncated or fails the codec checksum — or whose index metadata is
-    unusable — counts into [cache.corrupt], evicts the entry, and
+    truncated, fails the container checksum or carries another format
+    version (an object written by the retired version-1 codec) — or
+    whose index metadata is unusable — counts into [cache.corrupt],
+    evicts the entry, and
     reports a miss: the caller regenerates and re-stores, and the run
     completes with the same results it would have produced cold
     (doc/STORAGE.md, determinism contract).
 
     {b Instrumentation.} [cache.hit], [cache.miss], [cache.evict],
     [cache.corrupt] counters, [cache.hit]/[cache.miss]/[cache.corrupt]
-    trace instants, plus the [store.read_s]/[store.write_s] timers of
-    {!Codec} underneath. All operations are serialised on an internal
+    trace instants, plus the [store.map_s]/[store.write_giant_s] timers
+    of {!Csr_codec} underneath. All operations are serialised on an internal
     mutex, so a cache may be shared by every domain of a
     {!Sf_parallel.Pool}; counters tick inside the per-task capture and
     merge deterministically (doc/PARALLELISM.md). *)
@@ -52,35 +54,18 @@ val open_dir : string -> t
 
 val dir : t -> string
 
-val find : t -> Fingerprint.key -> (Sf_graph.Digraph.t * entry) option
-(** Decoded graph plus metadata on a hit (refreshing its LRU
-    position); [None] — after the counter and eviction bookkeeping
-    described above — on a miss or a corrupt entry. *)
+val find : t -> Fingerprint.key -> (Sf_graph.Ugraph.t * entry) option
+(** The stored graph, mapped as an mmap-backed CSR view
+    ({!Csr_codec.map_ugraph_file}, CRC verified), plus its metadata on
+    a hit (refreshing its LRU position); [None] — after the counter
+    and eviction bookkeeping described above — on a miss or a corrupt
+    entry. *)
 
 val add :
-  t -> Fingerprint.key -> graph:Sf_graph.Digraph.t -> target:int -> rng_after:string -> unit
-(** Store an object and append its index line. Re-adding a
-    fingerprint overwrites the object and supersedes the line. *)
-
-val find_ugraph : t -> Fingerprint.key -> (Sf_graph.Ugraph.t * entry) option
-(** Container-agnostic {!find}: version-2 objects open as mmap-backed
-    CSR graphs ({!Csr_codec.map_ugraph_file}, CRC verified), version-1
-    objects decode and convert. Counters, LRU touch and
-    corrupt-eviction behave exactly as in {!find}. *)
-
-val add_ugraph :
-  t ->
-  Fingerprint.key ->
-  graph:Sf_graph.Ugraph.t ->
-  target:int ->
-  rng_after:string ->
-  format:[ `V1 | `V2 ] ->
-  unit
-(** Store in the chosen container. Both versions share the
-    [<fp>.sfg] namespace — the version byte in the file, not the
-    name, selects the read path — so gc and the index treat them
-    uniformly. [`V1] is compact (varints, ~1–2 bytes/edge), [`V2] is
-    mmap-readable (~12 bytes/edge); {!Corpus} picks by graph size. *)
+  t -> Fingerprint.key -> graph:Sf_graph.Ugraph.t -> target:int -> rng_after:string -> unit
+(** Store an object in the version-2 container and append its index
+    line. Re-adding a fingerprint overwrites the object and supersedes
+    the line. *)
 
 val mem : t -> Fingerprint.key -> bool
 (** Pure membership probe — no counters, no LRU touch. *)
@@ -96,11 +81,11 @@ val gc : t -> budget_bytes:int -> entry list
     @raise Invalid_argument on a negative budget. *)
 
 val verify : t -> (entry * (unit, string) result) list
-(** Check every object against its checksum, in LRU order, without
-    touching counters or LRU state. Version-1 objects are fully
-    decoded; version-2 objects are CRC-verified and then put through
-    the deep structural audit ([Csr.validate]) that the fast mmap
-    read path deliberately skips. *)
+(** Check every object, in LRU order, without touching counters or
+    LRU state: the header and CRC, then the deep structural audit
+    ([Csr.validate]) that the fast mmap read path deliberately skips.
+    An object of another format version reports
+    ["unsupported format version v"]. *)
 
 val remove : t -> string -> bool
 (** Remove one entry by fingerprint; [false] if absent. *)

@@ -1,5 +1,5 @@
-(** Decode errors of the binary graph format, shared by {!Varint} and
-    {!Codec}.
+(** Decode errors of the binary graph container, shared by {!Varint}
+    and {!Csr_codec}.
 
     Decoding is strict: every malformed input maps to one of these
     constructors and nothing is silently repaired — a corpus cache

@@ -1,6 +1,3 @@
-module Rng = Sf_prng.Rng
-module Ugraph = Sf_graph.Ugraph
-
 (* Written once by the harness before worker domains exist, then only
    read — an Atomic for publication-safety, not for contention. *)
 let current : Cache.t option Atomic.t = Atomic.make None
@@ -19,22 +16,13 @@ let configure ?dir () =
   in
   set_cache (Option.map Cache.open_dir dir)
 
-(* Container selection: the compact varint container (v1) up to this
-   many edges, the mmap CSR container (v2) beyond it.  Reads sniff the
-   version byte, so the threshold only decides what new objects cost —
-   moving it never invalidates an existing corpus.  2^18 edges keeps
-   every graph the small-n experiment grid produces in the compact
-   container (their goldens predate v2) while anything
-   production-scale gets the decode-free read path. *)
-let v2_edge_threshold = 1 lsl 18
-
 let instance ~gen ~params make rng n =
   match cache () with
   | None -> make rng n
   | Some cache -> (
     let key = { Fingerprint.gen; params; n; stream = Fingerprint.rng_token rng } in
     let hit =
-      match Cache.find_ugraph cache key with
+      match Cache.find cache key with
       | Some (u, entry) -> (
         (* a malformed rng token in the index is as fatal as a corrupt
            object: fall back to regeneration *)
@@ -48,7 +36,5 @@ let instance ~gen ~params make rng n =
     | Some result -> result
     | None ->
       let u, target = make rng n in
-      let format = if Ugraph.n_edges u >= v2_edge_threshold then `V2 else `V1 in
-      Cache.add_ugraph cache key ~graph:u ~target ~rng_after:(Fingerprint.rng_token rng)
-        ~format;
+      Cache.add cache key ~graph:u ~target ~rng_after:(Fingerprint.rng_token rng);
       (u, target))

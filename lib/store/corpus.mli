@@ -41,8 +41,9 @@ val instance :
     every parameter [make] closes over, in a fixed order — two
     distinct generators must never share a coordinate.
 
-    Objects at or above [2^18] edges are stored in the version-2 mmap
-    container and open without a decode pass ({!Csr_codec}); smaller
-    ones use the compact version-1 codec. Reads sniff the version
-    byte, so a corpus written before this split keeps working and the
-    byte-identity contract is unchanged either way. *)
+    Objects are stored in the version-2 container and open as
+    mmap-backed CSR views without a decode pass ({!Csr_codec}). The
+    address is the generation coordinate, not the container: an
+    object left by the retired version-1 codec reads as corrupt, is
+    regenerated and re-stored as version 2, with the same result a
+    cold run produces. *)

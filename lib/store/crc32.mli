@@ -1,5 +1,6 @@
 (** CRC-32 (IEEE 802.3, the zlib polynomial), table-driven — the
-    trailing integrity checksum of the binary graph format.
+    trailing integrity checksum of the graph container and of every
+    binary protocol and file.
 
     The checksum detects the failure modes an on-disk corpus actually
     meets (truncated writes, bit rot, concurrent-writer shears); it is

@@ -2,7 +2,7 @@ module Ugraph = Sf_graph.Ugraph
 module Csr = Sf_graph.Csr
 module E = Codec_error
 
-let magic = Codec.magic
+let magic = "SFGB"
 let version = 2
 
 (* Fixed 32-byte header, then the four CSR sections as raw int32
@@ -99,9 +99,6 @@ let write_ugraph_file u ~path =
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let looks_v2 s =
-  String.length s >= 5 && String.sub s 0 4 = magic && Char.code s.[4] = version
-
 let with_fd path f =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) (fun () -> f fd)
@@ -122,12 +119,15 @@ let read_header fd ~path =
     | Unix.S_REG -> (Unix.fstat fd).Unix.st_size
     | _ -> raise (Sys_error (path ^ ": not a regular file"))
   in
-  if size < header_bytes + 4 then E.fail (E.Truncated "header");
+  (* magic and version come first, so a short file of another version
+     (a compact v1 object) reports its version, not a truncation *)
+  if size < 5 then E.fail (E.Truncated "magic");
   let raw = Bytes.create header_bytes in
-  really_read fd raw ~pos:0 ~len:header_bytes "header";
+  really_read fd raw ~pos:0 ~len:(min size header_bytes) "header";
   if Bytes.sub_string raw 0 4 <> magic then E.fail E.Bad_magic;
   let v = Char.code (Bytes.get raw 4) in
   if v <> version then E.fail (E.Unsupported_version v);
+  if size < header_bytes + 4 then E.fail (E.Truncated "header");
   let flags = Char.code (Bytes.get raw 5) in
   if flags <> 0 then E.fail (E.Malformed (Printf.sprintf "unknown flag bits %#x" flags));
   let u64 off =
@@ -237,5 +237,5 @@ let sniff_version path =
 let load_ugraph ?(verify = true) ~path () =
   match sniff_version path with
   | Some v when v = version -> map_ugraph_file ~verify ~path ()
-  | Some _ (* v1 or future: the strict codec decides *) | None ->
-    Ugraph.of_digraph (Codec.read_any_file ~path)
+  | Some v -> E.fail (E.Unsupported_version v)
+  | None -> Ugraph.of_digraph (Sf_graph.Gio.read_edge_list ~path)

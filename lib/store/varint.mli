@@ -1,11 +1,11 @@
 (** LEB128 variable-length integers — the wire primitive of the binary
-    graph format (doc/STORAGE.md).
+    protocols and files: the serve wire format, the fabric protocol,
+    checkpoints, grid plans and the telemetry relay.
 
     Unsigned values are written base-128, low group first, high bit of
     every byte but the last set. Signed values go through the zigzag
     map [(n lsl 1) lxor (n asr 62)] first, so small magnitudes of
-    either sign stay short — neighbour deltas in an adjacency row are
-    signed because rows are kept in edge-insertion order, not sorted.
+    either sign stay short.
 
     All values are OCaml [int]s (63-bit); encodings never exceed nine
     bytes. *)

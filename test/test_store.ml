@@ -1,10 +1,9 @@
-(* The storage battery for lib/store: codec exactness, decode
+(* The storage battery for lib/store: container exactness, read
    strictness under mutilated input, cache protocol (hit / miss /
    evict / corrupt-fallback), and the corpus determinism contract —
    cold and warm measurement grids byte-identical at any job count
    (doc/STORAGE.md). *)
 
-module Codec = Sf_store.Codec
 module Csr_codec = Sf_store.Csr_codec
 module Codec_error = Sf_store.Codec_error
 module Varint = Sf_store.Varint
@@ -49,13 +48,33 @@ let with_cache body =
       let cache = Cache.open_dir dir in
       Fun.protect ~finally:(fun () -> Cache.close cache) (fun () -> body dir cache))
 
-(* exact equality: same vertices and the same (id, src, dst) sequence
-   — stronger than Digraph.equal_structure, which ignores order *)
-let same_graph a b =
-  Digraph.n_vertices a = Digraph.n_vertices b && Digraph.edges a = Digraph.edges b
+(* exact equality: same vertex count and the same (src, dst) per edge
+   id — stronger than isomorphism, since ids double as timestamps *)
+let same_ugraph a b = Sf_graph.Csr.equal (Ugraph.csr a) (Ugraph.csr b)
 
-let check_same_graph what a b =
-  Alcotest.(check bool) (what ^ ": exact round trip") true (same_graph a b)
+let check_same_ugraph what a b =
+  Alcotest.(check bool) (what ^ ": exact round trip") true (same_ugraph a b)
+
+let ugraph ~n edges = Ugraph.of_digraph (Digraph.of_edges ~n edges)
+
+let write_file path bytes = Out_channel.with_open_bin path (fun oc -> output_string oc bytes)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let object_path dir k = Filename.concat (Filename.concat dir "objects") (Fingerprint.hex k ^ ".sfg")
+
+(* write to [dir]/g.sfg and map it back *)
+let file_roundtrip dir u =
+  let path = Filename.concat dir "g.sfg" in
+  Csr_codec.write_ugraph_file u ~path;
+  Csr_codec.map_ugraph_file ~path ()
+
+(* A genuine SFGB version-1 object, as the retired varint codec wrote
+   it for the path 1-2-3-4: header, n = 4, m = 3, out-degrees, one
+   zigzag dst delta per edge, then the CRC *)
+let v1_object =
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf "SFGB\x01\x00\x04\x03\x01\x01\x01\x00\x02\x02\x02";
+  Crc32.seal buf
 
 let key ?(gen = "test") ?(params = []) ?(n = 10) ?(stream = String.make 64 '0') () =
   { Fingerprint.gen; params; n; stream }
@@ -102,127 +121,39 @@ let test_crc32_known_value () =
     (Crc32.string "123456789")
 
 (* ---------------------------------------------------------------- *)
-(* Codec round trips                                                 *)
+(* The graph container (SFGB v2)                                     *)
 (* ---------------------------------------------------------------- *)
 
 let test_codec_small_graphs () =
-  let empty = Digraph.create () in
-  check_same_graph "empty" empty (Codec.decode (Codec.encode empty));
-  let single = Digraph.of_edges ~n:1 [] in
-  check_same_graph "single vertex" single (Codec.decode (Codec.encode single));
-  let loops = Digraph.of_edges ~n:3 [ (1, 1); (1, 2); (1, 2); (3, 1); (2, 2) ] in
-  check_same_graph "loops and parallels" loops (Codec.decode (Codec.encode loops))
+  with_temp_dir (fun dir ->
+      List.iter
+        (fun (what, u) -> check_same_ugraph what u (file_roundtrip dir u))
+        [
+          ("empty", Ugraph.of_digraph (Digraph.create ()));
+          ("single vertex", ugraph ~n:1 []);
+          ("loops and parallels", ugraph ~n:3 [ (1, 1); (1, 2); (1, 2); (3, 1); (2, 2) ]);
+        ])
 
 let test_codec_preserves_insertion_order () =
-  (* edges 'out of source order' force the permutation section: vertex
-     1 gains an edge after vertex 3 already has one *)
-  let g = Digraph.of_edges ~n:3 [ (3, 1); (1, 2); (2, 3); (1, 3) ] in
-  let g' = Codec.decode (Codec.encode g) in
-  check_same_graph "non-monotone insertion order" g g';
-  Alcotest.(check bool)
-    "edge ids double as timestamps" true
-    (List.map (fun e -> (e.Digraph.id, e.Digraph.src, e.Digraph.dst)) (Digraph.edges g')
-    = [ (0, 3, 1); (1, 1, 2); (2, 2, 3); (3, 1, 3) ])
+  (* edges out of source order: vertex 1 gains an edge after vertex 3
+     already has one *)
+  with_temp_dir (fun dir ->
+      let u = file_roundtrip dir (ugraph ~n:3 [ (3, 1); (1, 2); (2, 3); (1, 3) ]) in
+      Alcotest.(check (list (pair int int)))
+        "edge ids double as timestamps"
+        [ (3, 1); (1, 2); (2, 3); (1, 3) ]
+        (List.init (Ugraph.n_edges u) (Ugraph.endpoints u));
+      Alcotest.(check (array int)) "incidence in id order" [| 0; 1; 3 |] (Ugraph.incident u 1))
 
 let random_model_graph rng =
   match Rng.int rng 3 with
-  | 0 ->
-    Ugraph.to_digraph (Sf_gen.Mori.graph rng ~p:0.6 ~m:(1 + Rng.int rng 3) ~n:(2 + Rng.int rng 60))
+  | 0 -> Sf_gen.Mori.graph rng ~p:0.6 ~m:(1 + Rng.int rng 3) ~n:(2 + Rng.int rng 60)
   | 1 ->
-    Ugraph.to_digraph
-      (Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default
-         ~n:(2 + Rng.int rng 60))
+    Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default
+      ~n:(2 + Rng.int rng 60)
   | _ ->
     let n = 2 + Rng.int rng 60 in
-    Sf_gen.Erdos_renyi.gnm rng ~n ~m:(Rng.int rng (max 1 (n * (n - 1) / 4)))
-
-let qcheck_roundtrip =
-  QCheck.Test.make ~count:60 ~name:"codec round-trips model graphs exactly"
-    QCheck.(make Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let rng = Rng.of_seed seed in
-      let g = random_model_graph rng in
-      let g' = Codec.decode (Codec.encode g) in
-      (* structural equality plus a search replay: the decoded graph
-         must drive a search to the same outcome from the same
-         stream *)
-      let search graph =
-        let u = Ugraph.of_digraph graph in
-        let n = Ugraph.n_vertices u in
-        Sf_search.Runner.search ~budget:(4 * n) ~rng:(Rng.of_seed (seed + 1)) u
-          Sf_search.Strategies.high_degree ~source:1 ~target:n
-      in
-      same_graph g g' && search g = search g')
-
-let qcheck_ugraph_roundtrip =
-  QCheck.Test.make ~count:40 ~name:"ugraph codec round trip is exact"
-    QCheck.(make Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let rng = Rng.of_seed seed in
-      let g = random_model_graph rng in
-      let u = Ugraph.of_digraph g in
-      let u' = Codec.decode_ugraph (Codec.encode_ugraph u) in
-      Ugraph.n_vertices u = Ugraph.n_vertices u'
-      && Ugraph.n_edges u = Ugraph.n_edges u'
-      && List.init (Ugraph.n_edges u) (fun i -> Ugraph.endpoints u i)
-         = List.init (Ugraph.n_edges u') (fun i -> Ugraph.endpoints u' i))
-
-(* ---------------------------------------------------------------- *)
-(* Decode strictness                                                 *)
-(* ---------------------------------------------------------------- *)
-
-let expect_codec_error what thunk =
-  match thunk () with
-  | (_ : Digraph.t) -> Alcotest.failf "%s: decode accepted malformed input" what
-  | exception Codec_error.Error _ -> ()
-
-let test_decode_rejects_basics () =
-  expect_codec_error "empty" (fun () -> Codec.decode "");
-  expect_codec_error "bad magic" (fun () -> Codec.decode "NOPE\x01\x00\x00\x00");
-  let good = Codec.encode (Digraph.of_edges ~n:4 [ (1, 2); (2, 3); (3, 4) ]) in
-  let bumped = Bytes.of_string good in
-  Bytes.set bumped 4 '\x7f';
-  expect_codec_error "unsupported version" (fun () -> Codec.decode (Bytes.to_string bumped));
-  expect_codec_error "trailing garbage" (fun () -> Codec.decode (good ^ "\x00"))
-
-let test_decode_rejects_truncations () =
-  let good = Codec.encode (Digraph.of_edges ~n:5 [ (1, 2); (1, 3); (2, 4); (4, 5); (5, 1) ]) in
-  for len = 0 to String.length good - 1 do
-    expect_codec_error
-      (Printf.sprintf "truncation to %d bytes" len)
-      (fun () -> Codec.decode (String.sub good 0 len))
-  done
-
-let test_decode_rejects_bit_flips () =
-  let rng = Rng.of_seed 99 in
-  let g = Ugraph.to_digraph (Sf_gen.Mori.graph rng ~p:0.5 ~m:2 ~n:40) in
-  let good = Codec.encode g in
-  String.iteri
-    (fun i _ ->
-      let bit = 1 lsl Rng.int rng 8 in
-      let mutated = Bytes.of_string good in
-      Bytes.set mutated i (Char.chr (Char.code (Bytes.get mutated i) lxor bit));
-      expect_codec_error
-        (Printf.sprintf "bit flip at byte %d" i)
-        (fun () -> Codec.decode (Bytes.to_string mutated)))
-    good
-
-let test_read_any_file_dispatch () =
-  with_temp_dir (fun dir ->
-      let g = Digraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
-      let bin = Filename.concat dir "g.sfg" and txt = Filename.concat dir "g.edges" in
-      Codec.write_graph_file g ~path:bin;
-      Sf_graph.Gio.write_edge_list g ~path:txt;
-      check_same_graph "binary branch" g (Codec.read_any_file ~path:bin);
-      check_same_graph "edge-list branch" g (Codec.read_any_file ~path:txt);
-      Alcotest.(check bool) "sniff" true (Codec.looks_binary (Codec.encode g));
-      Alcotest.(check bool) "edge lists do not sniff binary" false (Codec.looks_binary "3 2\n"))
-
-(* ---------------------------------------------------------------- *)
-(* The giant container (SFGB v2)                                     *)
-(* ---------------------------------------------------------------- *)
-
-let same_ugraph a b = Sf_graph.Csr.equal (Ugraph.csr a) (Ugraph.csr b)
+    Ugraph.of_digraph (Sf_gen.Erdos_renyi.gnm rng ~n ~m:(Rng.int rng (max 1 (n * (n - 1) / 4))))
 
 let test_csr_codec_roundtrip () =
   with_temp_dir (fun dir ->
@@ -252,27 +183,73 @@ let qcheck_csr_codec_roundtrip =
   QCheck.Test.make ~count:40 ~name:"giant container round-trips model graphs exactly"
     QCheck.(make Gen.(int_bound 1_000_000))
     (fun seed ->
-      let rng = Rng.of_seed seed in
-      let u = Ugraph.of_digraph (random_model_graph rng) in
+      let u = random_model_graph (Rng.of_seed seed) in
       with_temp_dir (fun dir ->
-          let path = Filename.concat dir "g.sfg" in
-          Csr_codec.write_ugraph_file u ~path;
-          same_ugraph u (Csr_codec.map_ugraph_file ~path ())))
+          let u' = file_roundtrip dir u in
+          (* structural equality plus a search replay: the mapped graph
+             must drive a search to the same outcome from the same
+             stream *)
+          let search g =
+            let n = Ugraph.n_vertices g in
+            Sf_search.Runner.search ~budget:(4 * n) ~rng:(Rng.of_seed (seed + 1)) g
+              Sf_search.Strategies.high_degree ~source:1 ~target:n
+          in
+          same_ugraph u u' && search u = search u'))
+
+(* both branches of the [--graph] loader reproduce model graphs: the
+   mapped container and the text edge list *)
+let qcheck_ugraph_roundtrip =
+  QCheck.Test.make ~count:40 ~name:"ugraph codec round trip is exact"
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let u = random_model_graph (Rng.of_seed seed) in
+      with_temp_dir (fun dir ->
+          let sfg = Filename.concat dir "g.sfg" and txt = Filename.concat dir "g.edges" in
+          Csr_codec.write_ugraph_file u ~path:sfg;
+          Sf_graph.Gio.write_edge_list (Ugraph.to_digraph u) ~path:txt;
+          same_ugraph u (Csr_codec.load_ugraph ~path:sfg ())
+          && same_ugraph u (Csr_codec.load_ugraph ~path:txt ())))
 
 let expect_csr_codec_error what thunk =
   match thunk () with
   | (_ : Ugraph.t) -> Alcotest.failf "%s: map accepted malformed input" what
   | exception Codec_error.Error _ -> ()
 
+let expect_unsupported_version what v thunk =
+  match thunk () with
+  | (_ : Ugraph.t) -> Alcotest.failf "%s: accepted a version-%d file" what v
+  | exception Codec_error.Error (Codec_error.Unsupported_version v') ->
+    Alcotest.(check int) (what ^ ": reported version") v v'
+
+let test_decode_rejects_basics () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "g.sfg" and bad = Filename.concat dir "bad.sfg" in
+      Csr_codec.write_ugraph_file (ugraph ~n:4 [ (1, 2); (2, 3); (3, 4) ]) ~path;
+      let good = read_file path in
+      let map () = Csr_codec.map_ugraph_file ~path:bad () in
+      write_file bad "";
+      expect_csr_codec_error "empty" map;
+      write_file bad ("NOPE" ^ String.sub good 4 (String.length good - 4));
+      expect_csr_codec_error "bad magic" map;
+      List.iter
+        (fun v ->
+          let bumped = Bytes.of_string good in
+          Bytes.set bumped 4 (Char.chr v);
+          write_file bad (Bytes.to_string bumped);
+          expect_unsupported_version "bumped version byte" v map)
+        [ 1; 0x7f ];
+      write_file bad v1_object;
+      expect_unsupported_version "version-1 object" 1 map;
+      write_file bad (good ^ "\x00");
+      expect_csr_codec_error "trailing garbage" map)
+
 let test_csr_codec_rejects_truncations () =
   with_temp_dir (fun dir ->
-      let path = Filename.concat dir "g.sfg" in
-      let u = Ugraph.of_digraph (Digraph.of_edges ~n:5 [ (1, 2); (1, 3); (2, 4); (4, 5) ]) in
-      Csr_codec.write_ugraph_file u ~path;
-      let good = In_channel.with_open_bin path In_channel.input_all in
-      let cut = Filename.concat dir "cut.sfg" in
+      let path = Filename.concat dir "g.sfg" and cut = Filename.concat dir "cut.sfg" in
+      Csr_codec.write_ugraph_file (ugraph ~n:5 [ (1, 2); (1, 3); (2, 4); (4, 5) ]) ~path;
+      let good = read_file path in
       for len = 0 to String.length good - 1 do
-        Out_channel.with_open_bin cut (fun oc -> output_string oc (String.sub good 0 len));
+        write_file cut (String.sub good 0 len);
         expect_csr_codec_error
           (Printf.sprintf "truncation to %d bytes" len)
           (fun () -> Csr_codec.map_ugraph_file ~path:cut ())
@@ -280,21 +257,50 @@ let test_csr_codec_rejects_truncations () =
 
 let test_csr_codec_rejects_bit_flips () =
   with_temp_dir (fun dir ->
-      let path = Filename.concat dir "g.sfg" in
-      let u = Sf_gen.Mori.graph (Rng.of_seed 63) ~p:0.5 ~m:1 ~n:40 in
-      Csr_codec.write_ugraph_file u ~path;
-      let good = In_channel.with_open_bin path In_channel.input_all in
+      let path = Filename.concat dir "g.sfg" and bad = Filename.concat dir "bad.sfg" in
+      Csr_codec.write_ugraph_file (Sf_gen.Mori.graph (Rng.of_seed 63) ~p:0.5 ~m:1 ~n:40) ~path;
+      let good = read_file path in
       let rng = Rng.of_seed 64 in
-      let bad = Filename.concat dir "bad.sfg" in
       String.iteri
         (fun i _ ->
           let mutated = Bytes.of_string good in
-          Bytes.set mutated i
-            (Char.chr (Char.code (Bytes.get mutated i) lxor (1 lsl Rng.int rng 8)));
-          Out_channel.with_open_bin bad (fun oc -> output_bytes oc mutated);
+          Bytes.set mutated i (Char.chr (Char.code (Bytes.get mutated i) lxor (1 lsl Rng.int rng 8)));
+          write_file bad (Bytes.to_string mutated);
           expect_csr_codec_error
             (Printf.sprintf "bit flip at byte %d" i)
             (fun () -> Csr_codec.map_ugraph_file ~path:bad ()))
+        good)
+
+(* The [--graph] loader must refuse every mutilated container: a
+   damaged header either fails the version check or, once the magic is
+   gone, the edge-list parse — it never yields a graph *)
+let expect_load_rejects what path =
+  match Csr_codec.load_ugraph ~path () with
+  | (_ : Ugraph.t) -> Alcotest.failf "%s: the loader accepted malformed input" what
+  | exception (Codec_error.Error _ | Failure _) -> ()
+
+let test_decode_rejects_truncations () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "g.sfg" and cut = Filename.concat dir "cut.sfg" in
+      Csr_codec.write_ugraph_file (ugraph ~n:5 [ (1, 2); (1, 3); (2, 4); (4, 5); (5, 1) ]) ~path;
+      let good = read_file path in
+      for len = 0 to String.length good - 1 do
+        write_file cut (String.sub good 0 len);
+        expect_load_rejects (Printf.sprintf "truncation to %d bytes" len) cut
+      done)
+
+let test_decode_rejects_bit_flips () =
+  with_temp_dir (fun dir ->
+      let rng = Rng.of_seed 99 in
+      let path = Filename.concat dir "g.sfg" and bad = Filename.concat dir "bad.sfg" in
+      Csr_codec.write_ugraph_file (Sf_gen.Mori.graph rng ~p:0.5 ~m:2 ~n:40) ~path;
+      let good = read_file path in
+      String.iteri
+        (fun i _ ->
+          let mutated = Bytes.of_string good in
+          Bytes.set mutated i (Char.chr (Char.code (Bytes.get mutated i) lxor (1 lsl Rng.int rng 8)));
+          write_file bad (Bytes.to_string mutated);
+          expect_load_rejects (Printf.sprintf "bit flip at byte %d" i) bad)
         good)
 
 let test_load_ugraph_dispatch () =
@@ -303,10 +309,12 @@ let test_load_ugraph_dispatch () =
       let u = Ugraph.of_digraph g in
       let v1 = Filename.concat dir "v1.sfg"
       and v2 = Filename.concat dir "v2.sfg"
-      and txt = Filename.concat dir "g.edges" in
-      Codec.write_graph_file g ~path:v1;
+      and txt = Filename.concat dir "g.edges"
+      and broken = Filename.concat dir "broken.edges" in
+      write_file v1 v1_object;
       Csr_codec.write_ugraph_file u ~path:v2;
       Sf_graph.Gio.write_edge_list g ~path:txt;
+      write_file broken "3 2\n1 2\n";
       Alcotest.(check (option int)) "v1 sniffs 1" (Some 1) (Csr_codec.sniff_version v1);
       Alcotest.(check (option int)) "v2 sniffs 2" (Some 2) (Csr_codec.sniff_version v2);
       Alcotest.(check (option int)) "text sniffs none" None (Csr_codec.sniff_version txt);
@@ -314,7 +322,16 @@ let test_load_ugraph_dispatch () =
         (fun (what, path) ->
           Alcotest.(check bool) (what ^ " loads identically") true
             (same_ugraph u (Csr_codec.load_ugraph ~path ())))
-        [ ("v1", v1); ("v2", v2); ("edge list", txt) ])
+        [ ("v2", v2); ("edge list", txt) ];
+      (* a retired container is refused by version, not parsed as text *)
+      expect_unsupported_version "v1 through the loader" 1 (fun () ->
+          Csr_codec.load_ugraph ~path:v1 ());
+      (* edge-list errors name the file *)
+      match Csr_codec.load_ugraph ~path:broken () with
+      | _ -> Alcotest.fail "a short edge list loaded"
+      | exception Failure msg ->
+        Alcotest.(check bool) "error names the file" true
+          (String.starts_with ~prefix:broken msg))
 
 (* ---------------------------------------------------------------- *)
 (* Fingerprints                                                      *)
@@ -359,7 +376,7 @@ let test_rng_token_roundtrip () =
 let test_cache_miss_then_hit () =
   with_cache (fun _dir cache ->
       let k = key ~n:4 () in
-      let g = Digraph.of_edges ~n:4 [ (1, 2); (2, 3); (3, 4) ] in
+      let g = ugraph ~n:4 [ (1, 2); (2, 3); (3, 4) ] in
       let misses0 = Sf_obs.Counter.value c_miss and hits0 = Sf_obs.Counter.value c_hit in
       Alcotest.(check bool) "cold lookup misses" true (Cache.find cache k = None);
       Alcotest.(check int) "cache.miss ticked" (misses0 + 1) (Sf_obs.Counter.value c_miss);
@@ -367,7 +384,7 @@ let test_cache_miss_then_hit () =
       (match Cache.find cache k with
       | None -> Alcotest.fail "warm lookup missed"
       | Some (g', e) ->
-        check_same_graph "cached graph" g g';
+        check_same_ugraph "cached graph" g g';
         Alcotest.(check int) "target" 4 e.Cache.target;
         Alcotest.(check string) "rng token" (String.make 64 'a') e.Cache.rng_after);
       Alcotest.(check int) "cache.hit ticked" (hits0 + 1) (Sf_obs.Counter.value c_hit);
@@ -376,7 +393,7 @@ let test_cache_miss_then_hit () =
 let test_cache_persists_across_reopen () =
   with_temp_dir (fun dir ->
       let k = key ~n:3 () in
-      let g = Digraph.of_edges ~n:3 [ (1, 2); (1, 3) ] in
+      let g = ugraph ~n:3 [ (1, 2); (1, 3) ] in
       let cache = Cache.open_dir dir in
       Cache.add cache k ~graph:g ~target:3 ~rng_after:(String.make 64 'b');
       Cache.close cache;
@@ -386,11 +403,11 @@ let test_cache_persists_across_reopen () =
         (fun () ->
           match Cache.find cache k with
           | None -> Alcotest.fail "entry lost across reopen"
-          | Some (g', _) -> check_same_graph "reloaded graph" g g'))
+          | Some (g', _) -> check_same_ugraph "reloaded graph" g g'))
 
 let test_cache_lru_eviction () =
   with_cache (fun _dir cache ->
-      let graph i = Digraph.of_edges ~n:(i + 2) [ (1, 2); (2, i + 2) ] in
+      let graph i = ugraph ~n:(i + 2) [ (1, 2); (2, i + 2) ] in
       let keys = List.init 4 (fun i -> key ~n:(i + 2) ~params:[ ("i", string_of_int i) ] ()) in
       List.iteri
         (fun i k -> Cache.add cache k ~graph:(graph i) ~target:1 ~rng_after:(String.make 64 'c'))
@@ -417,10 +434,10 @@ let test_cache_lru_eviction () =
 let test_cache_corrupt_fallback () =
   with_cache (fun dir cache ->
       let k = key ~n:5 () in
-      let g = Digraph.of_edges ~n:5 [ (1, 2); (2, 3); (3, 4); (4, 5) ] in
+      let g = ugraph ~n:5 [ (1, 2); (2, 3); (3, 4); (4, 5) ] in
       Cache.add cache k ~graph:g ~target:5 ~rng_after:(String.make 64 'd');
       (* flip one payload byte on disk: the checksum must catch it *)
-      let path = Filename.concat (Filename.concat dir "objects") (Fingerprint.hex k ^ ".sfg") in
+      let path = object_path dir k in
       let bytes = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
       Bytes.set bytes 7 (Char.chr (Char.code (Bytes.get bytes 7) lxor 0x10));
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes);
@@ -436,11 +453,10 @@ let test_cache_corrupt_fallback () =
 let test_cache_verify_reports_corruption () =
   with_cache (fun dir cache ->
       let k1 = key ~n:2 ~params:[ ("i", "1") ] () and k2 = key ~n:2 ~params:[ ("i", "2") ] () in
-      let g = Digraph.of_edges ~n:2 [ (1, 2) ] in
+      let g = ugraph ~n:2 [ (1, 2) ] in
       Cache.add cache k1 ~graph:g ~target:1 ~rng_after:(String.make 64 'e');
       Cache.add cache k2 ~graph:g ~target:1 ~rng_after:(String.make 64 'e');
-      let path = Filename.concat (Filename.concat dir "objects") (Fingerprint.hex k2 ^ ".sfg") in
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "SFGB");
+      write_file (object_path dir k2) "SFGB";
       let bad =
         Cache.verify cache
         |> List.filter (fun ((_ : Cache.entry), status) -> Result.is_error status)
@@ -452,7 +468,7 @@ let test_cache_verify_reports_corruption () =
 let test_cache_tolerates_index_garbage () =
   with_temp_dir (fun dir ->
       let k = key ~n:3 () in
-      let g = Digraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
+      let g = ugraph ~n:3 [ (1, 2); (2, 3) ] in
       let cache = Cache.open_dir dir in
       Cache.add cache k ~graph:g ~target:3 ~rng_after:(String.make 64 'f');
       Cache.close cache;
@@ -475,7 +491,7 @@ let test_cache_index_replays_escapes () =
   with_temp_dir (fun dir ->
       let k = key ~n:3 ~params:[ ("label", "tab\there \"quoted\" back\\slash \001") ] () in
       let cache = Cache.open_dir dir in
-      Cache.add cache k ~graph:(Digraph.of_edges ~n:3 [ (1, 2) ]) ~target:2
+      Cache.add cache k ~graph:(ugraph ~n:3 [ (1, 2) ]) ~target:2
         ~rng_after:(String.make 64 'a');
       let before = Cache.entries cache in
       Cache.close cache;
@@ -487,39 +503,32 @@ let test_cache_index_replays_escapes () =
             (List.hd (Cache.entries cache)).Cache.desc;
           Alcotest.(check bool) "every entry field replays" true (Cache.entries cache = before)))
 
-let test_cache_ugraph_both_containers () =
+(* the cache's view of both SFGB versions: a v2 object hits and
+   verifies; an object the retired v1 codec wrote is a counted corrupt
+   miss, and verify names its version *)
+let test_cache_both_containers () =
   with_cache (fun dir cache ->
       let u = Sf_gen.Mori.graph (Rng.of_seed 71) ~p:0.6 ~m:2 ~n:80 in
-      List.iter
-        (fun (what, format, k) ->
-          Cache.add_ugraph cache k ~graph:u ~target:5 ~rng_after:(String.make 64 'a') ~format;
-          match Cache.find_ugraph cache k with
-          | None -> Alcotest.failf "%s: stored object missed" what
-          | Some (u', e) ->
-            Alcotest.(check bool) (what ^ ": identical graph") true (same_ugraph u u');
-            Alcotest.(check int) (what ^ ": target kept") 5 e.Cache.target)
-        [ ("v1", `V1, key ~n:80 ()); ("v2", `V2, key ~n:81 ()) ];
-      (* verify covers both containers in one sweep *)
-      List.iter
-        (fun (e, status) ->
-          match status with
-          | Ok () -> ()
-          | Error msg -> Alcotest.failf "verify rejected %s: %s" e.Cache.fp msg)
-        (Cache.verify cache);
-      (* corrupting a v2 object turns its verify entry into an error
-         and its find into a counted miss *)
-      let fp2 = Fingerprint.hex (key ~n:81 ()) in
-      let path = Filename.concat (Filename.concat dir "objects") (fp2 ^ ".sfg") in
-      let bytes = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
-      Bytes.set bytes 40 (Char.chr (Char.code (Bytes.get bytes 40) lxor 1));
-      Out_channel.with_open_bin path (fun oc -> output_bytes oc bytes);
-      Alcotest.(check bool) "verify flags the corrupt v2 object" true
-        (List.exists (fun (_, s) -> Result.is_error s) (Cache.verify cache));
+      let k2 = key ~n:80 () and k1 = key ~n:81 () in
+      Cache.add cache k2 ~graph:u ~target:5 ~rng_after:(String.make 64 'a');
+      Cache.add cache k1 ~graph:u ~target:5 ~rng_after:(String.make 64 'a');
+      write_file (object_path dir k1) v1_object;
+      let status =
+        List.map (fun ((e : Cache.entry), st) -> (e.Cache.fp, st)) (Cache.verify cache)
+      in
+      Alcotest.(check bool) "v2 object verifies" true
+        (List.assoc (Fingerprint.hex k2) status = Ok ());
+      Alcotest.(check bool) "verify names the v1 version" true
+        (List.assoc (Fingerprint.hex k1) status = Error "unsupported format version 1");
+      (match Cache.find cache k2 with
+      | None -> Alcotest.fail "v2 object missed"
+      | Some (u', e) ->
+        Alcotest.(check bool) "v2: identical graph" true (same_ugraph u u');
+        Alcotest.(check int) "v2: target kept" 5 e.Cache.target);
       let corrupt0 = Sf_obs.Counter.value c_corrupt in
-      Alcotest.(check bool) "find_ugraph reports a miss" true
-        (Cache.find_ugraph cache (key ~n:81 ()) = None);
-      Alcotest.(check bool) "corrupt counter ticked" true
-        (Sf_obs.Counter.value c_corrupt > corrupt0))
+      Alcotest.(check bool) "v1 object reads as a miss" true (Cache.find cache k1 = None);
+      Alcotest.(check int) "cache.corrupt ticked" (corrupt0 + 1) (Sf_obs.Counter.value c_corrupt);
+      Alcotest.(check bool) "v1 entry evicted" false (Cache.mem cache k1))
 
 (* ---------------------------------------------------------------- *)
 (* The corpus determinism contract                                   *)
@@ -562,35 +571,38 @@ let test_corpus_hit_skips_generation_and_restores_stream () =
           Alcotest.(check int) "warm run did not generate" 1 !calls;
           Alcotest.(check bool) "identical graph, target and stream" true (cold = warm)))
 
-let test_corpus_v2_threshold () =
-  (* a maker above the edge threshold must land in the v2 container,
-     and the warm read must restore graph, target and stream exactly *)
+let test_corpus_v1_object_regenerated () =
+  (* a corpus object left by the retired v1 codec takes the corrupt
+     path: regenerated, re-stored as v2, and the run is the cold run *)
   with_cache (fun dir cache ->
       with_corpus cache (fun () ->
-          let n = (1 lsl 18) + 2 (* m-1 tree: edges = n - 1 >= 2^18 *) in
           let calls = ref 0 in
-          let maker rng n =
-            Corpus.instance ~gen:"giant-test" ~params:[ ("p", "0.6") ]
-              (fun rng n ->
-                incr calls;
-                (Sf_gen.Mori.graph rng ~p:0.6 ~m:1 ~n, n))
-              rng n
-          in
           let run () =
             let rng = Rng.of_seed 81 in
-            let u, target = maker rng n in
-            (Ugraph.n_edges u, Ugraph.degree u 1, target, Rng.int rng 1_000_000)
+            let u, target = counted_maker calls rng 60 in
+            (u, target, Rng.int rng 1_000_000)
           in
+          let same (u, t, r) (u', t', r') = same_ugraph u u' && t = t' && r = r' in
           let cold = run () in
           Alcotest.(check int) "cold generated" 1 !calls;
-          let objects = Sys.readdir (Filename.concat dir "objects") in
-          Alcotest.(check int) "one object" 1 (Array.length objects);
-          let path = Filename.concat (Filename.concat dir "objects") objects.(0) in
-          Alcotest.(check (option int)) "stored in the v2 container" (Some 2)
-            (Csr_codec.sniff_version path);
+          let path =
+            match Sys.readdir (Filename.concat dir "objects") with
+            | [| name |] -> Filename.concat (Filename.concat dir "objects") name
+            | _ -> Alcotest.fail "expected exactly one object"
+          in
+          Alcotest.(check (option int)) "stored as v2" (Some 2) (Csr_codec.sniff_version path);
+          write_file path v1_object;
+          expect_unsupported_version "load_ugraph on the v1 object" 1 (fun () ->
+              Csr_codec.load_ugraph ~path ());
+          let corrupt0 = Sf_obs.Counter.value c_corrupt in
+          let regenerated = run () in
+          Alcotest.(check int) "v1 object regenerated" 2 !calls;
+          Alcotest.(check int) "counted as corrupt" (corrupt0 + 1) (Sf_obs.Counter.value c_corrupt);
+          Alcotest.(check (option int)) "re-stored as v2" (Some 2) (Csr_codec.sniff_version path);
+          Alcotest.(check bool) "same graph, target and stream as cold" true (same cold regenerated);
           let warm = run () in
-          Alcotest.(check int) "warm did not generate" 1 !calls;
-          Alcotest.(check bool) "warm result identical" true (cold = warm)))
+          Alcotest.(check int) "then warm: no generation" 2 !calls;
+          Alcotest.(check bool) "warm result identical" true (same cold warm)))
 
 let grid_csv ~jobs () =
   let master = Rng.of_seed 4242 in
@@ -641,19 +653,17 @@ let suite =
     ("crc32 test vector", `Quick, test_crc32_known_value);
     ("codec: small graphs", `Quick, test_codec_small_graphs);
     ("codec: insertion order", `Quick, test_codec_preserves_insertion_order);
-    QCheck_alcotest.to_alcotest qcheck_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_ugraph_roundtrip;
     ("decode: basic rejections", `Quick, test_decode_rejects_basics);
     ("decode: truncations", `Quick, test_decode_rejects_truncations);
     ("decode: bit flips", `Quick, test_decode_rejects_bit_flips);
-    ("read_any_file dispatch", `Quick, test_read_any_file_dispatch);
     ("giant container: round trip", `Quick, test_csr_codec_roundtrip);
     QCheck_alcotest.to_alcotest qcheck_csr_codec_roundtrip;
     ("giant container: truncations", `Quick, test_csr_codec_rejects_truncations);
     ("giant container: bit flips", `Quick, test_csr_codec_rejects_bit_flips);
     ("giant container: load dispatch", `Quick, test_load_ugraph_dispatch);
-    ("cache: both containers", `Quick, test_cache_ugraph_both_containers);
-    ("corpus: v2 threshold", `Slow, test_corpus_v2_threshold);
+    ("cache: both containers", `Quick, test_cache_both_containers);
+    ("corpus: v1 object regenerated as v2", `Quick, test_corpus_v1_object_regenerated);
     ("fingerprint: distinct coordinates", `Quick, test_fingerprint_distinct_coordinates);
     ("fingerprint: rng token round trip", `Quick, test_rng_token_roundtrip);
     ("cache: miss then hit", `Quick, test_cache_miss_then_hit);
@@ -664,7 +674,7 @@ let suite =
     ("cache: tolerates index garbage", `Quick, test_cache_tolerates_index_garbage);
     ("corpus: identity when unset", `Quick, test_corpus_identity_when_unset);
     ("corpus: hit skips generation", `Quick, test_corpus_hit_skips_generation_and_restores_stream);
-    ("corpus: golden cold/warm at jobs 1 and 4", `Slow, test_measure_golden_cold_warm_jobs);
     ("corpus: parallel cold fill", `Slow, test_measure_parallel_cold_matches);
     ("cache: index replays escaped fields", `Quick, test_cache_index_replays_escapes);
+    ("corpus: golden cold/warm at jobs 1 and 4", `Slow, test_measure_golden_cold_warm_jobs);
   ]
