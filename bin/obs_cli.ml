@@ -253,10 +253,30 @@ let finish (t : t) session ?(extra = fun () -> []) ~tool ~seed ~mode code =
       Printf.eprintf "cannot write run manifest: %s\n" msg;
       if code = 0 then 1 else code)
 
+exception Bad_graph of string
+
+let load_graph path =
+  let bad msg =
+    (* Sys_error and Gio's parse failures already lead with the path *)
+    let prefix = path ^ ": " in
+    let msg =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+      else msg
+    in
+    raise (Bad_graph (prefix ^ msg))
+  in
+  try Sf_store.Csr_codec.load_ugraph ~path () with
+  | Sf_store.Codec_error.Error e -> bad (Sf_store.Codec_error.to_string e)
+  | Sys_error msg | Failure msg -> bad msg
+
 let with_session (t : t) ?process ?extra ~tool ~seed ~mode body =
   let session = start ?process t in
   match body () with
   | code -> finish t session ?extra ~tool ~seed ~mode code
+  | exception Bad_graph msg ->
+    Printf.eprintf "%s: %s\n%!" tool msg;
+    finish t session ?extra ~tool ~seed ~mode 1
   | exception exn ->
     (match session.flight with
     | Some f when Sf_obs.Flight.seen f > 0 ->

@@ -67,4 +67,14 @@ val with_session :
     per-tool traces of one fleet mergeable with [sftop timeline].
     Re-raises whatever [body] raises, after dumping the flight
     recorder and closing the sinks (a partial trace file is still
-    written). *)
+    written) — except a {!load_graph} failure, which is printed as
+    one [TOOL: PATH: message] line on stderr and ends the session
+    normally with exit code 1. *)
+
+val load_graph : string -> Sf_graph.Ugraph.t
+(** [load_graph path] is {!Sf_store.Csr_codec.load_ugraph}, the loader
+    behind every [--graph] flag. A file it cannot use — a missing
+    path, an unsupported SFGB version, a malformed edge list — is bad
+    input, not a bug: called inside {!with_session}, the body stops
+    and the tool exits 1 with a one-line message. Only the loader call
+    is guarded, so any other exception keeps its backtrace. *)

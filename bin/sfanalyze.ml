@@ -9,22 +9,21 @@
 
 open Cmdliner
 
-(* The report is Ugraph-native: an mmap-loaded corpus graph (SFGB v2)
-   is analysed directly from its CSR sections, never materialising a
-   boxed copy (doc/SCALING.md). *)
+(* An mmap-loaded corpus graph (SFGB v2) is analysed directly from its
+   CSR sections, never materialising a copy (doc/SCALING.md). *)
 let report ?(distances = false) ~seed u =
   let rng = Sf_prng.Rng.of_seed seed in
   let n = Sf_graph.Ugraph.n_vertices u in
-  let in_deg = Sf_graph.Metrics.u_in_degrees u in
-  let total_deg = Sf_graph.Metrics.u_total_degrees u in
+  let in_deg = Sf_graph.Metrics.in_degrees u in
+  let total_deg = Sf_graph.Metrics.total_degrees u in
   Printf.printf "== size ==\n";
   Printf.printf "vertices            %s\n" (Sf_stats.Table.fmt_int_grouped n);
   Printf.printf "edges               %s\n" (Sf_stats.Table.fmt_int_grouped (Sf_graph.Ugraph.n_edges u));
-  Printf.printf "self loops          %d\n" (Sf_graph.Metrics.u_self_loops u);
-  Printf.printf "parallel edges      %d\n" (Sf_graph.Metrics.u_parallel_edges u);
+  Printf.printf "self loops          %d\n" (Sf_graph.Metrics.self_loops u);
+  Printf.printf "parallel edges      %d\n" (Sf_graph.Metrics.parallel_edges u);
   Printf.printf "connected           %b\n\n" (Sf_graph.Traversal.is_connected u);
   Printf.printf "== degrees ==\n";
-  Printf.printf "mean total degree   %.2f\n" (Sf_graph.Metrics.u_mean_degree u);
+  Printf.printf "mean total degree   %.2f\n" (Sf_graph.Metrics.mean_degree u);
   Printf.printf "max in / total      %d / %d\n"
     (Array.fold_left max 0 in_deg)
     (Array.fold_left max 0 total_deg);
@@ -60,20 +59,19 @@ let run model n p m alpha exponent seed graph_file distances (obs : Obs_cli.t) =
   let mode = match graph_file with Some _ -> "graph-file" | None -> model in
   Obs_cli.with_session obs ~tool:"sfanalyze" ~seed ~mode @@ fun () ->
   let rng = Sf_prng.Rng.of_seed seed in
-  let boxed g = Sf_graph.Ugraph.of_digraph g in
   let u =
     match graph_file with
-    | Some path -> Sf_store.Csr_codec.load_ugraph ~path ()
+    | Some path -> Obs_cli.load_graph path
     | None -> (
       match model with
       | "mori" -> Sf_gen.Mori.graph rng ~p ~m ~n
-      | "ba" -> boxed (Sf_gen.Barabasi_albert.generate rng ~n ~m:(max m 1))
-      | "lcd" -> boxed (Sf_gen.Lcd.generate rng ~n ~m:(max m 1))
+      | "ba" -> Sf_gen.Barabasi_albert.generate rng ~n ~m:(max m 1)
+      | "lcd" -> Sf_gen.Lcd.generate rng ~n ~m:(max m 1)
       | "cooper-frieze" ->
         let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
         Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n
-      | "config" -> boxed (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ())
-      | "uniform" -> boxed (Sf_gen.Uniform_attachment.tree rng ~t:n)
+      | "config" -> Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ()
+      | "uniform" -> Sf_gen.Uniform_attachment.tree rng ~t:n
       | other -> failwith ("unknown model: " ^ other))
   in
   report ~distances ~seed u;

@@ -32,7 +32,7 @@ let run model n p m alpha exponent strategy_name source target trials budget see
     | Some path ->
       (* SFGB v2 files are mmap-backed CSR (no decode pass,
          doc/SCALING.md); text edge lists are parsed *)
-      let u = Sf_store.Csr_codec.load_ugraph ~path () in
+      let u = Obs_cli.load_graph path in
       (u, Sf_graph.Ugraph.n_vertices u)
     | None -> (
       match Sf_core.Searchability.instance_of_model model ~p ~m ~alpha ~exponent with

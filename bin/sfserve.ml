@@ -26,7 +26,7 @@ let run model n p m alpha exponent graph_file listen seed target default_budget
     let rng = Sf_prng.Rng.of_seed seed in
     let graph =
       match graph_file with
-      | Some path -> Sf_store.Csr_codec.load_ugraph ~path ()
+      | Some path -> Obs_cli.load_graph path
       | None ->
         (match Sf_core.Searchability.instance_of_model model ~p ~m ~alpha ~exponent with
         | Ok make -> fst (make rng n)

@@ -28,9 +28,9 @@ let run protocol_name n exponent ttl k q trials seed latency graph_file (obs : O
   let g, overlay_desc =
     match graph_file with
     | Some path ->
-      (Sf_store.Csr_codec.load_ugraph ~path (), Printf.sprintf "loaded from %s" path)
+      (Obs_cli.load_graph path, Printf.sprintf "loaded from %s" path)
     | None ->
-      ( Sf_graph.Ugraph.of_digraph (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ()),
+      ( Sf_gen.Config_model.searchable_power_law rng ~n ~exponent (),
         Printf.sprintf "power-law giant component, exponent %.2f" exponent )
   in
   let net = Sf_sim.Network.create ~latency:(parse_latency latency) g in

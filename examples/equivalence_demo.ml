@@ -37,7 +37,7 @@ let () =
   let tbl = Hashtbl.create 512 in
   Sf_core.Enumerate.fold ~p:0.9 ~t:7 ~init:() ~f:(fun () ~prob ~fathers ->
       let g = Sf_core.Enumerate.graph_of_fathers fathers in
-      let key = Sf_graph.Digraph.canonical_key (Sf_graph.Permute.apply sigma g) in
+      let key = Sf_graph.Ugraph.canonical_key (Sf_graph.Permute.apply sigma g) in
       Hashtbl.replace tbl key (prob +. Option.value ~default:0. (Hashtbl.find_opt tbl key)));
   let worst = ref 0. in
   List.iter

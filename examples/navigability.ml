@@ -10,7 +10,7 @@
 
 let mean_route rng t ~trials =
   let side = t.Sf_gen.Kleinberg.side in
-  let u = Sf_graph.Ugraph.of_digraph t.Sf_gen.Kleinberg.graph in
+  let u = t.Sf_gen.Kleinberg.graph in
   let dist = Sf_gen.Kleinberg.lattice_distance ~side in
   let n = side * side in
   let costs = Sf_stats.Summary.create () in
@@ -61,10 +61,9 @@ let () =
   Printf.printf "=== The same budget on a scale-free graph of equal size ===\n\n";
   let p = 0.75 in
   let bound = Sf_core.Lower_bound.theorem1 ~p ~m:1 ~n in
-  let g =
+  let u =
     Sf_gen.Mori.tree (Sf_prng.Rng.split rng) ~p ~t:bound.Sf_core.Lower_bound.graph_size
   in
-  let u = Sf_graph.Ugraph.of_digraph g in
   let best = ref infinity and best_name = ref "" in
   List.iter
     (fun strategy ->

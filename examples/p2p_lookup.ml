@@ -48,8 +48,7 @@ let () =
   (* 1. The Adamic et al. world: a pure power-law random graph
      (configuration model), exponent 2.3 like measured Gnutella. *)
   let gnutella =
-    Sf_graph.Ugraph.of_digraph
-      (Sf_gen.Config_model.searchable_power_law (Sf_prng.Rng.split rng) ~n ~exponent:2.3 ())
+    Sf_gen.Config_model.searchable_power_law (Sf_prng.Rng.split rng) ~n ~exponent:2.3 ()
   in
   lookup_experiment "Gnutella-like configuration-model network" gnutella
     [

@@ -41,10 +41,9 @@ let () =
   let rng = Sf_prng.Rng.of_seed 404 in
   let n = 30_000 in
   let trials = 25 in
-  let g =
+  let u =
     Sf_gen.Config_model.searchable_power_law (Sf_prng.Rng.split rng) ~n ~exponent:2.2 ()
   in
-  let u = Sf_graph.Ugraph.of_digraph g in
   let n' = Sf_graph.Ugraph.n_vertices u in
   let root_n = int_of_float (ceil (sqrt (float_of_int n'))) in
   Printf.printf "power-law P2P network: %s peers (exponent 2.2)\n\n"

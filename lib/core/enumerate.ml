@@ -1,4 +1,4 @@
-module Digraph = Sf_graph.Digraph
+module Ugraph = Sf_graph.Ugraph
 
 let max_t = 12
 
@@ -36,11 +36,8 @@ let fold ~p ~t ~init ~f =
   !acc
 
 let graph_of_fathers fathers =
-  let t = Array.length fathers + 1 in
-  let g = Digraph.create ~expected_vertices:t () in
-  Digraph.add_vertices g t;
-  Array.iteri (fun i father -> ignore (Digraph.add_edge g ~src:(i + 2) ~dst:father)) fathers;
-  g
+  Ugraph.of_edges ~n:(Array.length fathers + 1)
+    (List.mapi (fun i father -> (i + 2, father)) (Array.to_list fathers))
 
 let distribution ~p ~t ?(condition = fun _ -> true) () =
   let tbl = Hashtbl.create 256 in
@@ -48,7 +45,7 @@ let distribution ~p ~t ?(condition = fun _ -> true) () =
     fold ~p ~t ~init:0. ~f:(fun total ~prob ~fathers ->
         let g = graph_of_fathers fathers in
         if condition g then begin
-          let key = Digraph.canonical_key g in
+          let key = Ugraph.canonical_key g in
           let prev = try Hashtbl.find tbl key with Not_found -> 0. in
           Hashtbl.replace tbl key (prev +. prob);
           total +. prob

@@ -24,13 +24,13 @@ val fold :
     attaches to vertex 1). Probabilities sum to 1 (validated in
     tests). @raise Invalid_argument beyond [t = 12]. *)
 
-val graph_of_fathers : int array -> Sf_graph.Digraph.t
+val graph_of_fathers : int array -> Sf_graph.Ugraph.t
 (** The labelled tree with the given father sequence. *)
 
 val distribution :
   p:float ->
   t:int ->
-  ?condition:(Sf_graph.Digraph.t -> bool) ->
+  ?condition:(Sf_graph.Ugraph.t -> bool) ->
   unit ->
   (string * float) list
 (** The exact probability distribution over labelled trees, as
@@ -39,7 +39,7 @@ val distribution :
     probability 0. *)
 
 val event_prob :
-  p:float -> t:int -> condition:(Sf_graph.Digraph.t -> bool) -> float
+  p:float -> t:int -> condition:(Sf_graph.Ugraph.t -> bool) -> float
 (** Exact probability of an arbitrary graph event, by enumeration. *)
 
 val fold_rational :

@@ -1,4 +1,4 @@
-module Digraph = Sf_graph.Digraph
+module Ugraph = Sf_graph.Ugraph
 module Permute = Sf_graph.Permute
 module Rng = Sf_prng.Rng
 
@@ -43,7 +43,7 @@ let exact ~p ~t ~a ~b =
     let tbl = Hashtbl.create 256 in
     List.iter
       (fun (g, prob) ->
-        let key = Digraph.canonical_key (transform g) in
+        let key = Ugraph.canonical_key (transform g) in
         let prev = try Hashtbl.find tbl key with Not_found -> 0. in
         Hashtbl.replace tbl key (prev +. (prob /. event_prob)))
       outcomes;
@@ -94,7 +94,7 @@ let exact_rational ~p_num ~p_den ~t ~a ~b =
     let tbl = Hashtbl.create 256 in
     List.iter
       (fun (g, prob) ->
-        let key = Digraph.canonical_key (transform g) in
+        let key = Ugraph.canonical_key (transform g) in
         let prev = try Hashtbl.find tbl key with Not_found -> Rational.zero in
         Hashtbl.replace tbl key (Rational.add prev prob))
       outcomes;
@@ -149,9 +149,15 @@ let window_statistic g ~a ~b =
   let buf = Buffer.create 32 in
   List.iter
     (fun v ->
-      let indeg = Digraph.in_degree g v in
+      (* read from v's incidence row, not from edge v-2: in σ(G) the
+         out-edge of v keeps the id of σ⁻¹(v)'s *)
+      let indeg = ref 0 and father = ref 0 in
+      Ugraph.iter_incident g v (fun id ->
+          let s, d = Ugraph.endpoints g id in
+          if d = v then incr indeg;
+          if s = v then father := d);
+      let indeg = !indeg and father = !father in
       let indeg_label = if indeg >= 5 then "5+" else string_of_int indeg in
-      let father = Sf_gen.Mori.father g v in
       let father_label =
         if father > a then "w" (* inside the window: only without conditioning *)
         else if father <= 3 then string_of_int father

@@ -70,7 +70,7 @@ type mc_report = {
   tv_distance : float; (** total variation between the two samples *)
 }
 
-val window_statistic : Sf_graph.Digraph.t -> a:int -> b:int -> string
+val window_statistic : Sf_graph.Ugraph.t -> a:int -> b:int -> string
 (** The projection used by the Monte-Carlo test: capped
     (indegree, father-class) labels of fixed window slots — all slots
     for windows of width ≤ 4, else the first, middle and last. Being a

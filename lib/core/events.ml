@@ -22,7 +22,7 @@ let lemma3_bound ~p =
   exp (-.(1. -. p))
 
 let holds g ~a ~b =
-  if a < 2 || b < a || b > Sf_graph.Digraph.n_vertices g then
+  if a < 2 || b < a || b > Sf_graph.Ugraph.n_vertices g then
     invalid_arg "Events.holds: bad window";
   let ok = ref true in
   for k = a + 1 to b do

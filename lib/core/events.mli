@@ -42,7 +42,7 @@ val prob_exact : p:float -> a:int -> b:int -> float
 val lemma3_bound : p:float -> float
 (** [e^{-(1-p)}], Lemma 3's lower bound for the canonical window. *)
 
-val holds : Sf_graph.Digraph.t -> a:int -> b:int -> bool
+val holds : Sf_graph.Ugraph.t -> a:int -> b:int -> bool
 (** Whether a realised Móri tree satisfies [E_{a,b}]. *)
 
 val prob_monte_carlo :

@@ -1,4 +1,4 @@
-module Digraph = Sf_graph.Digraph
+module Ugraph = Sf_graph.Ugraph
 
 let lemma1 ~set_size ~event_prob =
   if set_size < 0 then invalid_arg "Lower_bound.lemma1: negative set size";
@@ -78,14 +78,21 @@ let strong_model_exponent ~p =
 
 let cf_event_holds g ~arrival ~n ~window =
   if window < 1 || window >= n then invalid_arg "Lower_bound.cf_event_holds: bad window";
-  if Digraph.n_vertices g < n then invalid_arg "Lower_bound.cf_event_holds: graph too small";
+  if Ugraph.n_vertices g < n then invalid_arg "Lower_bound.cf_event_holds: graph too small";
   let core_top = n - window in
   let ok = ref true in
   for v = n - window + 1 to n do
-    if Digraph.out_degree g v <> arrival.(v - 1) then ok := false
-    else if Digraph.in_degree g v <> 0 then ok := false
-    else
-      Digraph.iter_out_edges g v (fun e -> if e.Digraph.dst > core_top then ok := false)
+    (* v's row holds each incident edge once; a self-loop is both an
+       out-edge and an in-edge *)
+    let out = ref 0 and inn = ref 0 in
+    Ugraph.iter_incident g v (fun id ->
+        let s, d = Ugraph.endpoints g id in
+        if s = v then begin
+          incr out;
+          if d > core_top then ok := false
+        end;
+        if d = v then incr inn);
+    if !out <> arrival.(v - 1) || !inn <> 0 then ok := false
   done;
   !ok
 
@@ -99,10 +106,15 @@ type cf_estimate = {
   requests : float;
 }
 
+let out_degree g v =
+  let c = ref 0 in
+  Ugraph.iter_incident g v (fun id -> if fst (Ugraph.endpoints g id) = v then incr c);
+  !c
+
 let largest_out_degree_class g ~n ~window =
   let counts = Hashtbl.create 8 in
   for v = n - window + 1 to n do
-    let d = Digraph.out_degree g v in
+    let d = out_degree g v in
     let prev = try Hashtbl.find counts d with Not_found -> 0 in
     Hashtbl.replace counts d (prev + 1)
   done;
@@ -117,8 +129,7 @@ let theorem2_estimate rng params ~n ?window ~trials () =
   in
   let hits = ref 0 and class_sum = ref 0 in
   for _ = 1 to trials do
-    let u, arrival = Sf_gen.Cooper_frieze.generate_n_vertices_traced rng params ~n in
-    let g = Sf_graph.Ugraph.to_digraph u in
+    let g, arrival = Sf_gen.Cooper_frieze.generate_n_vertices_traced rng params ~n in
     if cf_event_holds g ~arrival ~n ~window then begin
       incr hits;
       class_sum := !class_sum + largest_out_degree_class g ~n ~window

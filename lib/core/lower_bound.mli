@@ -96,7 +96,9 @@ val theorem2_estimate :
     Cooper–Frieze graphs; [window] defaults to [⌊√n⌋]. *)
 
 val cf_event_holds :
-  Sf_graph.Digraph.t -> arrival:int array -> n:int -> window:int -> bool
+  Sf_graph.Ugraph.t -> arrival:int array -> n:int -> window:int -> bool
 (** The Theorem 2 containment event on a traced CF graph: every vertex
     of the window [[n-window+1, n]] kept its arrival out-degree, has
-    indegree 0, and all its out-edges land at or below [n - window]. *)
+    indegree 0, and all its out-edges land at or below [n - window].
+    Read from the edge orientation of each window vertex's incidence
+    row: O(sum of window degrees), with no copy of the graph. *)

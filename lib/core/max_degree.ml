@@ -8,15 +8,14 @@ let max_indegree_series rng ~p ~checkpoints =
     (fun t -> if t < 2 then invalid_arg "Max_degree.max_indegree_series: checkpoint < 2")
     checkpoints;
   let t_max = List.fold_left max 2 checkpoints in
-  let g = Sf_gen.Mori.tree rng ~p ~t:t_max in
-  let fathers = Sf_gen.Mori.fathers g in
+  let fathers = Sf_gen.Mori.tree_fathers rng ~p ~t:t_max in
   (* Replay the attachment sequence, tracking the running maximum
      indegree; the max at time t covers fathers of vertices 2..t. *)
   let indeg = Array.make t_max 0 in
   let running_max = Array.make (t_max + 1) 0 in
   let current = ref 0 in
   for k = 2 to t_max do
-    let f = fathers.(k - 2) in
+    let f = Sf_graph.Bigvec.get fathers (k - 2) in
     indeg.(f - 1) <- indeg.(f - 1) + 1;
     if indeg.(f - 1) > !current then current := indeg.(f - 1);
     running_max.(k) <- !current

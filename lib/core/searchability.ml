@@ -229,8 +229,7 @@ let config_model_instance ~exponent rng n =
   cached ~gen:"config-giant"
     ~params:[ ("exponent", fparam exponent) ]
     (fun rng n ->
-      let g = Sf_gen.Config_model.searchable_power_law rng ~n ~exponent () in
-      let u = Ugraph.of_digraph g in
+      let u = Sf_gen.Config_model.searchable_power_law rng ~n ~exponent () in
       let n' = Ugraph.n_vertices u in
       let target = if n' <= 1 then 1 else 2 + Rng.int rng (n' - 1) in
       (u, target))

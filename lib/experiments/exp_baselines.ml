@@ -106,8 +106,7 @@ let t13_percolation ~quick ~seed =
   List.iteri
     (fun si n ->
       let rng = Rng.split_at master (1300 + si) in
-      let g = Sf_gen.Config_model.searchable_power_law rng ~n ~exponent:2.3 () in
-      let u = Ugraph.of_digraph g in
+      let u = Sf_gen.Config_model.searchable_power_law rng ~n ~exponent:2.3 () in
       let n' = Ugraph.n_vertices u in
       List.iter
         (fun q ->

@@ -109,9 +109,8 @@ let t9_degree_law ~quick ~seed =
   (* Cooper-Frieze: report the fitted tail and assert heavy-tailedness *)
   let rng_cf = Rng.split_at master 960 in
   let cf =
-    Sf_graph.Ugraph.to_digraph
-      (Sf_gen.Cooper_frieze.generate_n_vertices rng_cf Sf_gen.Cooper_frieze.default
-         ~n:(Exp.pick ~quick:10_000 ~full:50_000 quick))
+    Sf_gen.Cooper_frieze.generate_n_vertices rng_cf Sf_gen.Cooper_frieze.default
+      ~n:(Exp.pick ~quick:10_000 ~full:50_000 quick)
   in
   let cf_degrees = Metrics.total_degrees cf in
   let cf_fit = fit_tail cf_degrees in
@@ -136,7 +135,7 @@ let t9_degree_law ~quick ~seed =
   let ua_max = Metrics.max_in_degree ua in
   checks :=
     ( Printf.sprintf "uniform attachment control: max indegree %d stays logarithmic" ua_max,
-      float_of_int ua_max < 8. *. log (float_of_int (Sf_graph.Digraph.n_vertices ua)) )
+      float_of_int ua_max < 8. *. log (float_of_int (Sf_graph.Ugraph.n_vertices ua)) )
     :: !checks;
   rows :=
     [ "uniform attachment (control)"; "(no power law)"; "-"; "-"; "-" ] :: !rows;

@@ -22,11 +22,9 @@ let t15_degree_correlations ~quick ~seed =
       ( "Cooper-Frieze",
         fun rng ->
           Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default ~n );
-      ("LCD (BA) m=2", fun rng -> Ugraph.of_digraph (Sf_gen.Lcd.generate rng ~n ~m:2));
+      ("LCD (BA) m=2", fun rng -> Sf_gen.Lcd.generate rng ~n ~m:2);
       ( "config model k=2.33",
-        fun rng ->
-          Ugraph.of_digraph (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent:2.33 ())
-      );
+        fun rng -> Sf_gen.Config_model.searchable_power_law rng ~n ~exponent:2.33 () );
     ]
   in
   let rows =
@@ -85,7 +83,7 @@ let t15_degree_correlations ~quick ~seed =
 let max_degree_prefix_series g ~checkpoints =
   (* max total degree of the prefix graph on vertices 1..t, replayed
      from the edge timeline *)
-  let n = Sf_graph.Digraph.n_vertices g in
+  let n = Ugraph.n_vertices g in
   let deg = Array.make n 0 in
   let running = ref 0 in
   let results = Hashtbl.create 8 in
@@ -95,15 +93,17 @@ let max_degree_prefix_series g ~checkpoints =
      later vertex's, so processing edges in id order while tracking the
      max suffices as long as checkpoints are sampled at vertex
      boundaries (LCD: edge id k-1 belongs to vertex k). *)
-  Sf_graph.Digraph.iter_edges g (fun e ->
-      deg.(e.Sf_graph.Digraph.src - 1) <- deg.(e.Sf_graph.Digraph.src - 1) + 1;
-      deg.(e.Sf_graph.Digraph.dst - 1) <- deg.(e.Sf_graph.Digraph.dst - 1) + 1;
-      running := max !running (max deg.(e.Sf_graph.Digraph.src - 1) deg.(e.Sf_graph.Digraph.dst - 1));
-      match !cps with
-      | t :: rest when e.Sf_graph.Digraph.id = t - 1 ->
-        Hashtbl.replace results t !running;
-        cps := rest
-      | _ -> ());
+  for id = 0 to Ugraph.n_edges g - 1 do
+    let s, d = Ugraph.endpoints g id in
+    deg.(s - 1) <- deg.(s - 1) + 1;
+    deg.(d - 1) <- deg.(d - 1) + 1;
+    running := max !running (max deg.(s - 1) deg.(d - 1));
+    match !cps with
+    | t :: rest when id = t - 1 ->
+      Hashtbl.replace results t !running;
+      cps := rest
+    | _ -> ()
+  done;
   List.map (fun t -> (t, Hashtbl.find results t)) sorted_cps
 
 let t16_total_degree_models ~quick ~seed =
@@ -255,7 +255,7 @@ let t17_timestamp_leak ~quick ~seed =
 (* --- T21: attack tolerance ------------------------------------------- *)
 
 let survivors_after_removal rng g ~fraction ~mode =
-  let n = Sf_graph.Digraph.n_vertices g in
+  let n = Ugraph.n_vertices g in
   let k = int_of_float (fraction *. float_of_int n) in
   let doomed = Array.make n false in
   (match mode with
@@ -278,8 +278,7 @@ let survivors_after_removal rng g ~fraction ~mode =
   fst (Sf_graph.Subgraph.induced g ~vertices:!kept)
 
 let giant_fraction g ~original_n =
-  let u = Ugraph.of_digraph g in
-  let sizes = Sf_graph.Traversal.component_sizes u in
+  let sizes = Sf_graph.Traversal.component_sizes g in
   let giant = Array.fold_left max 0 sizes in
   float_of_int giant /. float_of_int original_n
 
@@ -291,7 +290,7 @@ let t21_attack_tolerance ~quick ~seed =
   Buffer.add_string buf
     (Exp.section "T21: attack tolerance - random failures vs targeted hub removal");
   let sf = Sf_gen.Lcd.generate (Rng.split_at master 2100) ~n ~m:2 in
-  let er = Sf_gen.Erdos_renyi.gnm (Rng.split_at master 2101) ~n ~m:(Sf_graph.Digraph.n_edges sf) in
+  let er = Sf_gen.Erdos_renyi.gnm (Rng.split_at master 2101) ~n ~m:(Ugraph.n_edges sf) in
   let results = Hashtbl.create 32 in
   let rows = ref [] in
   List.iter

@@ -47,7 +47,7 @@ let t19_protocol_tradeoff ~quick ~seed =
   let g =
     Sf_gen.Config_model.searchable_power_law (Rng.split_at master 1900) ~n ~exponent:2.3 ()
   in
-  let net = Network.create ~latency:(Network.Uniform (0.5, 1.5)) (Sf_graph.Ugraph.of_digraph g) in
+  let net = Network.create ~latency:(Network.Uniform (0.5, 1.5)) g in
   let n' = Network.n_nodes net in
   let walker_ttl = max 200 (n' / 8) in
   let protocols =
@@ -171,7 +171,7 @@ let t20_sqrt_replication ~quick ~seed =
   let g =
     Sf_gen.Config_model.searchable_power_law (Rng.split_at master 2000) ~n ~exponent:2.3 ()
   in
-  let net = Network.create (Sf_graph.Ugraph.of_digraph g) in
+  let net = Network.create g in
   let n' = Network.n_nodes net in
   (* steep popularity law so the square-root gain is visible *)
   let popularity = normalise (Array.init m_items (fun i -> 1. /. ((float_of_int (i + 1)) ** 2.))) in
@@ -273,7 +273,7 @@ let t22_churn ~quick ~seed =
   let g =
     Sf_gen.Config_model.searchable_power_law (Rng.split_at master 2200) ~n ~exponent:2.3 ()
   in
-  let net = Network.create (Sf_graph.Ugraph.of_digraph g) in
+  let net = Network.create g in
   let n' = Network.n_nodes net in
   (* replicate the content modestly so queries are findable at all *)
   let replicas = max 8 (n' / 200) in

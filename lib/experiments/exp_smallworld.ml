@@ -89,7 +89,7 @@ let t12_kleinberg ~quick ~seed =
         (fun si side ->
           let rng = Rng.split_at master ((ri * 100) + si) in
           let t = Kleinberg.generate rng ~side ~r ~q:1 () in
-          let g = Ugraph.of_digraph t.Kleinberg.graph in
+          let g = t.Kleinberg.graph in
           let dist = Kleinberg.lattice_distance ~side in
           let n = side * side in
           let summary = Sf_stats.Summary.create () in

@@ -12,7 +12,7 @@
     the paper: preference is by total degree (not indegree), and
     multiple edges per step are native (not obtained by merging). *)
 
-val generate : Sf_prng.Rng.t -> n:int -> m:int -> Sf_graph.Digraph.t
+val generate : Sf_prng.Rng.t -> n:int -> m:int -> Sf_graph.Ugraph.t
 (** [generate rng ~n ~m] grows the BA graph to [n] vertices with [m]
     edges per arrival. The seed is vertices [1, 2] joined by an edge.
     @raise Invalid_argument unless [n >= 2] and [m >= 1]. *)

@@ -1,5 +1,6 @@
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
+module Bigvec = Sf_graph.Bigvec
+module Ugraph = Sf_graph.Ugraph
 
 let of_degree_sequence rng deg =
   let n = Array.length deg in
@@ -18,14 +19,15 @@ let of_degree_sequence rng deg =
       done)
     deg;
   Sf_prng.Shuffle.in_place rng stubs;
-  let g = Digraph.create ~expected_vertices:n () in
-  Digraph.add_vertices g n;
+  let srcs = Bigvec.create ~capacity:(total / 2) () in
+  let dsts = Bigvec.create ~capacity:(total / 2) () in
   let i = ref 0 in
   while !i + 1 < total do
-    ignore (Digraph.add_edge g ~src:stubs.(!i) ~dst:stubs.(!i + 1));
+    Bigvec.push srcs stubs.(!i);
+    Bigvec.push dsts stubs.(!i + 1);
     i := !i + 2
   done;
-  g
+  Ugraph.of_csr (Sf_graph.Csr.of_bigvecs ~n srcs dsts)
 
 let natural_cutoff ~n ~exponent =
   let c = int_of_float (float_of_int n ** (1. /. (exponent -. 1.))) in
@@ -48,20 +50,22 @@ let power_law rng ~n ~exponent ?(d_min = 1) ?d_max () =
   of_degree_sequence rng (power_law_degrees rng ~n ~exponent ~d_min ?d_max ())
 
 let simple_graph g =
-  let n = Digraph.n_vertices g in
-  let seen = Hashtbl.create (Digraph.n_edges g) in
-  let g' = Digraph.create ~expected_vertices:n () in
-  Digraph.add_vertices g' n;
-  Digraph.iter_edges g (fun e ->
-      let s = e.Digraph.src and d = e.Digraph.dst in
-      if s <> d then begin
-        let key = (min s d, max s d) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          ignore (Digraph.add_edge g' ~src:s ~dst:d)
-        end
-      end);
-  g'
+  let m = Ugraph.n_edges g in
+  let seen = Hashtbl.create m in
+  let srcs = Bigvec.create ~capacity:m () and dsts = Bigvec.create ~capacity:m () in
+  for id = 0 to m - 1 do
+    let s, d = Ugraph.endpoints g id in
+    if s <> d then begin
+      (* the unordered pair, packed into one int key *)
+      let key = (min s d lsl 31) lor max s d in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.replace seen key ();
+        Bigvec.push srcs s;
+        Bigvec.push dsts d
+      end
+    end
+  done;
+  Ugraph.of_csr (Sf_graph.Csr.of_bigvecs ~n:(Ugraph.n_vertices g) srcs dsts)
 
 let searchable_power_law rng ~n ~exponent ?(d_min = 2) ?d_max () =
   let g = power_law rng ~n ~exponent ~d_min ?d_max () in

@@ -14,7 +14,7 @@
     oriented arbitrarily (stub order); searching uses the undirected
     view as always. *)
 
-val of_degree_sequence : Sf_prng.Rng.t -> int array -> Sf_graph.Digraph.t
+val of_degree_sequence : Sf_prng.Rng.t -> int array -> Sf_graph.Ugraph.t
 (** [of_degree_sequence rng deg] builds a uniform configuration-model
     multigraph where vertex [v] has total degree [deg.(v-1)].
     @raise Invalid_argument if any degree is negative or the sum is
@@ -28,17 +28,17 @@ val power_law_degrees :
     vertex gets one extra stub. *)
 
 val power_law :
-  Sf_prng.Rng.t -> n:int -> exponent:float -> ?d_min:int -> ?d_max:int -> unit -> Sf_graph.Digraph.t
+  Sf_prng.Rng.t -> n:int -> exponent:float -> ?d_min:int -> ?d_max:int -> unit -> Sf_graph.Ugraph.t
 (** Configuration-model graph over {!power_law_degrees}
     ([d_min] defaults to 1). *)
 
-val simple_graph : Sf_graph.Digraph.t -> Sf_graph.Digraph.t
+val simple_graph : Sf_graph.Ugraph.t -> Sf_graph.Ugraph.t
 (** Copy with self-loops removed and parallel edges collapsed (first
     occurrence kept). Degree sequence changes accordingly. *)
 
 val searchable_power_law :
   Sf_prng.Rng.t -> n:int -> exponent:float -> ?d_min:int -> ?d_max:int -> unit
-  -> Sf_graph.Digraph.t
+  -> Sf_graph.Ugraph.t
 (** The graph the search experiments use: largest connected component
     of a power-law configuration graph, relabelled [1..n']. With
     [d_min >= 2] the giant component covers almost all vertices. *)

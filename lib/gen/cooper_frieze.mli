@@ -51,8 +51,8 @@ val generate : Sf_prng.Rng.t -> params -> steps:int -> Sf_graph.Ugraph.t
     There is one growth loop. Edges accumulate in flat int32 endpoint
     vectors and the graph is built directly in CSR form, so graphs
     with 10^7 vertices fit comfortably in memory (doc/SCALING.md).
-    Edge ids are insertion order and keep their orientation; use
-    {!Sf_graph.Ugraph.to_digraph} for in- and out-degrees.
+    Edge ids are insertion order and keep their orientation;
+    {!Sf_graph.Metrics} reads in- and out-degrees from it.
     @raise Invalid_argument if [validate] fails. *)
 
 val generate_n_vertices : Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Ugraph.t

@@ -1,7 +1,7 @@
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
+module Bigvec = Sf_graph.Bigvec
 
-type t = { graph : Digraph.t; side : int; r : float }
+type t = { graph : Sf_graph.Ugraph.t; side : int; r : float }
 
 let vertex_of_coord ~side ~row ~col =
   let wrap x = ((x mod side) + side) mod side in
@@ -36,15 +36,19 @@ let generate rng ~side ~r ?(q = 1) () =
   if r < 0. then invalid_arg "Kleinberg.generate: need r >= 0";
   if q < 0 then invalid_arg "Kleinberg.generate: need q >= 0";
   let n = side * side in
-  let g = Digraph.create ~expected_vertices:n () in
-  Digraph.add_vertices g n;
+  let srcs = Bigvec.create ~capacity:((2 + q) * n) () in
+  let dsts = Bigvec.create ~capacity:((2 + q) * n) () in
+  let add src dst =
+    Bigvec.push srcs src;
+    Bigvec.push dsts dst
+  in
   (* Short-range lattice edges: right and down from each vertex covers
      every adjacent pair once. *)
   for row = 0 to side - 1 do
     for col = 0 to side - 1 do
       let v = vertex_of_coord ~side ~row ~col in
-      ignore (Digraph.add_edge g ~src:v ~dst:(vertex_of_coord ~side ~row ~col:(col + 1)));
-      ignore (Digraph.add_edge g ~src:v ~dst:(vertex_of_coord ~side ~row:(row + 1) ~col))
+      add v (vertex_of_coord ~side ~row ~col:(col + 1));
+      add v (vertex_of_coord ~side ~row:(row + 1) ~col)
     done
   done;
   if q > 0 then begin
@@ -65,12 +69,11 @@ let generate rng ~side ~r ?(q = 1) () =
           let offs = groups.(d) in
           let packed = offs.(Rng.int rng (Array.length offs)) in
           let dr = packed / side and dc = packed mod side in
-          let dst = vertex_of_coord ~side ~row:(row + dr) ~col:(col + dc) in
-          ignore (Digraph.add_edge g ~src:v ~dst)
+          add v (vertex_of_coord ~side ~row:(row + dr) ~col:(col + dc))
         done
       done
     done
   end;
-  { graph = g; side; r }
+  { graph = Sf_graph.Ugraph.of_csr (Sf_graph.Csr.of_bigvecs ~n srcs dsts); side; r }
 
-let n_vertices t = Digraph.n_vertices t.graph
+let n_vertices t = Sf_graph.Ugraph.n_vertices t.graph

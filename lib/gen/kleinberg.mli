@@ -12,7 +12,7 @@
     which is exactly the gap the paper addresses. *)
 
 type t = {
-  graph : Sf_graph.Digraph.t;
+  graph : Sf_graph.Ugraph.t;
   side : int;
   r : float;
 }

@@ -14,11 +14,11 @@
     than [n^{1/2}], so the strong-model corollary becomes trivial for
     these models. Experiment T16 measures exactly that. *)
 
-val tree1 : Sf_prng.Rng.t -> t:int -> Sf_graph.Digraph.t
+val tree1 : Sf_prng.Rng.t -> t:int -> Sf_graph.Ugraph.t
 (** The m = 1 LCD process on [1..t]; vertex 1's edge is always a
     self-loop. Requires [t >= 1]. *)
 
-val generate : Sf_prng.Rng.t -> n:int -> m:int -> Sf_graph.Digraph.t
+val generate : Sf_prng.Rng.t -> n:int -> m:int -> Sf_graph.Ugraph.t
 (** LCD graph with parameter [m] on [n] vertices. *)
 
 val max_degree_exponent : float

@@ -1,6 +1,6 @@
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
 module Bigvec = Sf_graph.Bigvec
+module Ugraph = Sf_graph.Ugraph
 
 (* Observability: attachment-step accounting (doc/OBSERVABILITY.md).
    The father-age histogram records which vertex each arrival attached
@@ -63,25 +63,30 @@ let grow rng ~p ~t ~a ~b =
   end;
   dsts
 
-(* the oriented view: vertex k's one out-edge, id k-2, to its father *)
-let digraph_of_fathers ~t fathers =
-  let g = Digraph.create ~expected_vertices:t () in
-  Digraph.add_vertices g t;
-  for k = 2 to t do
-    ignore (Digraph.add_edge g ~src:k ~dst:(Bigvec.unsafe_get fathers (k - 2)))
+(* Edge j of the tree joins vertex j+2 to fathers.(j).  Merging blocks
+   of m maps vertex v to group ((v-1)/m)+1, preserving edge ids and
+   order; m = 1 is the tree itself. *)
+let freeze ~m ~n fathers =
+  let e = Bigvec.length fathers in
+  let srcs_buf = Bigvec.create_buf e in
+  let dsts_buf = Bigvec.create_buf e in
+  let group v = ((v - 1) / m) + 1 in
+  for j = 0 to e - 1 do
+    Bigarray.Array1.unsafe_set srcs_buf j (Int32.of_int (group (j + 2)));
+    Bigarray.Array1.unsafe_set dsts_buf j (Int32.of_int (group (Bigvec.unsafe_get fathers j)))
   done;
-  g
+  Ugraph.of_csr (Sf_graph.Csr.of_endpoint_bufs ~n srcs_buf dsts_buf)
 
 let tree_fathers rng ~p ~t =
   check_params ~p ~t;
   grow rng ~p ~t ~a:t ~b:t
 
-let tree rng ~p ~t = digraph_of_fathers ~t (tree_fathers rng ~p ~t)
+let tree rng ~p ~t = freeze ~m:1 ~n:t (tree_fathers rng ~p ~t)
 
 let tree_conditioned rng ~p ~t ~a ~b =
   check_params ~p ~t;
   if a < 2 || a > b || b > t then invalid_arg "Mori.tree_conditioned: need 2 <= a <= b <= t";
-  digraph_of_fathers ~t (grow rng ~p ~t ~a ~b)
+  freeze ~m:1 ~n:t (grow rng ~p ~t ~a ~b)
 
 let graph rng ~p ~m ~n =
   if m < 1 || n < 1 then invalid_arg "Mori.graph: need m >= 1 and n >= 1";
@@ -90,43 +95,32 @@ let graph rng ~p ~m ~n =
   if n > (Sf_graph.Csr.max_edges + 1) / m then
     invalid_arg "Mori.graph: n * m - 1 edges exceed Csr.max_edges";
   if n * m < 2 then invalid_arg "Mori.graph: need n * m >= 2";
-  let t = n * m in
-  let fathers = tree_fathers rng ~p ~t in
-  (* edge j of the tree joins vertex j+2 to fathers.(j); merging maps
-     vertex v to group ((v-1)/m)+1, preserving edge ids and order *)
-  let srcs_buf = Bigvec.create_buf (t - 1) in
-  let dsts_buf = Bigvec.create_buf (t - 1) in
-  let group v = ((v - 1) / m) + 1 in
-  for j = 0 to t - 2 do
-    Bigarray.Array1.unsafe_set srcs_buf j (Int32.of_int (group (j + 2)));
-    Bigarray.Array1.unsafe_set dsts_buf j (Int32.of_int (group (Bigvec.unsafe_get fathers j)))
-  done;
-  Sf_graph.Ugraph.of_csr (Sf_graph.Csr.of_endpoint_bufs ~n srcs_buf dsts_buf)
+  freeze ~m ~n (tree_fathers rng ~p ~t:(n * m))
 
+(* vertex k's one out-edge is edge k-2 *)
 let father g k =
-  match Digraph.out_edges g k with
-  | [ e ] -> e.Digraph.dst
-  | [] -> invalid_arg "Mori.father: vertex has no out-edge"
-  | _ -> invalid_arg "Mori.father: vertex has several out-edges"
+  if k < 2 || k - 2 >= Ugraph.n_edges g then invalid_arg "Mori.father: vertex has no out-edge";
+  let s, d = Ugraph.endpoints g (k - 2) in
+  if s <> k then invalid_arg "Mori.father: edge k-2 does not leave vertex k";
+  d
 
 let fathers g =
-  let t = Digraph.n_vertices g in
+  let t = Ugraph.n_vertices g in
   Array.init (t - 1) (fun i -> father g (i + 2))
 
 let merge ~m g =
   if m < 1 then invalid_arg "Mori.merge: need m >= 1";
-  let nm = Digraph.n_vertices g in
+  let nm = Ugraph.n_vertices g in
   if nm mod m <> 0 then invalid_arg "Mori.merge: m must divide the vertex count";
-  if m = 1 then Digraph.copy g
-  else begin
-    let n = nm / m in
-    let group v = ((v - 1) / m) + 1 in
-    let g' = Digraph.create ~expected_vertices:n () in
-    Digraph.add_vertices g' n;
-    Digraph.iter_edges g (fun e ->
-        ignore (Digraph.add_edge g' ~src:(group e.Digraph.src) ~dst:(group e.Digraph.dst)));
-    g'
-  end
+  let e = Ugraph.n_edges g in
+  let srcs = Bigvec.create_buf e and dsts = Bigvec.create_buf e in
+  let group v = ((v - 1) / m) + 1 in
+  for id = 0 to e - 1 do
+    let s, d = Ugraph.endpoints g id in
+    Bigarray.Array1.unsafe_set srcs id (Int32.of_int (group s));
+    Bigarray.Array1.unsafe_set dsts id (Int32.of_int (group d))
+  done;
+  Ugraph.of_csr (Sf_graph.Csr.of_endpoint_bufs ~n:(nm / m) srcs dsts)
 
 let expected_degree_exponent ~p =
   if p <= 0. || p > 1. then invalid_arg "Mori.expected_degree_exponent: need 0 < p <= 1";

@@ -22,17 +22,18 @@
     and merges consecutive blocks of [m] vertices; self-loops and
     parallel edges produced by merging are preserved. *)
 
-val tree : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Digraph.t
-(** [tree rng ~p ~t] grows the Móri tree [G_t] on vertices [1..t], as
-    the oriented view of {!tree_fathers}: vertex [k >= 2] has exactly
-    one out-edge, created at time [k]; edge id [k-2] is that edge, so
-    edge ids are insertion timestamps. Lemmas 2–3 and the exhaustive
-    enumeration read the orientation from here.
+val tree : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Ugraph.t
+(** [tree rng ~p ~t] grows the Móri tree [G_t] on vertices [1..t],
+    frozen from {!tree_fathers}: vertex [k >= 2] has exactly one
+    out-edge, created at time [k]; edge id [k-2] is that edge, stored
+    as [(k, N_k)], so edge ids are insertion timestamps. Lemmas 2–3
+    and the exhaustive enumeration read the orientation through
+    {!father}.
     @raise Invalid_argument unless [t >= 2], [0 < p <= 1] and
     [t - 1 <= Csr.max_edges]. *)
 
 val tree_conditioned :
-  Sf_prng.Rng.t -> p:float -> t:int -> a:int -> b:int -> Sf_graph.Digraph.t
+  Sf_prng.Rng.t -> p:float -> t:int -> a:int -> b:int -> Sf_graph.Ugraph.t
 (** Exact sampling of [G_t] {e conditioned on the event} [E_{a,b}] of
     Lemma 2 (every vertex in [(a, b]] attaches to a vertex [<= a]).
     Conditioning is done step by step — conditional on the event's
@@ -46,34 +47,36 @@ val tree_conditioned :
 val tree_fathers : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Bigvec.t
 (** [tree_fathers rng ~p ~t] is the growth loop itself: the father
     sequence in flat int32 storage, entry [k-2] the father of vertex
-    [k]. {!tree} and {!graph} are built from it, so on the same stream
+    [k]. {!tree} and {!graph} are frozen from it, so on the same stream
     all three describe the same tree. Peak memory is ~4 bytes per
     vertex, which is what makes [t = 10^7] routine (doc/SCALING.md).
     @raise Invalid_argument unless [t >= 2], [0 < p <= 1] and
     [t - 1 <= Csr.max_edges], before any growth. *)
 
-val father : Sf_graph.Digraph.t -> int -> int
-(** [father tree k] is [N_k], the destination of [k]'s out-edge
-    (defined for [k >= 2] in a Móri tree).
-    @raise Invalid_argument if [k] has no out-edge. *)
+val father : Sf_graph.Ugraph.t -> int -> int
+(** [father tree k] is [N_k], the [dst] of edge [k-2] (defined for
+    [k >= 2] in a Móri tree).
+    @raise Invalid_argument if there is no edge [k-2] or it does not
+    leave [k]. *)
 
-val fathers : Sf_graph.Digraph.t -> int array
+val fathers : Sf_graph.Ugraph.t -> int array
 (** [fathers tree] lists [N_2 .. N_t] ([a.(k-2)] = father of [k]). *)
 
-val merge : m:int -> Sf_graph.Digraph.t -> Sf_graph.Digraph.t
+val merge : m:int -> Sf_graph.Ugraph.t -> Sf_graph.Ugraph.t
 (** [merge ~m g] merges vertex blocks [m(i-1)+1 .. mi] of [g] into
-    vertex [i]. Requires [m >= 1] and [m] dividing [n_vertices g].
-    Every edge of [g] survives (possibly as a self-loop). *)
+    vertex [i], mapping the endpoints of every edge in id order and
+    freezing the result. Requires [m >= 1] and [m] dividing
+    [n_vertices g]. Every edge of [g] survives (possibly as a
+    self-loop). *)
 
 val graph : Sf_prng.Rng.t -> p:float -> m:int -> n:int -> Sf_graph.Ugraph.t
 (** [graph rng ~p ~m ~n] is the m-out Móri graph [G^(m)] on [n]
     vertices: the tree on [n·m] vertices merged by blocks of [m], built
-    in CSR form by mapping {!tree_fathers} through the block-merge
-    projection edge by edge, with no boxed intermediate. Equal (same
-    edge ids, same endpoints) to
-    [Ugraph.of_digraph (merge ~m (tree rng ~p ~t:(n * m)))] on the
-    same stream; use {!Sf_graph.Ugraph.to_digraph} for the oriented
-    view.
+    by mapping {!tree_fathers} through the block-merge projection edge
+    by edge, with no intermediate tree. Equal (same edge ids, same
+    endpoints) to [merge ~m (tree rng ~p ~t:(n * m))] on the same
+    stream; {!Sf_graph.Metrics} reads in- and out-degrees from its
+    edge orientation.
     @raise Invalid_argument unless [n, m >= 1] and [n·m >= 2]; and,
     before any growth, when the [n·m - 1] edges exceed
     {!Sf_graph.Csr.max_edges} ([n·m <= 2{^30}]). *)

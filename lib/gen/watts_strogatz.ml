@@ -1,18 +1,19 @@
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
+module Bigvec = Sf_graph.Bigvec
 
 let generate rng ~n ~k ~beta =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Watts_strogatz.generate: k must be even and >= 2";
   if n <= k then invalid_arg "Watts_strogatz.generate: need n > k";
   if beta < 0. || beta > 1. then invalid_arg "Watts_strogatz.generate: beta outside [0, 1]";
-  let g = Digraph.create ~expected_vertices:n () in
-  Digraph.add_vertices g n;
+  let edges = n * k / 2 in
+  let srcs = Bigvec.create ~capacity:edges () and dsts = Bigvec.create ~capacity:edges () in
   (* adjacency set to keep the rewired graph simple *)
   let present = Hashtbl.create (2 * n * k) in
   let key u v = (min u v, max u v) in
   let add u v =
     Hashtbl.replace present (key u v) ();
-    ignore (Digraph.add_edge g ~src:u ~dst:v)
+    Bigvec.push srcs u;
+    Bigvec.push dsts v
   in
   let mem u v = Hashtbl.mem present (key u v) in
   (* ring lattice: j-th neighbour clockwise for j = 1..k/2 *)
@@ -43,4 +44,4 @@ let generate rng ~n ~k ~beta =
       end
     done
   done;
-  g
+  Sf_graph.Ugraph.of_csr (Sf_graph.Csr.of_bigvecs ~n srcs dsts)

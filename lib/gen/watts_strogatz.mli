@@ -10,6 +10,6 @@
     [beta]. *)
 
 val generate :
-  Sf_prng.Rng.t -> n:int -> k:int -> beta:float -> Sf_graph.Digraph.t
+  Sf_prng.Rng.t -> n:int -> k:int -> beta:float -> Sf_graph.Ugraph.t
 (** Requires [n > k >= 2], [k] even, [0 <= beta <= 1]. The result is a
     simple graph with exactly [n·k/2] edges. *)

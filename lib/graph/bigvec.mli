@@ -4,8 +4,8 @@
     fine at toy sizes, 8 bytes per entry at n = 10M. This variant
     packs entries into an unboxed [int32] Bigarray — half the memory,
     no GC scanning of the payload — and is the growth buffer behind
-    the giant-graph engine: generator endpoint stores and the staging
-    area for {!Csr} edge arrays (doc/SCALING.md).
+    every graph: each generator appends its edges' endpoints to two of
+    them and freezes them with {!Csr.of_bigvecs} (doc/SCALING.md).
 
     Values must fit in 32 bits ([-2{^31} .. 2{^31}-1]); {!push} and
     {!set} reject anything wider. Vertex ids and edge ids in this

@@ -133,15 +133,6 @@ let of_bigvecs ~n srcs dsts =
     invalid_arg "Csr.of_bigvecs: endpoint vectors disagree";
   build ~n ~m:(Bigvec.length srcs) (Bigvec.to_buf srcs) (Bigvec.to_buf dsts)
 
-let of_digraph g =
-  let n = Digraph.n_vertices g and m = Digraph.n_edges g in
-  check_counts ~n ~m;
-  let srcs = Bigvec.create_buf m and dsts = Bigvec.create_buf m in
-  Digraph.iter_edges g (fun e ->
-      set srcs e.Digraph.id e.Digraph.src;
-      set dsts e.Digraph.id e.Digraph.dst);
-  build ~n ~m srcs dsts
-
 let of_sections ~n ~m ~srcs ~dsts ~inc_start ~inc = { n; m; srcs; dsts; inc_start; inc }
 
 (* ------------------------------------------------------------------ *)

@@ -11,8 +11,7 @@
 
     Cost: 4 bytes per vertex for offsets plus 12–16 bytes per edge
     (8 for endpoints, 4 per incidence slot; a self-loop takes one slot,
-    every other edge two) — an order of magnitude below the boxed
-    {!Digraph}/{!Ugraph} pair, with no GC-scanned payload. The same
+    every other edge two), with no GC-scanned payload. The same
     four sections are what the SFGB-v2 container (doc/STORAGE.md)
     lays out on disk, so an mmapped file {e is} a valid [t] with zero
     copying.
@@ -20,9 +19,8 @@
     Invariants (checked by constructors, re-checkable with
     {!validate}): endpoints lie in [1..n]; [inc_start] is monotone
     from 0 to [dim inc]; each row lists incident edge ids in
-    ascending id order, self-loops once. These match {!Ugraph}'s
-    observable conventions exactly, so a search on a CSR view replays
-    byte-for-byte against one on the legacy representation.
+    ascending id order, self-loops once. These are {!Ugraph}'s
+    observable conventions.
 
     Limits: [n <= 2{^31} - 1] vertices and [m <= 2{^30} - 1] edges
     (an incidence section of up to [2m] slots must itself be
@@ -45,9 +43,6 @@ val max_edges : int
 
 (** {1 Construction} *)
 
-val of_digraph : Digraph.t -> t
-(** Freeze a grown digraph; O(n + m). *)
-
 val of_endpoint_bufs : n:int -> buf -> buf -> t
 (** [of_endpoint_bufs ~n srcs dsts] takes ownership of the endpoint
     buffers and builds the incidence sections in O(n + m). Edges may
@@ -55,7 +50,9 @@ val of_endpoint_bufs : n:int -> buf -> buf -> t
     @raise Invalid_argument on out-of-range endpoints or counts. *)
 
 val of_bigvecs : n:int -> Bigvec.t -> Bigvec.t -> t
-(** Same, from growth vectors (copied to exact-length buffers). *)
+(** Same, from growth vectors (copied to exact-length buffers). This is
+    how every generator freezes: it appends each edge's [src] and
+    [dst] to two {!Bigvec}s, so edge ids are insertion order. *)
 
 val of_sections :
   n:int -> m:int -> srcs:buf -> dsts:buf -> inc_start:buf -> inc:buf -> t

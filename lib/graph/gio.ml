@@ -1,9 +1,13 @@
+let iter_edges g f =
+  for id = 0 to Ugraph.n_edges g - 1 do
+    let s, d = Ugraph.endpoints g id in
+    f s d
+  done
+
 let to_edge_list g =
-  let buf = Buffer.create (16 + (8 * Digraph.n_edges g)) in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d\n" (Digraph.n_vertices g) (Digraph.n_edges g));
-  Digraph.iter_edges g (fun e ->
-      Buffer.add_string buf (Printf.sprintf "%d %d\n" e.Digraph.src e.Digraph.dst));
+  let buf = Buffer.create (16 + (8 * Ugraph.n_edges g)) in
+  Buffer.add_string buf (Printf.sprintf "%d %d\n" (Ugraph.n_vertices g) (Ugraph.n_edges g));
+  iter_edges g (fun s d -> Buffer.add_string buf (Printf.sprintf "%d %d\n" s d));
   Buffer.contents buf
 
 (* Plain decimal integers only: [int_of_string] also accepts hex/octal
@@ -33,7 +37,8 @@ let of_edge_list text =
       | [ a; b ] -> (parse_int "header" a, parse_int "header" b)
       | _ -> failwith "Gio.of_edge_list: bad header"
     in
-    if n < 0 || m < 0 then failwith "Gio.of_edge_list: bad header";
+    if n < 0 || m < 0 || n > Csr.max_vertices || m > Csr.max_edges then
+      failwith "Gio.of_edge_list: bad header";
     let found = List.length rest in
     (* check the declared count before touching any edge line, so the
        error names the real problem rather than whichever malformed
@@ -47,8 +52,7 @@ let of_edge_list text =
         (Printf.sprintf
            "Gio.of_edge_list: trailing garbage (%d line(s) after the %d declared edges)"
            (found - m) m);
-    let g = Digraph.create ~expected_vertices:n () in
-    Digraph.add_vertices g n;
+    let srcs = Bigvec.create ~capacity:m () and dsts = Bigvec.create ~capacity:m () in
     List.iter
       (fun line ->
         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
@@ -58,10 +62,11 @@ let of_edge_list text =
             failwith
               (Printf.sprintf "Gio.of_edge_list: edge %d %d outside vertex range 1..%d" src
                  dst n);
-          ignore (Digraph.add_edge g ~src ~dst)
+          Bigvec.push srcs src;
+          Bigvec.push dsts dst
         | _ -> failwith "Gio.of_edge_list: bad edge line")
       rest;
-    g
+    Ugraph.of_csr (Csr.of_bigvecs ~n srcs dsts)
 
 let write_edge_list g ~path =
   let oc = open_out path in
@@ -87,7 +92,6 @@ let to_dot ?(name = "g") ?(highlight = []) g =
       Buffer.add_string buf
         (Printf.sprintf "  %d [style=filled, fillcolor=lightblue];\n" v))
     highlight;
-  Digraph.iter_edges g (fun e ->
-      Buffer.add_string buf (Printf.sprintf "  %d -> %d;\n" e.Digraph.src e.Digraph.dst));
+  iter_edges g (fun s d -> Buffer.add_string buf (Printf.sprintf "  %d -> %d;\n" s d));
   Buffer.add_string buf "}\n";
   Buffer.contents buf

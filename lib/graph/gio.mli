@@ -5,9 +5,9 @@
     line, in edge-insertion order (so a round trip preserves edge ids
     and timestamps). *)
 
-val to_edge_list : Digraph.t -> string
+val to_edge_list : Ugraph.t -> string
 
-val of_edge_list : string -> Digraph.t
+val of_edge_list : string -> Ugraph.t
 (** Strict parse: the declared [n m] header must match the body
     exactly — fewer edge lines than [m] is an edge-count mismatch,
     more is trailing garbage; endpoints outside [1..n], non-decimal
@@ -15,12 +15,12 @@ val of_edge_list : string -> Digraph.t
     @raise Failure on malformed input, with a message naming the
     problem. *)
 
-val write_edge_list : Digraph.t -> path:string -> unit
+val write_edge_list : Ugraph.t -> path:string -> unit
 
-val read_edge_list : path:string -> Digraph.t
+val read_edge_list : path:string -> Ugraph.t
 (** @raise Failure on I/O or parse errors; parse failures are prefixed
     with the path. *)
 
-val to_dot : ?name:string -> ?highlight:int list -> Digraph.t -> string
-(** Directed DOT rendering; [highlight] vertices are filled. Intended
-    for small demo graphs. *)
+val to_dot : ?name:string -> ?highlight:int list -> Ugraph.t -> string
+(** Directed DOT rendering, one [src -> dst] line per edge in id order;
+    [highlight] vertices are filled. Intended for small demo graphs. *)

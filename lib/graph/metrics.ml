@@ -1,13 +1,26 @@
-let in_degrees g = Array.init (Digraph.n_vertices g) (fun i -> Digraph.in_degree g (i + 1))
-let out_degrees g = Array.init (Digraph.n_vertices g) (fun i -> Digraph.out_degree g (i + 1))
-let total_degrees g = Array.init (Digraph.n_vertices g) (fun i -> Digraph.degree g (i + 1))
+(* Every statistic reads the endpoint sections directly: the orientation
+   of each edge is the order its generator wrote (src, dst), and a
+   self-loop contributes 2 to its endpoint's total degree. *)
 
-let max_in_degree g = Array.fold_left max 0 (in_degrees g)
-let max_total_degree g = Array.fold_left max 0 (total_degrees g)
+let count_endpoints u ~src ~dst =
+  let a = Array.make (Ugraph.n_vertices u) 0 in
+  for id = 0 to Ugraph.n_edges u - 1 do
+    let s, d = Ugraph.endpoints u id in
+    if src then a.(s - 1) <- a.(s - 1) + 1;
+    if dst then a.(d - 1) <- a.(d - 1) + 1
+  done;
+  a
 
-let mean_degree g =
-  let n = Digraph.n_vertices g in
-  if n = 0 then 0. else 2. *. float_of_int (Digraph.n_edges g) /. float_of_int n
+let in_degrees u = count_endpoints u ~src:false ~dst:true
+let out_degrees u = count_endpoints u ~src:true ~dst:false
+let total_degrees u = count_endpoints u ~src:true ~dst:true
+
+let max_in_degree u = Array.fold_left max 0 (in_degrees u)
+let max_total_degree u = Array.fold_left max 0 (total_degrees u)
+
+let mean_degree u =
+  let n = Ugraph.n_vertices u in
+  if n = 0 then 0. else 2. *. float_of_int (Ugraph.n_edges u) /. float_of_int n
 
 let degree_counts degrees =
   let tbl = Hashtbl.create 64 in
@@ -36,62 +49,7 @@ let degree_ccdf degrees =
     acc
   end
 
-let self_loops g =
-  Digraph.fold_edges g ~init:0 ~f:(fun acc e ->
-      if e.Digraph.src = e.Digraph.dst then acc + 1 else acc)
-
-let parallel_edges g =
-  let tbl = Hashtbl.create (Digraph.n_edges g) in
-  Digraph.fold_edges g ~init:0 ~f:(fun acc e ->
-      let key = (min e.Digraph.src e.Digraph.dst, max e.Digraph.src e.Digraph.dst) in
-      if Hashtbl.mem tbl key then acc + 1
-      else begin
-        Hashtbl.replace tbl key ();
-        acc
-      end)
-
-let degree_sum_invariant g =
-  Array.fold_left ( + ) 0 (total_degrees g) = 2 * Digraph.n_edges g
-
-(* --- Ugraph-native variants ----------------------------------------
-
-   The same statistics computed from the flat CSR endpoint sections,
-   so a 10M-vertex mmap-loaded graph never has to round-trip through
-   a boxed Digraph (doc/SCALING.md).  Conventions match the Digraph
-   versions exactly: the directed orientation of every edge is
-   retained in the view, and a self-loop contributes 2 to its
-   endpoint's total degree. *)
-
-let u_in_degrees u =
-  let a = Array.make (Ugraph.n_vertices u) 0 in
-  for id = 0 to Ugraph.n_edges u - 1 do
-    let _, d = Ugraph.endpoints u id in
-    a.(d - 1) <- a.(d - 1) + 1
-  done;
-  a
-
-let u_out_degrees u =
-  let a = Array.make (Ugraph.n_vertices u) 0 in
-  for id = 0 to Ugraph.n_edges u - 1 do
-    let s, _ = Ugraph.endpoints u id in
-    a.(s - 1) <- a.(s - 1) + 1
-  done;
-  a
-
-let u_total_degrees u =
-  let a = Array.make (Ugraph.n_vertices u) 0 in
-  for id = 0 to Ugraph.n_edges u - 1 do
-    let s, d = Ugraph.endpoints u id in
-    a.(s - 1) <- a.(s - 1) + 1;
-    a.(d - 1) <- a.(d - 1) + 1
-  done;
-  a
-
-let u_mean_degree u =
-  let n = Ugraph.n_vertices u in
-  if n = 0 then 0. else 2. *. float_of_int (Ugraph.n_edges u) /. float_of_int n
-
-let u_self_loops u =
+let self_loops u =
   let c = ref 0 in
   for id = 0 to Ugraph.n_edges u - 1 do
     let s, d = Ugraph.endpoints u id in
@@ -99,7 +57,7 @@ let u_self_loops u =
   done;
   !c
 
-let u_parallel_edges u =
+let parallel_edges u =
   (* sort packed (min, max) endpoint pairs instead of hashing them:
      O(m log m) with one flat scratch array, no per-edge boxes — the
      difference between feasible and not at 10^7 edges *)
@@ -118,3 +76,6 @@ let u_parallel_edges u =
     done;
     !dups
   end
+
+let degree_sum_invariant u =
+  Array.fold_left ( + ) 0 (total_degrees u) = 2 * Ugraph.n_edges u

@@ -1,17 +1,23 @@
-(** Degree statistics of directed multigraphs. *)
+(** Degree statistics of graphs, read from the edge orientation.
 
-val in_degrees : Digraph.t -> int array
-(** [a.(v-1)] = indegree of [v]. *)
+    Every statistic is one pass over the flat CSR endpoint sections
+    ({!Ugraph.endpoints}), with no boxed intermediate, so they work at
+    10M vertices on mmap-loaded graphs (doc/SCALING.md). *)
 
-val out_degrees : Digraph.t -> int array
+val in_degrees : Ugraph.t -> int array
+(** [a.(v-1)] = indegree of [v]: the edges whose [dst] is [v]. *)
 
-val total_degrees : Digraph.t -> int array
-(** Loop-counts-twice convention ({!Digraph.degree}). *)
+val out_degrees : Ugraph.t -> int array
 
-val max_in_degree : Digraph.t -> int
-val max_total_degree : Digraph.t -> int
+val total_degrees : Ugraph.t -> int array
+(** Loop-counts-twice convention: [in + out]. {!Ugraph.degree} counts a
+    loop once — that is the observable incidence count, not this
+    sum. *)
 
-val mean_degree : Digraph.t -> float
+val max_in_degree : Ugraph.t -> int
+val max_total_degree : Ugraph.t -> int
+
+val mean_degree : Ugraph.t -> float
 (** Mean total degree = [2m/n]. *)
 
 val degree_counts : int array -> (int * int) list
@@ -22,32 +28,13 @@ val degree_ccdf : int array -> (int * float) list
 (** Complementary CDF of the degree sample: [(d, P(D >= d))] at each
     observed degree, ascending. *)
 
-val self_loops : Digraph.t -> int
-val parallel_edges : Digraph.t -> int
+val self_loops : Ugraph.t -> int
+
+val parallel_edges : Ugraph.t -> int
 (** Number of edges beyond the first within each (unordered) endpoint
-    pair; 0 for a simple graph. *)
+    pair; 0 for a simple graph. Counted by sorting packed endpoint
+    pairs (O(m log m), one flat scratch array) rather than hashing
+    them. *)
 
-val degree_sum_invariant : Digraph.t -> bool
+val degree_sum_invariant : Ugraph.t -> bool
 (** Handshake check: sum of total degrees = 2·edges. *)
-
-(** {2 Ugraph-native variants}
-
-    The same statistics computed from the flat CSR endpoint sections —
-    identical values to converting and calling the Digraph versions,
-    but with no boxed intermediate, so they work at 10M vertices on
-    mmap-loaded graphs (doc/SCALING.md). *)
-
-val u_in_degrees : Ugraph.t -> int array
-val u_out_degrees : Ugraph.t -> int array
-
-val u_total_degrees : Ugraph.t -> int array
-(** Loop-counts-twice convention, matching {!total_degrees} (note
-    {!Ugraph.degree} counts a loop once — that is the observable
-    incidence count, not this sum). *)
-
-val u_mean_degree : Ugraph.t -> float
-val u_self_loops : Ugraph.t -> int
-
-val u_parallel_edges : Ugraph.t -> int
-(** Same count as {!parallel_edges}, via a packed endpoint-pair sort
-    instead of a hash table (O(m log m), one flat scratch array). *)

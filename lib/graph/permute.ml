@@ -52,12 +52,13 @@ let random_of_subrange rng ~n ~lo ~hi =
   of_subrange_permutation ~n ~lo ~images
 
 let apply sigma g =
-  let n = Digraph.n_vertices g in
+  let n = Ugraph.n_vertices g and m = Ugraph.n_edges g in
   if Array.length sigma <> n then invalid_arg "Permute.apply: size mismatch";
   if not (is_valid sigma) then invalid_arg "Permute.apply: not a permutation";
-  let g' = Digraph.create ~expected_vertices:n () in
-  Digraph.add_vertices g' n;
-  Digraph.iter_edges g (fun e ->
-      ignore
-        (Digraph.add_edge g' ~src:sigma.(e.Digraph.src - 1) ~dst:sigma.(e.Digraph.dst - 1)));
-  g'
+  let srcs = Bigvec.create_buf m and dsts = Bigvec.create_buf m in
+  for id = 0 to m - 1 do
+    let s, d = Ugraph.endpoints g id in
+    Bigarray.Array1.unsafe_set srcs id (Int32.of_int sigma.(s - 1));
+    Bigarray.Array1.unsafe_set dsts id (Int32.of_int sigma.(d - 1))
+  done;
+  Ugraph.of_csr (Csr.of_endpoint_bufs ~n srcs dsts)

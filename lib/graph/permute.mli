@@ -32,8 +32,8 @@ val of_subrange_permutation : n:int -> lo:int -> images:int array -> t
 val random_of_subrange : Sf_prng.Rng.t -> n:int -> lo:int -> hi:int -> t
 (** Uniform permutation of the window [lo..hi], fixing the rest. *)
 
-val apply : t -> Digraph.t -> Digraph.t
+val apply : t -> Ugraph.t -> Ugraph.t
 (** [apply sigma g] is σ(G): same vertex set, every edge [(u,v)]
-    becomes [(σu, σv)]. Edge insertion order is preserved, so edge ids
-    still equal insertion timestamps.
+    becomes [(σu, σv)]. Edge order is preserved, so edge ids still
+    equal insertion timestamps.
     @raise Invalid_argument if sizes disagree or σ is not valid. *)

@@ -1,7 +1,7 @@
 type mapping = { to_sub : int array; of_sub : int array }
 
 let induced g ~vertices =
-  let n = Digraph.n_vertices g in
+  let n = Ugraph.n_vertices g in
   let to_sub = Array.make n 0 in
   List.iter
     (fun v ->
@@ -20,13 +20,15 @@ let induced g ~vertices =
   for v = 1 to n do
     if to_sub.(v - 1) <> 0 then of_sub.(to_sub.(v - 1) - 1) <- v
   done;
-  let sub = Digraph.create ~expected_vertices:!k () in
-  Digraph.add_vertices sub !k;
-  Digraph.iter_edges g (fun e ->
-      let s = to_sub.(e.Digraph.src - 1) and d = to_sub.(e.Digraph.dst - 1) in
-      if s <> 0 && d <> 0 then ignore (Digraph.add_edge sub ~src:s ~dst:d));
-  (sub, { to_sub; of_sub })
+  let srcs = Bigvec.create () and dsts = Bigvec.create () in
+  for id = 0 to Ugraph.n_edges g - 1 do
+    let s, d = Ugraph.endpoints g id in
+    let s = to_sub.(s - 1) and d = to_sub.(d - 1) in
+    if s <> 0 && d <> 0 then begin
+      Bigvec.push srcs s;
+      Bigvec.push dsts d
+    end
+  done;
+  (Ugraph.of_csr (Csr.of_bigvecs ~n:!k srcs dsts), { to_sub; of_sub })
 
-let largest_component g =
-  let u = Ugraph.of_digraph g in
-  induced g ~vertices:(Traversal.largest_component u)
+let largest_component g = induced g ~vertices:(Traversal.largest_component g)

@@ -8,16 +8,14 @@ type t = Csr.t
 let of_csr c = c
 let csr t = t
 
-let of_digraph = Csr.of_digraph
-
-let to_digraph t =
-  let n = Csr.n_vertices t in
-  let g = Digraph.create ~expected_vertices:n () in
-  Digraph.add_vertices g n;
-  for id = 0 to Csr.n_edges t - 1 do
-    ignore (Digraph.add_edge g ~src:(Csr.src t id) ~dst:(Csr.dst t id))
-  done;
-  g
+let of_edges ~n pairs =
+  let srcs = Bigvec.create () and dsts = Bigvec.create () in
+  List.iter
+    (fun (s, d) ->
+      Bigvec.push srcs s;
+      Bigvec.push dsts d)
+    pairs;
+  Csr.of_bigvecs ~n srcs dsts
 
 let n_vertices = Csr.n_vertices
 let n_edges = Csr.n_edges
@@ -70,3 +68,25 @@ let neighbors t v =
 
 let max_degree = Csr.max_degree
 let memory_bytes = Csr.memory_bytes
+
+let sorted_edge_pairs t =
+  let pairs = Array.init (Csr.n_edges t) (fun id -> (Csr.src t id, Csr.dst t id)) in
+  Array.sort compare pairs;
+  pairs
+
+let equal_structure a b =
+  n_vertices a = n_vertices b
+  && n_edges a = n_edges b
+  && sorted_edge_pairs a = sorted_edge_pairs b
+
+let canonical_key t =
+  let buf = Buffer.create (16 + (8 * n_edges t)) in
+  Buffer.add_string buf (string_of_int (n_vertices t));
+  Array.iter
+    (fun (s, d) ->
+      Buffer.add_char buf '|';
+      Buffer.add_string buf (string_of_int s);
+      Buffer.add_char buf '>';
+      Buffer.add_string buf (string_of_int d))
+    (sorted_edge_pairs t);
+  Buffer.contents buf

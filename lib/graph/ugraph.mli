@@ -1,46 +1,50 @@
-(** Frozen undirected incidence view of a directed multigraph.
+(** The graph type: a frozen multigraph, oriented by storage and
+    searched undirected.
 
-    The paper's graphs grow {e oriented}, but "searching always takes
-    place in the corresponding unoriented graph". Searching also never
-    mutates the graph, so this view is an immutable snapshot with
+    The paper's graphs grow {e oriented}, with edge ids that are
+    insertion timestamps, but "searching always takes place in the
+    corresponding unoriented graph". Every generator therefore appends
+    its edges to endpoint buffers and freezes them into this view.
+    The orientation survives as data: {!endpoints} returns [(src, dst)]
+    for an edge id, which is where in-degrees, out-degrees and Móri
+    fathers are read from ({!Metrics}, [Sf_gen.Mori.father]).
+    Searching never mutates the graph, so the view is immutable with
     O(1) incidence lookups — the structure the oracles and traversals
     operate on.
 
-    Since the giant-graph engine (doc/SCALING.md) the view is backed
-    by flat {!Csr} storage: four unboxed [int32] Bigarray sections
-    instead of boxed per-vertex arrays, ~12–16 bytes per edge, and the
-    same layout an SFGB-v2 file carries on disk — {!of_csr} is how the
-    mmap loader (lib/store) wraps a file-backed graph in this
-    interface with zero copying.
+    The view is backed by flat {!Csr} storage: four unboxed [int32]
+    Bigarray sections, ~12–16 bytes per edge, and the same layout an
+    SFGB-v2 file carries on disk — {!of_csr} is how the mmap loader
+    (lib/store) wraps a file-backed graph in this interface with zero
+    copying.
 
-    Conventions (unchanged across the CSR refactor — searches replay
-    byte-for-byte):
-    - edge ids are those of the underlying {!Digraph.t};
+    Conventions (searches replay byte-for-byte on them):
+    - edge ids [0 .. m-1] are insertion order, so they double as
+      timestamps;
     - the incidence list of [v] contains each incident edge {e once},
       including self-loops (a self-loop at [v] is one handle whose far
       endpoint is [v] itself), in ascending edge-id (= insertion)
       order;
     - [degree v] is the length of that list. This is the degree a
       searcher observes: the number of distinct requests available at
-      [v]. Use {!Digraph.degree} for the loop-counts-twice convention. *)
+      [v]. Use {!Metrics.total_degrees} for the loop-counts-twice
+      convention. *)
 
 type vertex = int
 type t
 
-val of_digraph : Digraph.t -> t
-
-val to_digraph : t -> Digraph.t
-(** The oriented graph back, edges re-added in id order, so
-    [of_digraph (to_digraph t)] equals [t]. A fresh boxed copy, O(n + m):
-    for callers that need {!Digraph} semantics, such as out-degrees or a
-    self-loop counted twice. *)
+val of_edges : n:int -> (vertex * vertex) list -> t
+(** [of_edges ~n pairs] is the graph on vertices [1..n] whose edge [i]
+    is the [i]-th pair, oriented [(src, dst)]. Self-loops and parallel
+    edges are kept.
+    @raise Invalid_argument if an endpoint lies outside [1..n]. *)
 
 val of_csr : Csr.t -> t
 (** O(1) adoption of CSR storage — generator and mmap fast path. *)
 
 val csr : t -> Csr.t
 (** The backing storage; O(1). Used by the store layer to serialise
-    without an intermediate {!Digraph}. *)
+    the sections as they are. *)
 
 val n_vertices : t -> int
 val n_edges : t -> int
@@ -82,3 +86,11 @@ val mem_vertex : t -> vertex -> bool
 
 val memory_bytes : t -> int
 (** Resident bytes of the backing CSR sections. *)
+
+val equal_structure : t -> t -> bool
+(** Equality of labelled multigraphs: same vertex count and the same
+    {e multiset} of directed edges (edge order ignored). *)
+
+val canonical_key : t -> string
+(** A string that is equal for two graphs iff {!equal_structure} holds.
+    Used to key empirical distributions over labelled graphs. *)

@@ -1,8 +1,12 @@
 (** Growable arrays of unboxed [int]s.
 
-    The adjacency structures append heavily while a graph grows; this is
-    the usual doubling dynamic array, specialised to [int] to avoid
-    boxing and [Obj] tricks. *)
+    The usual doubling dynamic array, specialised to [int] to avoid
+    boxing and [Obj] tricks. Graphs do not use it: generators grow
+    into {!Bigvec} endpoint buffers and freeze them to {!Csr}. Its
+    users are the search layer's per-query scratch tables — the
+    oracle's public-handle table and the DFS and random-pool
+    strategies — which live on the GC heap so that starting a query
+    allocates no malloc'd custom block. *)
 
 type t
 

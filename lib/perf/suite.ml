@@ -8,21 +8,20 @@ let tests ~quick =
   let scale n = if quick then n / 8 else n in
   let rng0 = Sf_prng.Rng.of_seed 1 in
   (* Pre-built inputs shared by the per-run closures. *)
-  let mori_16k = Sf_gen.Mori.tree (Sf_prng.Rng.split rng0) ~p:0.5 ~t:(scale 16_384) in
-  let mori_u = Sf_graph.Ugraph.of_digraph mori_16k in
-  let config_g =
+  let mori_u = Sf_gen.Mori.tree (Sf_prng.Rng.split rng0) ~p:0.5 ~t:(scale 16_384) in
+  let config_u =
     Sf_gen.Config_model.searchable_power_law (Sf_prng.Rng.split rng0) ~n:(scale 16_384)
       ~exponent:2.3 ()
   in
-  let config_u = Sf_graph.Ugraph.of_digraph config_g in
   let kleinberg = Sf_gen.Kleinberg.generate (Sf_prng.Rng.split rng0) ~side:32 ~r:2. ~q:1 () in
-  let kleinberg_u = Sf_graph.Ugraph.of_digraph kleinberg.Sf_gen.Kleinberg.graph in
-  let degrees = Sf_graph.Metrics.in_degrees mori_16k in
+  let kleinberg_u = kleinberg.Sf_gen.Kleinberg.graph in
+  let degrees = Sf_graph.Metrics.in_degrees mori_u in
   let n_mori = Sf_graph.Ugraph.n_vertices mori_u in
   let n_conf = Sf_graph.Ugraph.n_vertices config_u in
   let mk name f = Test.make ~name (Staged.stage f) in
   [
-    (* T1/T2: generation of the Theorem 1 workloads *)
+    (* T1/T2: generation of the Theorem 1 workloads; "gen: mori tree"
+       times the same closure as "gen: mori giant tree" below *)
     mk
       (Printf.sprintf "gen: mori tree t=%d (T1)" (scale 8192))
       (fun () -> ignore (Sf_gen.Mori.tree (Sf_prng.Rng.copy rng0) ~p:0.5 ~t:(scale 8192)));
@@ -30,14 +29,14 @@ let tests ~quick =
       (Printf.sprintf "gen: merged mori m=4 n=%d (T2)" (scale 2048))
       (fun () ->
         ignore (Sf_gen.Mori.graph (Sf_prng.Rng.copy rng0) ~p:0.5 ~m:4 ~n:(scale 2048)));
-    (* T4: Cooper-Frieze generation, as the oriented view *)
+    (* T4: Cooper-Frieze generation; the same closure as "gen:
+       cooper-frieze giant" below *)
     mk
       (Printf.sprintf "gen: cooper-frieze n=%d (T4)" (scale 4096))
       (fun () ->
         ignore
-          (Sf_graph.Ugraph.to_digraph
-             (Sf_gen.Cooper_frieze.generate_n_vertices (Sf_prng.Rng.copy rng0)
-                Sf_gen.Cooper_frieze.default ~n:(scale 4096))));
+          (Sf_gen.Cooper_frieze.generate_n_vertices (Sf_prng.Rng.copy rng0)
+             Sf_gen.Cooper_frieze.default ~n:(scale 4096)));
     (* T11: configuration-model generation *)
     mk
       (Printf.sprintf "gen: config model n=%d (T11)" (scale 8192))
@@ -101,7 +100,7 @@ let tests ~quick =
         ignore (Sf_graph.Traversal.bfs_distances mori_u ~source:1));
     (* T14: permutation action *)
     mk "graph: permutation action on mori (T14)" (fun () ->
-        ignore (Sf_graph.Permute.apply (Sf_graph.Permute.identity n_mori) mori_16k));
+        ignore (Sf_graph.Permute.apply (Sf_graph.Permute.identity n_mori) mori_u));
     (* T15: correlation statistics *)
     mk "graph: assortativity on config (T15)" (fun () ->
         ignore (Sf_graph.Correlation.assortativity config_u));
@@ -128,9 +127,10 @@ let tests ~quick =
               ~source:1
               ~holders:(Sf_sim.Query_sim.single_target net (n_conf / 2)))));
     (* giant-graph hot paths (doc/SCALING.md): the Móri and
-       Cooper–Frieze growth loops straight into CSR (the "gen: mori
-       tree" and "gen: cooper-frieze" entries above time the same
-       loops plus the oriented Digraph view), the CSR freeze, and the
+       Cooper–Frieze growth loops straight into CSR (the same closures
+       as "gen: mori tree" and "gen: cooper-frieze" above; the names
+       are kept because the gate fails on a lost benchmark), the
+       endpoint-buffer freeze every generator ends with, and the
        SFGB-v2 write+map round trip *)
     mk
       (Printf.sprintf "gen: mori giant tree t=%d (T1)" (scale 8192))
@@ -144,7 +144,13 @@ let tests ~quick =
              Sf_gen.Cooper_frieze.default ~n:(scale 4096)));
     mk
       (Printf.sprintf "graph: csr freeze n=%d" (scale 16_384))
-      (fun () -> ignore (Sf_graph.Csr.of_digraph mori_16k));
+      (let srcs = Sf_graph.Bigvec.create () and dsts = Sf_graph.Bigvec.create () in
+       for id = 0 to Sf_graph.Ugraph.n_edges mori_u - 1 do
+         let s, d = Sf_graph.Ugraph.endpoints mori_u id in
+         Sf_graph.Bigvec.push srcs s;
+         Sf_graph.Bigvec.push dsts d
+       done;
+       fun () -> ignore (Sf_graph.Csr.of_bigvecs ~n:n_mori srcs dsts));
     (let path = Filename.temp_file "sfbench_v2" ".sfg" in
      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
      mk "store: sfgb-v2 write+map roundtrip" (fun () ->

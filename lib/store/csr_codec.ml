@@ -238,4 +238,4 @@ let load_ugraph ?(verify = true) ~path () =
   match sniff_version path with
   | Some v when v = version -> map_ugraph_file ~verify ~path ()
   | Some v -> E.fail (E.Unsupported_version v)
-  | None -> Ugraph.of_digraph (Sf_graph.Gio.read_edge_list ~path)
+  | None -> Sf_graph.Gio.read_edge_list ~path

@@ -5,7 +5,7 @@
    harness. *)
 
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
+module Ugraph = Sf_graph.Ugraph
 module Events = Sf_core.Events
 module Enumerate = Sf_core.Enumerate
 module Equivalence = Sf_core.Equivalence
@@ -36,7 +36,7 @@ let test_enumeration_guards () =
 
 let test_graph_of_fathers () =
   let g = Enumerate.graph_of_fathers [| 1; 2; 2 |] in
-  Alcotest.(check int) "vertices" 4 (Digraph.n_vertices g);
+  Alcotest.(check int) "vertices" 4 (Ugraph.n_vertices g);
   Alcotest.(check int) "father of 3" 2 (Sf_gen.Mori.father g 3);
   Alcotest.(check int) "father of 4" 2 (Sf_gen.Mori.father g 4)
 
@@ -181,7 +181,7 @@ let test_exact_equivalence_fails_without_conditioning () =
   let tbl = Hashtbl.create 512 in
   Enumerate.fold ~p ~t ~init:() ~f:(fun () ~prob ~fathers ->
       let g = Enumerate.graph_of_fathers fathers in
-      let key = Digraph.canonical_key (Sf_graph.Permute.apply sigma g) in
+      let key = Ugraph.canonical_key (Sf_graph.Permute.apply sigma g) in
       let prev = try Hashtbl.find tbl key with Not_found -> 0. in
       Hashtbl.replace tbl key (prev +. prob));
   let worst = ref 0. in
@@ -400,19 +400,19 @@ let test_cf_event_checker () =
   (* hand-built CF-like graph on 6 vertices, window = {5, 6}:
      arrivals: everyone born with 1 edge; no one points into the
      window; window vertices point into the core *)
-  let g = Digraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3) ] in
+  let g = Ugraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3) ] in
   let arrival = [| 1; 1; 1; 1; 1; 1 |] in
   Alcotest.(check bool) "event holds" true (Lower_bound.cf_event_holds g ~arrival ~n:6 ~window:2);
   (* break it: an extra edge pointing into the window *)
-  let g2 = Digraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3); (2, 5) ] in
+  let g2 = Ugraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3); (2, 5) ] in
   Alcotest.(check bool) "indegree violation detected" false
     (Lower_bound.cf_event_holds g2 ~arrival ~n:6 ~window:2);
   (* break it differently: window vertex used as OLD source *)
-  let g3 = Digraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3); (5, 1) ] in
+  let g3 = Ugraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3); (5, 1) ] in
   Alcotest.(check bool) "OLD-source violation detected" false
     (Lower_bound.cf_event_holds g3 ~arrival ~n:6 ~window:2);
   (* and: window vertex attaching inside the window *)
-  let g4 = Digraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 5) ] in
+  let g4 = Ugraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 5) ] in
   Alcotest.(check bool) "containment violation detected" false
     (Lower_bound.cf_event_holds g4 ~arrival ~n:6 ~window:2)
 
@@ -474,7 +474,7 @@ let test_moments_match_simulation () =
   let trials = 3000 in
   let total = ref 0 in
   for _ = 1 to trials do
-    total := !total + Digraph.in_degree (Sf_gen.Mori.tree rng ~p ~t) v
+    total := !total + (Sf_graph.Metrics.in_degrees (Sf_gen.Mori.tree rng ~p ~t)).(v - 1)
   done;
   let sim = float_of_int !total /. float_of_int trials in
   let exact = Sf_core.Moments.expected_indegree ~p ~v ~t in

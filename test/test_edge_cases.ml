@@ -3,7 +3,6 @@
    Complements the behavioural suites with robustness coverage. *)
 
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
 module Ugraph = Sf_graph.Ugraph
 
 let rng () = Rng.of_seed 12345
@@ -49,44 +48,40 @@ let test_shuffle_guards () =
 (* --- graph ------------------------------------------------------------- *)
 
 let test_empty_graph_behaviour () =
-  let g = Digraph.create () in
-  Alcotest.(check int) "no vertices" 0 (Digraph.n_vertices g);
-  Alcotest.(check int) "no edges" 0 (Digraph.n_edges g);
-  Alcotest.(check bool) "nothing is a member" false (Digraph.mem_vertex g 1);
-  let u = Ugraph.of_digraph g in
+  let u = Ugraph.of_edges ~n:0 [] in
+  Alcotest.(check int) "no vertices" 0 (Ugraph.n_vertices u);
+  Alcotest.(check int) "no edges" 0 (Ugraph.n_edges u);
+  Alcotest.(check bool) "nothing is a member" false (Ugraph.mem_vertex u 1);
   Alcotest.(check bool) "empty is connected" true (Sf_graph.Traversal.is_connected u);
   Alcotest.(check int) "empty diameter" 0 (Sf_graph.Traversal.diameter_exact u);
   Alcotest.(check int) "empty coreness" 0 (Array.length (Sf_graph.Kcore.coreness u))
 
 let test_single_vertex_graph () =
-  let g = Digraph.create () in
-  ignore (Digraph.add_vertex g);
-  let u = Ugraph.of_digraph g in
+  let u = Ugraph.of_edges ~n:1 [] in
   Alcotest.(check bool) "single vertex connected" true (Sf_graph.Traversal.is_connected u);
   Alcotest.(check int) "eccentricity" 0 (Sf_graph.Traversal.eccentricity u 1);
   Alcotest.(check (float 1e-9)) "assortativity of edgeless" 0.
     (Sf_graph.Correlation.assortativity u)
 
 let test_self_loop_only_graph () =
-  let g = Digraph.of_edges ~n:1 [ (1, 1) ] in
-  let u = Ugraph.of_digraph g in
+  let u = Ugraph.of_edges ~n:1 [ (1, 1) ] in
   Alcotest.(check int) "loop handle counted once" 1 (Ugraph.degree u 1);
-  Alcotest.(check int) "digraph degree counts twice" 2 (Digraph.degree g 1);
+  Alcotest.(check int) "total degree counts twice" 2 (Sf_graph.Metrics.total_degrees u).(0);
   Alcotest.(check int) "coreness with loop" 1 (Sf_graph.Kcore.coreness u).(0);
   Alcotest.(check (float 1e-9)) "clustering ignores loops" 0.
     (Sf_graph.Clustering.local_coefficient u 1)
 
 let test_subgraph_guards () =
-  let g = Digraph.of_edges ~n:3 [ (1, 2) ] in
+  let g = Ugraph.of_edges ~n:3 [ (1, 2) ] in
   raises "out of range" (Invalid_argument "Subgraph.induced: vertex out of range") (fun () ->
       ignore (Sf_graph.Subgraph.induced g ~vertices:[ 4 ]));
   raises "duplicate" (Invalid_argument "Subgraph.induced: duplicate vertex") (fun () ->
       ignore (Sf_graph.Subgraph.induced g ~vertices:[ 1; 1 ]));
   let sub, _ = Sf_graph.Subgraph.induced g ~vertices:[] in
-  Alcotest.(check int) "empty selection" 0 (Digraph.n_vertices sub)
+  Alcotest.(check int) "empty selection" 0 (Ugraph.n_vertices sub)
 
 let test_permute_guards () =
-  let g = Digraph.of_edges ~n:3 [ (1, 2) ] in
+  let g = Ugraph.of_edges ~n:3 [ (1, 2) ] in
   raises "size mismatch" (Invalid_argument "Permute.apply: size mismatch") (fun () ->
       ignore (Sf_graph.Permute.apply [| 1; 2 |] g));
   raises "not a permutation" (Invalid_argument "Permute.apply: not a permutation") (fun () ->
@@ -117,14 +112,14 @@ let test_generator_guards () =
 let test_tiny_generators () =
   let r = rng () in
   (* the smallest legal instances of everything *)
-  Alcotest.(check int) "mori t=2" 2 (Digraph.n_vertices (Sf_gen.Mori.tree r ~p:1.0 ~t:2));
-  Alcotest.(check int) "ba n=2" 2 (Digraph.n_vertices (Sf_gen.Barabasi_albert.generate r ~n:2 ~m:3));
-  Alcotest.(check int) "lcd t=1" 1 (Digraph.n_vertices (Sf_gen.Lcd.tree1 r ~t:1));
+  Alcotest.(check int) "mori t=2" 2 (Ugraph.n_vertices (Sf_gen.Mori.tree r ~p:1.0 ~t:2));
+  Alcotest.(check int) "ba n=2" 2 (Ugraph.n_vertices (Sf_gen.Barabasi_albert.generate r ~n:2 ~m:3));
+  Alcotest.(check int) "lcd t=1" 1 (Ugraph.n_vertices (Sf_gen.Lcd.tree1 r ~t:1));
   Alcotest.(check int) "cf n=1" 1
     (Ugraph.n_vertices (Sf_gen.Cooper_frieze.generate_n_vertices r Sf_gen.Cooper_frieze.default ~n:1));
-  Alcotest.(check int) "gnm empty" 0 (Digraph.n_edges (Sf_gen.Erdos_renyi.gnm r ~n:5 ~m:0));
+  Alcotest.(check int) "gnm empty" 0 (Ugraph.n_edges (Sf_gen.Erdos_renyi.gnm r ~n:5 ~m:0));
   Alcotest.(check int) "config all-zero degrees" 0
-    (Digraph.n_edges (Sf_gen.Config_model.of_degree_sequence r [| 0; 0 |]))
+    (Ugraph.n_edges (Sf_gen.Config_model.of_degree_sequence r [| 0; 0 |]))
 
 (* --- core ---------------------------------------------------------------- *)
 
@@ -161,7 +156,7 @@ let test_trivial_windows_are_equivalent () =
 (* --- search ---------------------------------------------------------------- *)
 
 let test_oracle_guards () =
-  let u = Ugraph.of_digraph (Digraph.of_edges ~n:3 [ (1, 2); (2, 3) ]) in
+  let u = Ugraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
   raises "bad source" (Invalid_argument "Oracle.start: bad source") (fun () ->
       ignore (Sf_search.Oracle.start ~rng:(rng ()) Sf_search.Oracle.Weak u ~source:0 ~target:1));
   raises "bad target" (Invalid_argument "Oracle.start: bad target") (fun () ->
@@ -175,7 +170,7 @@ let test_strategy_guards () =
     (fun () -> ignore (Sf_search.Strategies.restart_walk ~restart:1.))
 
 let test_percolation_guards () =
-  let u = Ugraph.of_digraph (Digraph.of_edges ~n:2 [ (1, 2) ]) in
+  let u = Ugraph.of_edges ~n:2 [ (1, 2) ] in
   let params =
     { Sf_search.Percolation.replication_walk = 0; query_walk = 0; broadcast_prob = 0.5;
       max_messages = 10 }
@@ -233,10 +228,10 @@ let prop_gio_roundtrip =
   QCheck.Test.make ~name:"edge-list serialisation roundtrips" ~count:60
     QCheck.(pair (int_bound 100_000) (int_range 2 80))
     (fun (seed, t) ->
-      let g = Ugraph.to_digraph (Sf_gen.Mori.graph (Rng.of_seed seed) ~p:0.6 ~m:2 ~n:t) in
+      let g = Sf_gen.Mori.graph (Rng.of_seed seed) ~p:0.6 ~m:2 ~n:t in
       let g' = Sf_graph.Gio.of_edge_list (Sf_graph.Gio.to_edge_list g) in
-      Digraph.equal_structure g g'
-      && Digraph.canonical_key g = Digraph.canonical_key g')
+      Ugraph.equal_structure g g'
+      && Ugraph.canonical_key g = Ugraph.canonical_key g')
 
 let prop_csv_roundtrip =
   QCheck.Test.make ~name:"csv roundtrips arbitrary cells" ~count:120

@@ -4,7 +4,6 @@
    probability. *)
 
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
 module Ugraph = Sf_graph.Ugraph
 module Traversal = Sf_graph.Traversal
 module Metrics = Sf_graph.Metrics
@@ -19,21 +18,21 @@ let test_mori_tree_shape () =
   let rng = Rng.of_seed 1 in
   let t = 500 in
   let g = Mori.tree rng ~p:0.5 ~t in
-  Alcotest.(check int) "vertices" t (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" (t - 1) (Digraph.n_edges g);
+  Alcotest.(check int) "vertices" t (Ugraph.n_vertices g);
+  Alcotest.(check int) "edges" (t - 1) (Ugraph.n_edges g);
+  let out = Metrics.out_degrees g in
   for k = 2 to t do
-    Alcotest.(check int) "one out-edge each" 1 (Digraph.out_degree g k);
+    Alcotest.(check int) "one out-edge each" 1 out.(k - 1);
     Alcotest.(check bool) "father is older" true (Mori.father g k < k)
   done;
-  Alcotest.(check int) "root has no out-edge" 0 (Digraph.out_degree g 1);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g))
+  Alcotest.(check int) "root has no out-edge" 0 out.(0);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g)
 
 let test_mori_edge_ids_are_arrival_times () =
   let rng = Rng.of_seed 2 in
   let g = Mori.tree rng ~p:0.9 ~t:100 in
   for k = 2 to 100 do
-    let e = List.hd (Digraph.out_edges g k) in
-    Alcotest.(check int) "edge id = k - 2" (k - 2) e.Digraph.id
+    Alcotest.(check int) "edge k - 2 leaves k" k (fst (Ugraph.endpoints g (k - 2)))
   done
 
 let test_mori_p1_is_preferential () =
@@ -74,7 +73,7 @@ let test_mori_conditioned_respects_event () =
   for _ = 1 to 100 do
     let g = Mori.tree_conditioned rng ~p:0.5 ~t ~a ~b in
     Alcotest.(check bool) "event holds" true (Sf_core.Events.holds g ~a ~b);
-    Alcotest.(check int) "size unchanged" t (Digraph.n_vertices g)
+    Alcotest.(check int) "size unchanged" t (Ugraph.n_vertices g)
   done
 
 let test_mori_conditioned_matches_conditional_law () =
@@ -106,7 +105,7 @@ let test_mori_conditioned_matches_conditional_law () =
 (* --- one growth loop, two views ---------------------------------------- *)
 
 (* the CSR graph and the oriented view of the same stream *)
-let merged_tree rng ~p ~m ~n = Ugraph.of_digraph (Mori.merge ~m (Mori.tree rng ~p ~t:(n * m)))
+let merged_tree rng ~p ~m ~n = Mori.merge ~m (Mori.tree rng ~p ~t:(n * m))
 
 let test_mori_giant_samplewise_parity () =
   (* Mori.graph must be the SAME random variable as merging the
@@ -155,33 +154,34 @@ let test_merge_properties () =
   let m = 3 and n = 40 in
   let tree = Mori.tree rng ~p:0.5 ~t:(n * m) in
   let merged = Mori.merge ~m tree in
-  Alcotest.(check int) "merged vertices" n (Digraph.n_vertices merged);
-  Alcotest.(check int) "edges preserved" (Digraph.n_edges tree) (Digraph.n_edges merged);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph merged));
+  Alcotest.(check int) "merged vertices" n (Ugraph.n_vertices merged);
+  Alcotest.(check int) "edges preserved" (Ugraph.n_edges tree) (Ugraph.n_edges merged);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected merged);
   (* every merged edge descends from a tree edge of the right blocks *)
   let group v = ((v - 1) / m) + 1 in
-  List.iter2
-    (fun te me ->
-      Alcotest.(check int) "src block" (group te.Digraph.src) me.Digraph.src;
-      Alcotest.(check int) "dst block" (group te.Digraph.dst) me.Digraph.dst)
-    (Digraph.edges tree) (Digraph.edges merged)
+  for id = 0 to Ugraph.n_edges tree - 1 do
+    let ts, td = Ugraph.endpoints tree id and ms, md = Ugraph.endpoints merged id in
+    Alcotest.(check int) "src block" (group ts) ms;
+    Alcotest.(check int) "dst block" (group td) md
+  done
 
 let test_merge_m1_is_identity () =
   let rng = Rng.of_seed 9 in
   let tree = Mori.tree rng ~p:0.5 ~t:30 in
   Alcotest.(check bool) "m=1 merge copies" true
-    (Digraph.equal_structure tree (Mori.merge ~m:1 tree))
+    (Ugraph.equal_structure tree (Mori.merge ~m:1 tree))
 
 let test_mori_graph_out_degree () =
   let rng = Rng.of_seed 10 in
-  let g = Ugraph.to_digraph (Mori.graph rng ~p:0.7 ~m:4 ~n:50) in
-  Alcotest.(check int) "vertices" 50 (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" ((50 * 4) - 1) (Digraph.n_edges g);
+  let g = Mori.graph rng ~p:0.7 ~m:4 ~n:50 in
+  Alcotest.(check int) "vertices" 50 (Ugraph.n_vertices g);
+  Alcotest.(check int) "edges" ((50 * 4) - 1) (Ugraph.n_edges g);
   (* every merged vertex except the first has out-degree exactly m *)
+  let out = Metrics.out_degrees g in
   for v = 2 to 50 do
-    Alcotest.(check int) "out degree m" 4 (Digraph.out_degree g v)
+    Alcotest.(check int) "out degree m" 4 out.(v - 1)
   done;
-  Alcotest.(check int) "first block out degree m-1" 3 (Digraph.out_degree g 1)
+  Alcotest.(check int) "first block out degree m-1" 3 out.(0)
 
 let test_mori_validation () =
   let rng = Rng.of_seed 11 in
@@ -202,11 +202,12 @@ let test_degree_exponent_formula () =
 let test_ba_shape () =
   let rng = Rng.of_seed 12 in
   let g = Sf_gen.Barabasi_albert.generate rng ~n:200 ~m:3 in
-  Alcotest.(check int) "vertices" 200 (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" (1 + (198 * 3)) (Digraph.n_edges g);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g));
+  Alcotest.(check int) "vertices" 200 (Ugraph.n_vertices g);
+  Alcotest.(check int) "edges" (1 + (198 * 3)) (Ugraph.n_edges g);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g);
+  let out = Metrics.out_degrees g in
   for v = 3 to 200 do
-    Alcotest.(check int) "m out-edges" 3 (Digraph.out_degree g v)
+    Alcotest.(check int) "m out-edges" 3 out.(v - 1)
   done
 
 let test_ba_rich_get_richer () =
@@ -252,15 +253,15 @@ let test_cf_alpha1_only_new () =
 
 let test_cf_traced_arrival_degrees () =
   let rng = Rng.of_seed 17 in
-  let u, arrival = Cooper_frieze.generate_n_vertices_traced rng Cooper_frieze.default ~n:200 in
-  let g = Ugraph.to_digraph u in
-  Alcotest.(check int) "arrival array size" (Digraph.n_vertices g) (Array.length arrival);
+  let g, arrival = Cooper_frieze.generate_n_vertices_traced rng Cooper_frieze.default ~n:200 in
+  let out = Metrics.out_degrees g in
+  Alcotest.(check int) "arrival array size" (Ugraph.n_vertices g) (Array.length arrival);
   Alcotest.(check int) "vertex 1 born with the loop" 1 arrival.(0);
   let support = List.map fst Cooper_frieze.default.Cooper_frieze.q in
-  for v = 2 to Digraph.n_vertices g do
+  for v = 2 to Ugraph.n_vertices g do
     Alcotest.(check bool) "arrival degree in q's support" true (List.mem arrival.(v - 1) support);
     Alcotest.(check bool) "final out-degree >= arrival" true
-      (Digraph.out_degree g v >= arrival.(v - 1))
+      (out.(v - 1) >= arrival.(v - 1))
   done
 
 let test_cf_total_degree_mode () =
@@ -279,9 +280,10 @@ let test_config_degree_sequence_exact () =
   let rng = Rng.of_seed 19 in
   let deg = [| 3; 2; 2; 1; 1; 1 |] in
   let g = Config_model.of_degree_sequence rng deg in
-  Alcotest.(check int) "edges = sum/2" 5 (Digraph.n_edges g);
+  Alcotest.(check int) "edges = sum/2" 5 (Ugraph.n_edges g);
+  let total = Metrics.total_degrees g in
   Array.iteri
-    (fun i d -> Alcotest.(check int) (Printf.sprintf "degree of %d" (i + 1)) d (Digraph.degree g (i + 1)))
+    (fun i d -> Alcotest.(check int) (Printf.sprintf "degree of %d" (i + 1)) d total.(i))
     deg
 
 let test_config_rejects_odd_sum () =
@@ -297,19 +299,18 @@ let test_power_law_degrees () =
   Array.iter (fun d -> Alcotest.(check bool) "d >= d_min" true (d >= 2)) deg
 
 let test_simple_graph () =
-  let g = Digraph.of_edges ~n:3 [ (1, 2); (2, 1); (1, 1); (2, 3) ] in
+  let g = Ugraph.of_edges ~n:3 [ (1, 2); (2, 1); (1, 1); (2, 3) ] in
   let s = Config_model.simple_graph g in
-  Alcotest.(check int) "loops and duplicates removed" 2 (Digraph.n_edges s);
+  Alcotest.(check int) "loops and duplicates removed" 2 (Ugraph.n_edges s);
   Alcotest.(check int) "no self loops" 0 (Metrics.self_loops s);
   Alcotest.(check int) "no parallel edges" 0 (Metrics.parallel_edges s)
 
 let test_searchable_power_law () =
   let rng = Rng.of_seed 22 in
-  let g = Config_model.searchable_power_law rng ~n:1500 ~exponent:2.3 () in
-  let u = Ugraph.of_digraph g in
+  let u = Config_model.searchable_power_law rng ~n:1500 ~exponent:2.3 () in
   Alcotest.(check bool) "connected" true (Traversal.is_connected u);
   Alcotest.(check bool) "giant component" true (Ugraph.n_vertices u > 1000);
-  Alcotest.(check int) "simple" 0 (Metrics.self_loops g + Metrics.parallel_edges g)
+  Alcotest.(check int) "simple" 0 (Metrics.self_loops u + Metrics.parallel_edges u)
 
 (* --- Kleinberg -------------------------------------------------------------- *)
 
@@ -337,18 +338,16 @@ let test_kleinberg_structure () =
   let g = t.Kleinberg.graph in
   Alcotest.(check int) "vertices" 64 (Kleinberg.n_vertices t);
   (* 2 lattice edges per vertex + 1 long-range each *)
-  Alcotest.(check int) "edges" (64 * 3) (Digraph.n_edges g);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g));
+  Alcotest.(check int) "edges" (64 * 3) (Ugraph.n_edges g);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   (* long-range edges (the third out-edge of each vertex) never have
      lattice distance 0 *)
-  Digraph.iter_edges g (fun e ->
-      if e.Digraph.src <> e.Digraph.dst then ()
-      else Alcotest.fail "self-loop in Kleinberg graph")
+  Alcotest.(check int) "no self-loops" 0 (Metrics.self_loops g)
 
 let test_kleinberg_q0 () =
   let rng = Rng.of_seed 24 in
   let t = Kleinberg.generate rng ~side:4 ~r:1. ~q:0 () in
-  Alcotest.(check int) "pure lattice edges" 32 (Digraph.n_edges t.Kleinberg.graph)
+  Alcotest.(check int) "pure lattice edges" 32 (Ugraph.n_edges t.Kleinberg.graph)
 
 let test_kleinberg_r0_uniform () =
   (* r = 0: long-range endpoints uniform; mean lattice distance of the
@@ -357,12 +356,14 @@ let test_kleinberg_r0_uniform () =
   let side = 10 in
   let t = Kleinberg.generate rng ~side ~r:0. ~q:1 () in
   let sum = ref 0 and count = ref 0 in
-  Digraph.iter_edges t.Kleinberg.graph (fun e ->
-      let d = Kleinberg.lattice_distance ~side e.Digraph.src e.Digraph.dst in
-      if d > 1 then begin
-        sum := !sum + d;
-        incr count
-      end);
+  for id = 0 to Ugraph.n_edges t.Kleinberg.graph - 1 do
+    let s, d = Ugraph.endpoints t.Kleinberg.graph id in
+    let d = Kleinberg.lattice_distance ~side s d in
+    if d > 1 then begin
+      sum := !sum + d;
+      incr count
+    end
+  done;
   let mean = float_of_int !sum /. float_of_int (max 1 !count) in
   Alcotest.(check bool) "long links reach far when r=0" true (mean > 3.5)
 
@@ -371,20 +372,20 @@ let test_kleinberg_r0_uniform () =
 let test_lcd_tree_shape () =
   let rng = Rng.of_seed 60 in
   let g = Sf_gen.Lcd.tree1 rng ~t:500 in
-  Alcotest.(check int) "vertices" 500 (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" 500 (Digraph.n_edges g);
+  Alcotest.(check int) "vertices" 500 (Ugraph.n_vertices g);
+  Alcotest.(check int) "edges" 500 (Ugraph.n_edges g);
   (* vertex 1's only choice is itself *)
-  let e0 = Digraph.edge g 0 in
-  Alcotest.(check int) "first edge is the root loop (src)" 1 e0.Digraph.src;
-  Alcotest.(check int) "first edge is the root loop (dst)" 1 e0.Digraph.dst;
+  Alcotest.(check (pair int int)) "first edge is the root loop" (1, 1) (Ugraph.endpoints g 0);
+  let out = Metrics.out_degrees g in
   for k = 2 to 500 do
-    Alcotest.(check int) "one out-edge per vertex" 1 (Digraph.out_degree g k);
-    let e = Digraph.edge g (k - 1) in
-    Alcotest.(check bool) "attaches to an older-or-equal vertex" true (e.Digraph.dst <= k)
+    Alcotest.(check int) "one out-edge per vertex" 1 out.(k - 1);
+    let s, d = Ugraph.endpoints g (k - 1) in
+    Alcotest.(check int) "edge k - 1 leaves k" k s;
+    Alcotest.(check bool) "attaches to an older-or-equal vertex" true (d <= k)
   done;
   (* the m = 1 LCD graph is a forest: every self-loop roots a component *)
   let loops = Metrics.self_loops g in
-  let components = Array.length (Traversal.component_sizes (Ugraph.of_digraph g)) in
+  let components = Array.length (Traversal.component_sizes g) in
   Alcotest.(check int) "one component per self-loop" loops components
 
 let test_lcd_self_loop_rate () =
@@ -394,8 +395,7 @@ let test_lcd_self_loop_rate () =
   let loops = ref 0 in
   for _ = 1 to trials do
     let g = Sf_gen.Lcd.tree1 rng ~t:2 in
-    let e = Digraph.edge g 1 in
-    if e.Digraph.dst = 2 then incr loops
+    if snd (Ugraph.endpoints g 1) = 2 then incr loops
   done;
   let freq = float_of_int !loops /. float_of_int trials in
   Alcotest.(check bool)
@@ -406,8 +406,8 @@ let test_lcd_self_loop_rate () =
 let test_lcd_merged () =
   let rng = Rng.of_seed 62 in
   let g = Sf_gen.Lcd.generate rng ~n:100 ~m:3 in
-  Alcotest.(check int) "vertices" 100 (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" 300 (Digraph.n_edges g)
+  Alcotest.(check int) "vertices" 100 (Ugraph.n_vertices g);
+  Alcotest.(check int) "edges" 300 (Ugraph.n_edges g)
 
 let test_lcd_hub_growth () =
   (* total-degree preferential attachment: max degree ~ sqrt(t), so it
@@ -423,8 +423,8 @@ let test_lcd_hub_growth () =
 let test_uniform_attachment_tree () =
   let rng = Rng.of_seed 26 in
   let g = Sf_gen.Uniform_attachment.tree rng ~t:300 in
-  Alcotest.(check int) "edges" 299 (Digraph.n_edges g);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g));
+  Alcotest.(check int) "edges" 299 (Ugraph.n_edges g);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   (* uniform attachment has geometric-ish indegree: max degree should
      stay tiny compared to preferential attachment *)
   Alcotest.(check bool) "no giant hub" true (Metrics.max_in_degree g < 30)
@@ -432,12 +432,12 @@ let test_uniform_attachment_tree () =
 let test_uniform_attachment_graph () =
   let rng = Rng.of_seed 27 in
   let g = Sf_gen.Uniform_attachment.graph rng ~n:100 ~m:2 in
-  Alcotest.(check int) "edges" (1 + (98 * 2)) (Digraph.n_edges g)
+  Alcotest.(check int) "edges" (1 + (98 * 2)) (Ugraph.n_edges g)
 
 let test_gnm () =
   let rng = Rng.of_seed 28 in
   let g = Sf_gen.Erdos_renyi.gnm rng ~n:50 ~m:100 in
-  Alcotest.(check int) "edge count exact" 100 (Digraph.n_edges g);
+  Alcotest.(check int) "edge count exact" 100 (Ugraph.n_edges g);
   Alcotest.(check int) "no loops" 0 (Metrics.self_loops g);
   Alcotest.(check int) "no duplicates" 0 (Metrics.parallel_edges g);
   Alcotest.check_raises "too many edges"
@@ -450,7 +450,7 @@ let test_gnp_mean_edges () =
   let total = ref 0 in
   let reps = 200 in
   for _ = 1 to reps do
-    total := !total + Digraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n ~p)
+    total := !total + Ugraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n ~p)
   done;
   let mean = float_of_int !total /. float_of_int reps in
   let expected = float_of_int (n * (n - 1) / 2) *. p in
@@ -458,8 +458,8 @@ let test_gnp_mean_edges () =
     (Printf.sprintf "gnp edge mean %.1f vs %.1f" mean expected)
     true
     (Float.abs (mean -. expected) /. expected < 0.05);
-  Alcotest.(check int) "gnp p=0 empty" 0 (Digraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n:10 ~p:0.));
-  Alcotest.(check int) "gnp p=1 complete" 45 (Digraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n:10 ~p:1.))
+  Alcotest.(check int) "gnp p=0 empty" 0 (Ugraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n:10 ~p:0.));
+  Alcotest.(check int) "gnp p=1 complete" 45 (Ugraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n:10 ~p:1.))
 
 (* --- Watts–Strogatz -------------------------------------------------------------- *)
 
@@ -467,20 +467,21 @@ let test_ws_beta0_is_ring_lattice () =
   let rng = Rng.of_seed 70 in
   let n = 30 and k = 4 in
   let g = Sf_gen.Watts_strogatz.generate rng ~n ~k ~beta:0. in
-  Alcotest.(check int) "edges nk/2" (n * k / 2) (Digraph.n_edges g);
+  Alcotest.(check int) "edges nk/2" (n * k / 2) (Ugraph.n_edges g);
   (* every vertex has total degree exactly k, and neighbours are the
      nearest ring positions *)
+  let total = Metrics.total_degrees g in
   for v = 1 to n do
-    Alcotest.(check int) (Printf.sprintf "degree of %d" v) k (Digraph.degree g v)
+    Alcotest.(check int) (Printf.sprintf "degree of %d" v) k total.(v - 1)
   done;
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g));
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   Alcotest.(check int) "no rewiring: zero parallel edges" 0 (Metrics.parallel_edges g)
 
 let test_ws_rewired_properties () =
   let rng = Rng.of_seed 71 in
   let n = 500 and k = 6 in
   let g = Sf_gen.Watts_strogatz.generate rng ~n ~k ~beta:0.2 in
-  Alcotest.(check int) "edge count preserved" (n * k / 2) (Digraph.n_edges g);
+  Alcotest.(check int) "edge count preserved" (n * k / 2) (Ugraph.n_edges g);
   Alcotest.(check int) "simple (no loops)" 0 (Metrics.self_loops g);
   Alcotest.(check int) "simple (no duplicates)" 0 (Metrics.parallel_edges g);
   (* no hubs: max degree stays near k *)
@@ -492,8 +493,8 @@ let test_ws_small_world_shortcut_effect () =
   let n = 400 and k = 4 in
   let ring = Sf_gen.Watts_strogatz.generate rng ~n ~k ~beta:0. in
   let sw = Sf_gen.Watts_strogatz.generate rng ~n ~k ~beta:0.1 in
-  let d_ring = Traversal.diameter_double_sweep (Ugraph.of_digraph ring) rng in
-  let d_sw = Traversal.diameter_double_sweep (Ugraph.of_digraph sw) rng in
+  let d_ring = Traversal.diameter_double_sweep ring rng in
+  let d_sw = Traversal.diameter_double_sweep sw rng in
   Alcotest.(check bool)
     (Printf.sprintf "shortcuts shrink the world (%d < %d / 3)" d_sw d_ring)
     true
@@ -516,13 +517,13 @@ let prop_mori_tree_invariants =
         Gen.(triple (int_bound 100_000) (int_range 2 300) (float_range 0.05 1.0)))
     (fun (seed, t, p) ->
       let g = Mori.tree (Rng.of_seed seed) ~p ~t in
-      Digraph.n_edges g = t - 1
+      Ugraph.n_edges g = t - 1
       && (let ok = ref true in
           for k = 2 to t do
             if Mori.father g k >= k then ok := false
           done;
           !ok)
-      && Traversal.is_connected (Ugraph.of_digraph g))
+      && Traversal.is_connected g)
 
 let prop_config_model_degrees =
   QCheck.Test.make ~name:"configuration model realises its sequence" ~count:60
@@ -536,9 +537,7 @@ let prop_config_model_degrees =
       let total = Array.fold_left ( + ) 0 deg in
       if total mod 2 = 1 then deg.(0) <- deg.(0) + 1;
       let g = Config_model.of_degree_sequence (Rng.of_seed seed) deg in
-      Array.for_all
-        (fun i -> Digraph.degree g (i + 1) = deg.(i))
-        (Array.init (Array.length deg) Fun.id))
+      Metrics.total_degrees g = deg)
 
 let prop_cf_always_connected =
   QCheck.Test.make ~name:"Cooper-Frieze connected by construction" ~count:30
@@ -614,7 +613,7 @@ let test_pinned_draws () =
       let name = Printf.sprintf "p=%g m=%d n=%d" p m n in
       check ("merge tree " ^ name) ~digest:tree_digest ~next:tree_next (fun () ->
           let rng = Rng.of_seed seed in
-          (rng, Ugraph.of_digraph (Mori.merge ~m (Mori.tree rng ~p ~t:(n * m)))));
+          (rng, Mori.merge ~m (Mori.tree rng ~p ~t:(n * m))));
       check ("mori instance " ^ name) ~digest:graph_digest ~next:graph_next (fun () ->
           let rng = Rng.of_seed seed in
           (rng, fst (Sf_core.Searchability.mori_instance ~p ~m rng n))))
@@ -650,6 +649,56 @@ let test_pinned_draws () =
       ("alpha=0.2", { cf with Cooper_frieze.alpha = 0.2 }, "64e95837f714d00a0f642139dd0511c1", 336128673);
       ("alpha=0.9", { cf with Cooper_frieze.alpha = 0.9 }, "b8156c5d1fe73019b0ad7da446517602", 317741388);
     ]
+
+(* Digests of [Gio.to_edge_list] (the vertex count and the edge
+   sequence in id order), and the next stream draw, after fixed builds
+   of every generator other than [Mori.graph] and Cooper–Frieze. The
+   values were recorded while these generators grew a boxed graph, and
+   the test reads them only through [Gio.to_edge_list], so it shows
+   that freezing endpoint buffers to CSR instead moved no draw and no
+   edge. *)
+let test_pinned_generators () =
+  let open Sf_gen in
+  let check name ~digest ~next seed build =
+    let rng = Rng.of_seed seed in
+    let text = Sf_graph.Gio.to_edge_list (build rng) in
+    Alcotest.(check string) (name ^ " digest") digest (Digest.to_hex (Digest.string text));
+    Alcotest.(check int) (name ^ " next draw") next (Rng.int rng 1_000_000_000)
+  in
+  check "ba" ~digest:"f012d8d36cc06d2bbecd9d8225c65223" ~next:956734547 31 (fun rng ->
+      Barabasi_albert.generate rng ~n:300 ~m:2);
+  check "lcd tree1" ~digest:"0c928ecccf34c5b54fe007e298e7cc05" ~next:332100730 32 (fun rng ->
+      Lcd.tree1 rng ~t:300);
+  check "lcd m=1" ~digest:"9df7a3157833bf422329fa6ffa35300a" ~next:645679735 33 (fun rng ->
+      Lcd.generate rng ~n:200 ~m:1);
+  check "lcd m=3" ~digest:"c34c2a8d4b8de555d9baa21977abe377" ~next:128412544 34 (fun rng ->
+      Lcd.generate rng ~n:100 ~m:3);
+  check "config power law" ~digest:"690ee84e565beda267dd88e6ce031cb9" ~next:410586226 35
+    (fun rng -> Config_model.power_law rng ~n:300 ~exponent:2.5 ());
+  check "config searchable" ~digest:"3a19a6e38b91b2fbed789d36de2ec4aa" ~next:695519959 36
+    (fun rng -> Config_model.searchable_power_law rng ~n:300 ~exponent:2.5 ());
+  check "gnm" ~digest:"fb6d3ccc23b76a1b38c3ec89756e40f6" ~next:852377919 37 (fun rng ->
+      Erdos_renyi.gnm rng ~n:200 ~m:400);
+  check "gnp" ~digest:"8565f0b5e99baefeb49b0158d01cc805" ~next:822123768 38 (fun rng ->
+      Erdos_renyi.gnp rng ~n:200 ~p:0.02);
+  check "kleinberg q=0" ~digest:"29ae910fe2cc640fbdd6e49e1fbc6d79" ~next:959537697 39
+    (fun rng -> (Kleinberg.generate rng ~side:12 ~r:2.0 ~q:0 ()).Kleinberg.graph);
+  check "kleinberg q=1" ~digest:"7ab6dd24edc48aae83ffffb9602d3272" ~next:740222057 40
+    (fun rng -> (Kleinberg.generate rng ~side:12 ~r:2.0 ~q:1 ()).Kleinberg.graph);
+  check "watts-strogatz" ~digest:"dee9eaf7ebb1e1d17cc7b6dc0667bd03" ~next:212610445 41
+    (fun rng -> Watts_strogatz.generate rng ~n:200 ~k:4 ~beta:0.2);
+  check "uniform tree" ~digest:"82e4ecc66ebc5e4391ab570f11432cc3" ~next:243968679 42
+    (fun rng -> Uniform_attachment.tree rng ~t:300);
+  check "uniform graph" ~digest:"9f64dd42db2be9f66d239b5f3e656c85" ~next:211367848 43
+    (fun rng -> Uniform_attachment.graph rng ~n:200 ~m:2);
+  check "mori tree" ~digest:"fb74067fad3588b0b0d340e5a975658e" ~next:824498733 44 (fun rng ->
+      Mori.tree rng ~p:0.5 ~t:300);
+  check "mori conditioned" ~digest:"ad7a1efff33796ac5d34da1917a575f0" ~next:353374207 45
+    (fun rng -> Mori.tree_conditioned rng ~p:0.5 ~t:300 ~a:50 ~b:120);
+  let text = "# fixed\n5 6\n2 1\n3 1\n3 3\n4 2\n5 4\n4 2\n" in
+  Alcotest.(check string) "edge list round trip" "e0ef9af8bf3d901b727b7197886f1685"
+    (Digest.to_hex
+       (Digest.string (Sf_graph.Gio.to_edge_list (Sf_graph.Gio.of_edge_list text))))
 
 let suite =
   [
@@ -706,4 +755,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mori_giant_parity;
     ("mori size checked before growth", `Quick, test_mori_size_checked_up_front);
     ("pinned draws", `Quick, test_pinned_draws);
+    ("pinned generators", `Quick, test_pinned_generators);
   ]

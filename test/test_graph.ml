@@ -1,7 +1,6 @@
-(* Tests for the sf_graph substrate: the multigraph, its undirected
-   view, traversal, permutation action, metrics and IO. *)
+(* Tests for the sf_graph substrate: the frozen multigraph and its
+   edge orientation, traversal, permutation action, metrics and IO. *)
 
-module Digraph = Sf_graph.Digraph
 module Ugraph = Sf_graph.Ugraph
 module Vec = Sf_graph.Vec
 module Traversal = Sf_graph.Traversal
@@ -44,70 +43,58 @@ let test_vec_copy_independent () =
   Alcotest.(check int) "original unchanged" 1 (Vec.get v 0);
   Alcotest.(check int) "original length" 2 (Vec.length v)
 
-(* --- Digraph ---------------------------------------------------------- *)
+(* --- Edge orientation ---------------------------------------------------- *)
 
 let diamond () =
   (* 1 -> 2, 1 -> 3, 2 -> 4, 3 -> 4, plus a self-loop at 4 and a
      parallel 1 -> 2 *)
-  Digraph.of_edges ~n:4 [ (1, 2); (1, 3); (2, 4); (3, 4); (4, 4); (1, 2) ]
+  Ugraph.of_edges ~n:4 [ (1, 2); (1, 3); (2, 4); (3, 4); (4, 4); (1, 2) ]
 
-let test_digraph_counts () =
-  let g = diamond () in
-  Alcotest.(check int) "vertices" 4 (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" 6 (Digraph.n_edges g);
-  Alcotest.(check int) "out 1" 3 (Digraph.out_degree g 1);
-  Alcotest.(check int) "in 2" 2 (Digraph.in_degree g 2);
-  Alcotest.(check int) "self-loop total degree counts twice" 4 (Digraph.degree g 4)
+let diamond_pairs = [ (1, 2); (1, 3); (2, 4); (3, 4); (4, 4); (1, 2) ]
 
-let test_digraph_edge_ids_are_timestamps () =
+let test_edge_ids_are_timestamps () =
   let g = diamond () in
-  let e = Digraph.edge g 4 in
-  Alcotest.(check int) "src" 4 e.Digraph.src;
-  Alcotest.(check int) "dst" 4 e.Digraph.dst;
   List.iteri
-    (fun i e -> Alcotest.(check int) "insertion order" i e.Digraph.id)
-    (Digraph.edges g)
+    (fun id pair ->
+      Alcotest.(check (pair int int)) "edge id = insertion order" pair (Ugraph.endpoints g id))
+    diamond_pairs;
+  (* every incidence row lists its edges in id order *)
+  for v = 1 to Ugraph.n_vertices g do
+    let row = Array.to_list (Ugraph.incident g v) in
+    Alcotest.(check (list int)) "row ascending" (List.sort compare row) row
+  done;
+  Alcotest.(check (list int)) "row of 1" [ 0; 1; 5 ] (Array.to_list (Ugraph.incident g 1))
 
-let test_digraph_validation () =
-  let g = diamond () in
-  Alcotest.check_raises "bad endpoint" (Invalid_argument "Digraph.add_edge: vertex out of range")
-    (fun () -> ignore (Digraph.add_edge g ~src:1 ~dst:9));
-  Alcotest.check_raises "bad edge id" (Invalid_argument "Digraph.edge: id out of range")
-    (fun () -> ignore (Digraph.edge g 100))
-
-let test_digraph_copy_independent () =
-  let g = diamond () in
-  let h = Digraph.copy g in
-  ignore (Digraph.add_vertex h);
-  ignore (Digraph.add_edge h ~src:5 ~dst:1);
-  Alcotest.(check int) "original vertices" 4 (Digraph.n_vertices g);
-  Alcotest.(check int) "original edges" 6 (Digraph.n_edges g);
-  Alcotest.(check bool) "copy equal before mutation" true
-    (Digraph.equal_structure g (Digraph.copy g))
+let test_of_edges_validation () =
+  Alcotest.check_raises "bad endpoint" (Invalid_argument "Csr: edge endpoint outside 1..4")
+    (fun () -> ignore (Ugraph.of_edges ~n:4 [ (1, 2); (1, 9) ]));
+  Alcotest.check_raises "zero endpoint" (Invalid_argument "Csr: edge endpoint outside 1..4")
+    (fun () -> ignore (Ugraph.of_edges ~n:4 [ (0, 2) ]));
+  Alcotest.check_raises "bad edge id" (Invalid_argument "Ugraph.endpoints: edge id out of range")
+    (fun () -> ignore (Ugraph.endpoints (diamond ()) 100))
 
 let test_equal_structure_ignores_order () =
-  let g1 = Digraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
-  let g2 = Digraph.of_edges ~n:3 [ (2, 3); (1, 2) ] in
-  Alcotest.(check bool) "order irrelevant" true (Digraph.equal_structure g1 g2);
-  let g3 = Digraph.of_edges ~n:3 [ (1, 2); (3, 2) ] in
-  Alcotest.(check bool) "direction matters" false (Digraph.equal_structure g1 g3);
-  let g4 = Digraph.of_edges ~n:3 [ (1, 2); (2, 3); (2, 3) ] in
-  Alcotest.(check bool) "multiplicity matters" false (Digraph.equal_structure g1 g4)
+  let g1 = Ugraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
+  let g2 = Ugraph.of_edges ~n:3 [ (2, 3); (1, 2) ] in
+  Alcotest.(check bool) "order irrelevant" true (Ugraph.equal_structure g1 g2);
+  let g3 = Ugraph.of_edges ~n:3 [ (1, 2); (3, 2) ] in
+  Alcotest.(check bool) "direction matters" false (Ugraph.equal_structure g1 g3);
+  let g4 = Ugraph.of_edges ~n:3 [ (1, 2); (2, 3); (2, 3) ] in
+  Alcotest.(check bool) "multiplicity matters" false (Ugraph.equal_structure g1 g4)
 
 let test_canonical_key_agrees_with_equality () =
-  let g1 = Digraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
-  let g2 = Digraph.of_edges ~n:3 [ (2, 3); (1, 2) ] in
-  let g3 = Digraph.of_edges ~n:3 [ (1, 2); (3, 2) ] in
-  Alcotest.(check string) "equal graphs same key" (Digraph.canonical_key g1)
-    (Digraph.canonical_key g2);
+  let g1 = Ugraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
+  let g2 = Ugraph.of_edges ~n:3 [ (2, 3); (1, 2) ] in
+  let g3 = Ugraph.of_edges ~n:3 [ (1, 2); (3, 2) ] in
+  Alcotest.(check string) "equal graphs same key" (Ugraph.canonical_key g1)
+    (Ugraph.canonical_key g2);
   Alcotest.(check bool) "different graphs different keys" true
-    (Digraph.canonical_key g1 <> Digraph.canonical_key g3)
+    (Ugraph.canonical_key g1 <> Ugraph.canonical_key g3)
 
 (* --- Ugraph ----------------------------------------------------------- *)
 
 let test_ugraph_incidence () =
-  let g = diamond () in
-  let u = Ugraph.of_digraph g in
+  let u = diamond () in
   Alcotest.(check int) "n" 4 (Ugraph.n_vertices u);
   Alcotest.(check int) "m" 6 (Ugraph.n_edges u);
   (* vertex 1: out-edges to 2, 3, 2 -> three handles *)
@@ -117,8 +104,7 @@ let test_ugraph_incidence () =
   Alcotest.(check int) "max degree" 3 (Ugraph.max_degree u)
 
 let test_ugraph_other_endpoint () =
-  let g = Digraph.of_edges ~n:3 [ (1, 2); (2, 2) ] in
-  let u = Ugraph.of_digraph g in
+  let u = Ugraph.of_edges ~n:3 [ (1, 2); (2, 2) ] in
   Alcotest.(check int) "far endpoint" 2 (Ugraph.other_endpoint u ~edge_id:0 1);
   Alcotest.(check int) "reverse direction" 1 (Ugraph.other_endpoint u ~edge_id:0 2);
   Alcotest.(check int) "self-loop maps to itself" 2 (Ugraph.other_endpoint u ~edge_id:1 2);
@@ -127,8 +113,7 @@ let test_ugraph_other_endpoint () =
       ignore (Ugraph.other_endpoint u ~edge_id:0 3))
 
 let test_ugraph_neighbors () =
-  let g = diamond () in
-  let u = Ugraph.of_digraph g in
+  let u = diamond () in
   let sorted l = List.sort compare l in
   Alcotest.(check (list int)) "neighbors of 1" [ 2; 2; 3 ] (sorted (Ugraph.neighbors u 1));
   Alcotest.(check (list int)) "neighbors of 4 include itself once" [ 2; 3; 4 ]
@@ -137,22 +122,21 @@ let test_ugraph_neighbors () =
 (* --- Traversal --------------------------------------------------------- *)
 
 let path_graph n =
-  Digraph.of_edges ~n (List.init (n - 1) (fun i -> (i + 1, i + 2)))
+  Ugraph.of_edges ~n (List.init (n - 1) (fun i -> (i + 1, i + 2)))
 
 let test_bfs_distances_on_path () =
-  let u = Ugraph.of_digraph (path_graph 6) in
+  let u = path_graph 6 in
   let dist = Traversal.bfs_distances u ~source:1 in
   Array.iteri (fun i d -> Alcotest.(check int) (Printf.sprintf "dist to %d" (i + 1)) i d) dist
 
 let test_bfs_unreachable () =
-  let g = Digraph.of_edges ~n:4 [ (1, 2) ] in
-  let dist = Traversal.bfs_distances (Ugraph.of_digraph g) ~source:1 in
+  let g = Ugraph.of_edges ~n:4 [ (1, 2) ] in
+  let dist = Traversal.bfs_distances g ~source:1 in
   Alcotest.(check int) "unreachable" (-1) dist.(2);
   Alcotest.(check int) "reachable" 1 dist.(1)
 
 let test_shortest_path () =
-  let g = Digraph.of_edges ~n:5 [ (1, 2); (2, 3); (3, 4); (1, 5); (5, 4) ] in
-  let u = Ugraph.of_digraph g in
+  let u = Ugraph.of_edges ~n:5 [ (1, 2); (2, 3); (3, 4); (1, 5); (5, 4) ] in
   match Traversal.shortest_path u ~src:1 ~dst:4 with
   | Some path ->
     Alcotest.(check int) "length 3 vertices" 3 (List.length path);
@@ -161,8 +145,7 @@ let test_shortest_path () =
   | None -> Alcotest.fail "path must exist"
 
 let test_components () =
-  let g = Digraph.of_edges ~n:6 [ (1, 2); (2, 3); (4, 5) ] in
-  let u = Ugraph.of_digraph g in
+  let u = Ugraph.of_edges ~n:6 [ (1, 2); (2, 3); (4, 5) ] in
   let sizes = Traversal.component_sizes u in
   let sorted = Array.copy sizes in
   Array.sort compare sorted;
@@ -171,14 +154,14 @@ let test_components () =
   Alcotest.(check (list int)) "largest component" [ 1; 2; 3 ] (Traversal.largest_component u)
 
 let test_diameter () =
-  let u = Ugraph.of_digraph (path_graph 8) in
+  let u = path_graph 8 in
   Alcotest.(check int) "path diameter" 7 (Traversal.diameter_exact u);
   let rng = Rng.of_seed 5 in
   Alcotest.(check int) "double sweep exact on trees" 7 (Traversal.diameter_double_sweep u rng);
   Alcotest.(check int) "eccentricity of middle" 4 (Traversal.eccentricity u 4)
 
 let test_mean_distance () =
-  let u = Ugraph.of_digraph (path_graph 3) in
+  let u = path_graph 3 in
   let rng = Rng.of_seed 6 in
   let m = Traversal.mean_distance_sampled u rng ~samples:50 in
   (* exact mean over ordered pairs: (1+1+2+2+1+1)/6 = 4/3 *)
@@ -202,11 +185,11 @@ let test_permute_group_laws () =
     (Permute.is_valid (Permute.compose s1 s2))
 
 let test_permute_action () =
-  let g = Digraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
+  let g = Ugraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
   let sigma = Permute.transposition 3 2 3 in
   let g' = Permute.apply sigma g in
-  let expected = Digraph.of_edges ~n:3 [ (1, 3); (3, 2) ] in
-  Alcotest.(check bool) "transposed action" true (Digraph.equal_structure g' expected)
+  let expected = Ugraph.of_edges ~n:3 [ (1, 3); (3, 2) ] in
+  Alcotest.(check bool) "transposed action" true (Ugraph.equal_structure g' expected)
 
 let test_permute_action_is_homomorphism () =
   let rng = Rng.of_seed 8 in
@@ -216,7 +199,7 @@ let test_permute_action_is_homomorphism () =
   let lhs = Permute.apply s2 (Permute.apply s1 g) in
   let rhs = Permute.apply (Permute.compose s2 s1) g in
   Alcotest.(check bool) "sigma2(sigma1 G) = (sigma2 . sigma1)(G)" true
-    (Digraph.equal_structure lhs rhs)
+    (Ugraph.equal_structure lhs rhs)
 
 let test_permute_preserves_degree_multiset () =
   let rng = Rng.of_seed 9 in
@@ -246,9 +229,15 @@ let test_subrange_fixes_rest () =
 
 let test_metrics_degrees () =
   let g = diamond () in
+  Alcotest.(check int) "vertices" 4 (Ugraph.n_vertices g);
+  Alcotest.(check int) "edges" 6 (Ugraph.n_edges g);
   Alcotest.(check (array int)) "in degrees" [| 0; 2; 1; 3 |] (Metrics.in_degrees g);
   Alcotest.(check (array int)) "out degrees" [| 3; 1; 1; 1 |] (Metrics.out_degrees g);
+  Alcotest.(check (array int)) "total degrees, a self-loop counts twice" [| 3; 3; 2; 4 |]
+    (Metrics.total_degrees g);
   Alcotest.(check int) "max in" 3 (Metrics.max_in_degree g);
+  Alcotest.(check int) "max total" 4 (Metrics.max_total_degree g);
+  Alcotest.(check (float 1e-9)) "mean degree" 3. (Metrics.mean_degree g);
   Alcotest.(check bool) "handshake" true (Metrics.degree_sum_invariant g);
   Alcotest.(check int) "self loops" 1 (Metrics.self_loops g);
   Alcotest.(check int) "parallel edges" 1 (Metrics.parallel_edges g)
@@ -270,13 +259,11 @@ let test_degree_counts_and_ccdf () =
 let test_edge_list_roundtrip () =
   let g = diamond () in
   let g' = Gio.of_edge_list (Gio.to_edge_list g) in
-  Alcotest.(check bool) "roundtrip" true (Digraph.equal_structure g g');
+  Alcotest.(check bool) "roundtrip" true (Ugraph.equal_structure g g');
   (* edge order (ids) preserved too *)
-  List.iter2
-    (fun e e' ->
-      Alcotest.(check int) "src" e.Digraph.src e'.Digraph.src;
-      Alcotest.(check int) "dst" e.Digraph.dst e'.Digraph.dst)
-    (Digraph.edges g) (Digraph.edges g')
+  for id = 0 to Ugraph.n_edges g - 1 do
+    Alcotest.(check (pair int int)) "endpoints" (Ugraph.endpoints g id) (Ugraph.endpoints g' id)
+  done
 
 let test_edge_list_file_roundtrip () =
   let g = diamond () in
@@ -286,7 +273,7 @@ let test_edge_list_file_roundtrip () =
     (fun () ->
       Gio.write_edge_list g ~path;
       let g' = Gio.read_edge_list ~path in
-      Alcotest.(check bool) "file roundtrip" true (Digraph.equal_structure g g'))
+      Alcotest.(check bool) "file roundtrip" true (Ugraph.equal_structure g g'))
 
 let contains_substring haystack needle =
   let nl = String.length needle and hl = String.length haystack in
@@ -325,7 +312,7 @@ let test_read_edge_list_names_path () =
         Alcotest.(check bool) "failure names the file" true (contains_substring msg path))
 
 let test_dot_output () =
-  let g = Digraph.of_edges ~n:2 [ (1, 2) ] in
+  let g = Ugraph.of_edges ~n:2 [ (1, 2) ] in
   let dot = Gio.to_dot ~name:"test" ~highlight:[ 2 ] g in
   Alcotest.(check bool) "mentions edge" true (contains_substring dot "1 -> 2");
   Alcotest.(check bool) "mentions highlight" true (contains_substring dot "fillcolor")
@@ -333,28 +320,28 @@ let test_dot_output () =
 (* --- Subgraph ---------------------------------------------------------------- *)
 
 let test_induced_subgraph () =
-  let g = Digraph.of_edges ~n:5 [ (1, 2); (2, 3); (3, 4); (4, 5); (5, 1) ] in
+  let g = Ugraph.of_edges ~n:5 [ (1, 2); (2, 3); (3, 4); (4, 5); (5, 1) ] in
   let sub, mapping = Subgraph.induced g ~vertices:[ 1; 2; 3 ] in
-  Alcotest.(check int) "sub vertices" 3 (Digraph.n_vertices sub);
-  Alcotest.(check int) "sub edges" 2 (Digraph.n_edges sub);
+  Alcotest.(check int) "sub vertices" 3 (Ugraph.n_vertices sub);
+  Alcotest.(check int) "sub edges" 2 (Ugraph.n_edges sub);
   Alcotest.(check int) "mapping to_sub" 2 mapping.Subgraph.to_sub.(1);
   Alcotest.(check int) "mapping of_sub" 3 mapping.Subgraph.of_sub.(2)
 
 let test_largest_component_subgraph () =
-  let g = Digraph.of_edges ~n:7 [ (1, 2); (2, 3); (3, 1); (4, 5) ] in
+  let g = Ugraph.of_edges ~n:7 [ (1, 2); (2, 3); (3, 1); (4, 5) ] in
   let sub, mapping = Subgraph.largest_component g in
-  Alcotest.(check int) "largest component size" 3 (Digraph.n_vertices sub);
-  Alcotest.(check int) "edges preserved" 3 (Digraph.n_edges sub);
+  Alcotest.(check int) "largest component size" 3 (Ugraph.n_vertices sub);
+  Alcotest.(check int) "edges preserved" 3 (Ugraph.n_edges sub);
   Alcotest.(check (array int)) "members" [| 1; 2; 3 |] mapping.Subgraph.of_sub
 
 (* --- Clustering ---------------------------------------------------------------- *)
 
 let triangle_plus_tail () =
   (* triangle 1-2-3 with a pendant 4 attached to 3 *)
-  Digraph.of_edges ~n:4 [ (1, 2); (2, 3); (3, 1); (3, 4) ]
+  Ugraph.of_edges ~n:4 [ (1, 2); (2, 3); (3, 1); (3, 4) ]
 
 let test_clustering_coefficients () =
-  let u = Ugraph.of_digraph (triangle_plus_tail ()) in
+  let u = triangle_plus_tail () in
   Alcotest.(check (float 1e-9)) "vertex in triangle" 1. (Sf_graph.Clustering.local_coefficient u 1);
   Alcotest.(check (float 1e-9)) "triangle vertex with pendant" (1. /. 3.)
     (Sf_graph.Clustering.local_coefficient u 3);
@@ -367,7 +354,7 @@ let test_clustering_coefficients () =
 
 let test_clustering_tree_is_zero () =
   let rng = Rng.of_seed 50 in
-  let u = Ugraph.of_digraph (Sf_gen.Mori.tree rng ~p:0.7 ~t:200) in
+  let u = Sf_gen.Mori.tree rng ~p:0.7 ~t:200 in
   Alcotest.(check (float 1e-9)) "trees have no triangles" 0.
     (Sf_graph.Clustering.global_transitivity u);
   Alcotest.(check int) "zero triangles" 0 (Sf_graph.Clustering.triangle_count u)
@@ -376,19 +363,17 @@ let test_clustering_tree_is_zero () =
 
 let test_assortativity_star_negative () =
   (* a star is maximally disassortative: r = -1 *)
-  let star = Digraph.of_edges ~n:6 (List.init 5 (fun i -> (i + 2, 1))) in
-  let u = Ugraph.of_digraph star in
+  let u = Ugraph.of_edges ~n:6 (List.init 5 (fun i -> (i + 2, 1))) in
   Alcotest.(check (float 1e-9)) "star assortativity" (-1.) (Sf_graph.Correlation.assortativity u)
 
 let test_assortativity_regular_zero () =
   (* cycle: all degrees equal -> zero excess-degree variance -> 0 *)
-  let cycle = Digraph.of_edges ~n:5 [ (1, 2); (2, 3); (3, 4); (4, 5); (5, 1) ] in
+  let cycle = Ugraph.of_edges ~n:5 [ (1, 2); (2, 3); (3, 4); (4, 5); (5, 1) ] in
   Alcotest.(check (float 1e-9)) "cycle assortativity" 0.
-    (Sf_graph.Correlation.assortativity (Ugraph.of_digraph cycle))
+    (Sf_graph.Correlation.assortativity cycle)
 
 let test_knn_curve_star () =
-  let star = Digraph.of_edges ~n:5 (List.init 4 (fun i -> (i + 2, 1))) in
-  let u = Ugraph.of_digraph star in
+  let u = Ugraph.of_edges ~n:5 (List.init 4 (fun i -> (i + 2, 1))) in
   let curve = Sf_graph.Correlation.knn_curve u in
   (* leaves (degree 1) neighbour the hub (degree 4); hub neighbours leaves *)
   Alcotest.(check (float 1e-9)) "knn(1) = 4" 4. (List.assoc 1 curve);
@@ -398,12 +383,12 @@ let test_age_degree_spearman () =
   let rng = Rng.of_seed 51 in
   (* Mori tree: old vertices are rich (moderate p keeps enough degree
      spread for ranks to correlate despite ties) *)
-  let u = Ugraph.of_digraph (Sf_gen.Mori.tree rng ~p:0.75 ~t:5000) in
+  let u = Sf_gen.Mori.tree rng ~p:0.75 ~t:5000 in
   Alcotest.(check bool) "old vertices rich" true
     (Sf_graph.Correlation.age_degree_spearman u < -0.2);
   (* configuration model: no age structure *)
   let c =
-    Ugraph.of_digraph (Sf_gen.Config_model.searchable_power_law rng ~n:2000 ~exponent:2.4 ())
+    Sf_gen.Config_model.searchable_power_law rng ~n:2000 ~exponent:2.4 ()
   in
   Alcotest.(check bool) "config model age-free" true
     (Float.abs (Sf_graph.Correlation.age_degree_spearman c) < 0.1)
@@ -411,29 +396,28 @@ let test_age_degree_spearman () =
 (* --- Kcore -------------------------------------------------------------------------- *)
 
 let test_kcore_path () =
-  let u = Ugraph.of_digraph (path_graph 6) in
+  let u = path_graph 6 in
   Alcotest.(check (array int)) "path is 1-core" (Array.make 6 1) (Sf_graph.Kcore.coreness u);
   Alcotest.(check int) "degeneracy 1" 1 (Sf_graph.Kcore.degeneracy u)
 
 let test_kcore_clique_with_tail () =
   (* K4 on 1..4 plus tail 4-5-6 *)
   let g =
-    Digraph.of_edges ~n:6
+    Ugraph.of_edges ~n:6
       [ (1, 2); (1, 3); (1, 4); (2, 3); (2, 4); (3, 4); (4, 5); (5, 6) ]
   in
-  let core = Sf_graph.Kcore.coreness (Ugraph.of_digraph g) in
+  let core = Sf_graph.Kcore.coreness g in
   Alcotest.(check (array int)) "coreness" [| 3; 3; 3; 3; 1; 1 |] core;
-  Alcotest.(check int) "degeneracy 3" 3 (Sf_graph.Kcore.degeneracy (Ugraph.of_digraph g));
+  Alcotest.(check int) "degeneracy 3" 3 (Sf_graph.Kcore.degeneracy g);
   Alcotest.(check (list int)) "3-core members" [ 1; 2; 3; 4 ]
-    (Sf_graph.Kcore.k_core (Ugraph.of_digraph g) ~k:3);
+    (Sf_graph.Kcore.k_core g ~k:3);
   Alcotest.(check (list (pair int int))) "core sizes" [ (1, 2); (3, 4) ]
-    (Sf_graph.Kcore.core_sizes (Ugraph.of_digraph g))
+    (Sf_graph.Kcore.core_sizes g)
 
 let test_kcore_matches_bruteforce () =
   (* brute force: iteratively strip vertices of degree < k *)
   let rng = Rng.of_seed 52 in
-  let g = Sf_gen.Erdos_renyi.gnm rng ~n:40 ~m:100 in
-  let u = Ugraph.of_digraph g in
+  let u = Sf_gen.Erdos_renyi.gnm rng ~n:40 ~m:100 in
   let core = Sf_graph.Kcore.coreness u in
   let brute_k_core k =
     let alive = Array.make 40 true in
@@ -480,11 +464,32 @@ let prop_bfs_triangle_inequality =
   QCheck.Test.make ~name:"BFS distances satisfy edge triangle inequality" ~count:50 mori_arb
     (fun (seed, t) ->
       let g = Sf_gen.Mori.tree (Rng.of_seed seed) ~p:0.5 ~t in
-      let u = Ugraph.of_digraph g in
-      let dist = Traversal.bfs_distances u ~source:1 in
-      Digraph.fold_edges g ~init:true ~f:(fun acc e ->
-          acc
-          && abs (dist.(e.Digraph.src - 1) - dist.(e.Digraph.dst - 1)) <= 1))
+      let dist = Traversal.bfs_distances g ~source:1 in
+      List.for_all
+        (fun id ->
+          let s, d = Ugraph.endpoints g id in
+          abs (dist.(s - 1) - dist.(d - 1)) <= 1)
+        (List.init (Ugraph.n_edges g) Fun.id))
+
+(* the hash-table count that [Metrics.parallel_edges]'s packed sort
+   replaced *)
+let parallel_edges_by_hashing g =
+  let seen = Hashtbl.create 16 and dups = ref 0 in
+  for id = 0 to Ugraph.n_edges g - 1 do
+    let s, d = Ugraph.endpoints g id in
+    let key = (min s d, max s d) in
+    if Hashtbl.mem seen key then incr dups else Hashtbl.replace seen key ()
+  done;
+  !dups
+
+let prop_parallel_edges_match_hashing =
+  (* few vertices, many edges: self-loops and parallel edges in both
+     orientations are common *)
+  QCheck.Test.make ~name:"parallel_edges matches a hash-table count" ~count:200
+    QCheck.(pair (int_range 1 12) (small_list (pair small_nat small_nat)))
+    (fun (n, raw) ->
+      let g = Ugraph.of_edges ~n (List.map (fun (a, b) -> (1 + (a mod n), 1 + (b mod n))) raw) in
+      Metrics.parallel_edges g = parallel_edges_by_hashing g)
 
 let prop_coreness_bounded_by_degree =
   QCheck.Test.make ~name:"coreness <= degree, and k-cores nest" ~count:60 mori_arb
@@ -528,17 +533,15 @@ let prop_permutation_action_preserves_edge_count =
       let g = Sf_gen.Mori.tree rng ~p:0.8 ~t in
       let sigma = Permute.random_of_subrange rng ~n:t ~lo:1 ~hi:t in
       let g' = Permute.apply sigma g in
-      Digraph.n_edges g' = Digraph.n_edges g && Digraph.n_vertices g' = t)
+      Ugraph.n_edges g' = Ugraph.n_edges g && Ugraph.n_vertices g' = t)
 
 let suite =
   [
     ("vec basics", `Quick, test_vec_basics);
     ("vec bounds", `Quick, test_vec_bounds);
     ("vec copy", `Quick, test_vec_copy_independent);
-    ("digraph counts", `Quick, test_digraph_counts);
-    ("edge ids are timestamps", `Quick, test_digraph_edge_ids_are_timestamps);
-    ("digraph validation", `Quick, test_digraph_validation);
-    ("digraph copy", `Quick, test_digraph_copy_independent);
+    ("edge ids are timestamps", `Quick, test_edge_ids_are_timestamps);
+    ("of_edges validation", `Quick, test_of_edges_validation);
     ("equal_structure", `Quick, test_equal_structure_ignores_order);
     ("canonical key", `Quick, test_canonical_key_agrees_with_equality);
     ("ugraph incidence", `Quick, test_ugraph_incidence);
@@ -576,6 +579,7 @@ let suite =
     ("kcore vs brute force", `Quick, test_kcore_matches_bruteforce);
     QCheck_alcotest.to_alcotest prop_handshake;
     QCheck_alcotest.to_alcotest prop_bfs_triangle_inequality;
+    QCheck_alcotest.to_alcotest prop_parallel_edges_match_hashing;
     QCheck_alcotest.to_alcotest prop_permutation_action_preserves_edge_count;
     QCheck_alcotest.to_alcotest prop_coreness_bounded_by_degree;
     QCheck_alcotest.to_alcotest prop_conditioned_tree_always_in_event;

@@ -280,7 +280,7 @@ let test_disabled_counters_freeze_sites () =
     ~finally:(fun () -> Registry.set_enabled true)
     (fun () ->
       let rng = Sf_prng.Rng.of_seed 11 in
-      let g = Sf_graph.Ugraph.of_digraph (Sf_gen.Mori.tree rng ~p:0.5 ~t:200) in
+      let g = Sf_gen.Mori.tree rng ~p:0.5 ~t:200 in
       let outcome =
         Sf_search.Runner.search ~rng g Sf_search.Strategies.bfs ~source:1 ~target:200
       in

@@ -226,7 +226,7 @@ let grid_spec = { Searchability.default_spec with Searchability.trials = 5 }
 
 let grid_csv ~jobs =
   let master = Rng.of_seed 2007 in
-  let make rng n = (Ugraph.of_digraph (Sf_gen.Mori.tree rng ~p:0.5 ~t:n), n) in
+  let make rng n = (Sf_gen.Mori.tree rng ~p:0.5 ~t:n, n) in
   let points =
     Searchability.measure ~jobs master ~make
       ~strategies:[ Strategies.bfs; Strategies.high_degree ]
@@ -292,7 +292,7 @@ let test_measure_trace_identical_across_jobs () =
 
 let test_measure_rejects_bad_budget () =
   let master = Rng.of_seed 1 in
-  let make rng n = (Ugraph.of_digraph (Sf_gen.Mori.tree rng ~p:0.5 ~t:n), n) in
+  let make rng n = (Sf_gen.Mori.tree rng ~p:0.5 ~t:n, n) in
   let spec = { grid_spec with Searchability.budget = (fun _ -> 0) } in
   Alcotest.check_raises "non-positive budget rejected"
     (Invalid_argument "Searchability.measure: budget must be positive (got 0 for n = 50)")

@@ -3,7 +3,6 @@
    runner, geographic routing and percolation search. *)
 
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
 module Ugraph = Sf_graph.Ugraph
 module Oracle = Sf_search.Oracle
 module Strategy = Sf_search.Strategy
@@ -11,14 +10,14 @@ module Strategies = Sf_search.Strategies
 module Runner = Sf_search.Runner
 module Heap = Sf_search.Heap
 
-let path_graph n = Digraph.of_edges ~n (List.init (n - 1) (fun i -> (i + 1, i + 2)))
+let path_graph n = Ugraph.of_edges ~n (List.init (n - 1) (fun i -> (i + 1, i + 2)))
 
 let star_graph n =
   (* center 1, leaves 2..n *)
-  Digraph.of_edges ~n (List.init (n - 1) (fun i -> (i + 2, 1)))
+  Ugraph.of_edges ~n (List.init (n - 1) (fun i -> (i + 2, 1)))
 
 let oracle_on ?(model = Oracle.Weak) ?(source = 1) ?(target = 2) g =
-  Oracle.start ~rng:(Rng.of_seed 1000) model (Ugraph.of_digraph g) ~source ~target
+  Oracle.start ~rng:(Rng.of_seed 1000) model g ~source ~target
 
 (* --- Oracle ------------------------------------------------------------ *)
 
@@ -122,8 +121,8 @@ let test_strong_request () =
   Alcotest.(check (option int)) "found at 1" (Some 1) (Oracle.requests_when_found o)
 
 let test_strong_neighbor_multiplicity_collapsed () =
-  let g = Digraph.of_edges ~n:2 [ (1, 2); (1, 2); (2, 2) ] in
-  let o = Oracle.start ~rng:(Rng.of_seed 3) Oracle.Strong (Ugraph.of_digraph g) ~source:1 ~target:2 in
+  let g = Ugraph.of_edges ~n:2 [ (1, 2); (1, 2); (2, 2) ] in
+  let o = Oracle.start ~rng:(Rng.of_seed 3) Oracle.Strong g ~source:1 ~target:2 in
   let neighbors = Oracle.request_strong o 1 in
   Alcotest.(check (list int)) "multiplicity collapsed" [ 2 ] neighbors
 
@@ -131,15 +130,15 @@ let test_handle_obfuscation () =
   (* with obfuscation on, public handles are assigned in discovery
      order starting at 0, regardless of physical edge ids *)
   let g = path_graph 6 in
-  let o = Oracle.start ~rng:(Rng.of_seed 4) Oracle.Weak (Ugraph.of_digraph g) ~source:5 ~target:1 in
+  let o = Oracle.start ~rng:(Rng.of_seed 4) Oracle.Weak g ~source:5 ~target:1 in
   let hs = Oracle.handles o 5 in
   Array.iter
     (fun h -> Alcotest.(check bool) "small public ids" true (h >= 0 && h < 2))
     hs
 
 let test_self_loop_request () =
-  let g = Digraph.of_edges ~n:2 [ (1, 1); (1, 2) ] in
-  let o = Oracle.start ~rng:(Rng.of_seed 5) Oracle.Weak (Ugraph.of_digraph g) ~source:1 ~target:2 in
+  let g = Ugraph.of_edges ~n:2 [ (1, 1); (1, 2) ] in
+  let o = Oracle.start ~rng:(Rng.of_seed 5) Oracle.Weak g ~source:1 ~target:2 in
   (* find the self-loop handle: requesting it returns 1 itself *)
   let hs = Oracle.handles o 1 in
   Alcotest.(check int) "two handles (loop counted once)" 2 (Array.length hs);
@@ -180,7 +179,7 @@ let prop_heap_sorts =
 
 let run_strategy ?(seed = 7) ?budget strategy g ~source ~target =
   let rng = Rng.of_seed seed in
-  Runner.search ?budget ~rng (Ugraph.of_digraph g) strategy ~source ~target
+  Runner.search ?budget ~rng g strategy ~source ~target
 
 let test_all_weak_strategies_find_target_on_path () =
   let g = path_graph 12 in
@@ -239,7 +238,7 @@ let test_runner_budget () =
   Alcotest.(check bool) "did not give up" false o.Runner.gave_up
 
 let test_runner_give_up_on_unreachable () =
-  let g = Digraph.of_edges ~n:4 [ (1, 2); (3, 4) ] in
+  let g = Ugraph.of_edges ~n:4 [ (1, 2); (3, 4) ] in
   let o = run_strategy Strategies.bfs g ~source:1 ~target:4 in
   Alcotest.(check bool) "gave up" true o.Runner.gave_up;
   Alcotest.(check (option int)) "never found" None o.Runner.to_target;
@@ -249,7 +248,7 @@ let test_runner_stop_at_neighbor () =
   let g = path_graph 10 in
   let rng = Rng.of_seed 9 in
   let o =
-    Runner.search ~stop_at:Runner.At_neighbor ~rng (Ugraph.of_digraph g) Strategies.bfs
+    Runner.search ~stop_at:Runner.At_neighbor ~rng g Strategies.bfs
       ~source:1 ~target:10
   in
   Alcotest.(check (option int)) "stops one hop early" (Some 8) o.Runner.to_neighbor;
@@ -370,12 +369,12 @@ let test_restart_walk_finds_target () =
 let test_timestamp_cheat_grabs_target_edge () =
   (* Non-obfuscated Mori tree where the father of the target is the
      start vertex: the cheat must find the target in one request. *)
-  let g = Digraph.of_edges ~n:5 [ (2, 1); (3, 1); (4, 2); (5, 1) ] in
+  let g = Ugraph.of_edges ~n:5 [ (2, 1); (3, 1); (4, 2); (5, 1) ] in
   (* this is a valid fathers-array tree: N_2..N_5 = 1,1,2,1; target 5's
      edge has id 3 and sits in vertex 1's incidence list *)
   let rng = Rng.of_seed 77 in
   let o =
-    Runner.search ~obfuscate:false ~rng (Ugraph.of_digraph g) Strategies.timestamp_cheat
+    Runner.search ~obfuscate:false ~rng g Strategies.timestamp_cheat
       ~source:1 ~target:5
   in
   Alcotest.(check (option int)) "one request via the leaked id" (Some 1) o.Runner.to_target
@@ -391,7 +390,7 @@ let test_timestamp_cheat_works_sealed () =
 let test_traced_run_matches_outcome () =
   let rng = Rng.of_seed 95 in
   let g = Sf_gen.Mori.tree rng ~p:0.7 ~t:200 in
-  let oracle = Oracle.start ~rng Oracle.Weak (Ugraph.of_digraph g) ~source:1 ~target:190 in
+  let oracle = Oracle.start ~rng Oracle.Weak g ~source:1 ~target:190 in
   let outcome, trace = Runner.run_traced ~rng Strategies.bfs oracle in
   Alcotest.(check int) "one event per request" outcome.Runner.total_requests (List.length trace);
   (* indices are 1..N in order; discovered_total is monotone *)
@@ -416,7 +415,7 @@ let test_traced_run_matches_outcome () =
 let test_traced_strong_reveals_batches () =
   let rng = Rng.of_seed 96 in
   let g = star_graph 12 in
-  let oracle = Oracle.start ~rng Oracle.Strong (Ugraph.of_digraph g) ~source:1 ~target:9 in
+  let oracle = Oracle.start ~rng Oracle.Strong g ~source:1 ~target:9 in
   let _, trace = Runner.run_traced ~rng Strategies.strong_seq oracle in
   match trace with
   | [ e ] ->
@@ -430,7 +429,7 @@ let test_geo_routing_on_grid () =
   let rng = Rng.of_seed 11 in
   let side = 12 in
   let t = Sf_gen.Kleinberg.generate rng ~side ~r:2. ~q:1 () in
-  let u = Ugraph.of_digraph t.Sf_gen.Kleinberg.graph in
+  let u = t.Sf_gen.Kleinberg.graph in
   let dist = Sf_gen.Kleinberg.lattice_distance ~side in
   let source = 1 and target = Sf_gen.Kleinberg.vertex_of_coord ~side ~row:6 ~col:6 in
   let r = Sf_search.Geo_routing.greedy u ~dist ~source ~target ~max_steps:1000 in
@@ -441,7 +440,7 @@ let test_geo_routing_on_grid () =
 let test_geo_routing_trivial () =
   let rng = Rng.of_seed 12 in
   let t = Sf_gen.Kleinberg.generate rng ~side:4 ~r:2. ~q:0 () in
-  let u = Ugraph.of_digraph t.Sf_gen.Kleinberg.graph in
+  let u = t.Sf_gen.Kleinberg.graph in
   let dist = Sf_gen.Kleinberg.lattice_distance ~side:4 in
   let r = Sf_search.Geo_routing.greedy u ~dist ~source:5 ~target:5 ~max_steps:10 in
   Alcotest.(check int) "zero steps to self" 0 r.Sf_search.Geo_routing.steps;
@@ -452,7 +451,7 @@ let test_geo_routing_pure_lattice_exact () =
   let rng = Rng.of_seed 13 in
   let side = 8 in
   let t = Sf_gen.Kleinberg.generate rng ~side ~r:2. ~q:0 () in
-  let u = Ugraph.of_digraph t.Sf_gen.Kleinberg.graph in
+  let u = t.Sf_gen.Kleinberg.graph in
   let dist = Sf_gen.Kleinberg.lattice_distance ~side in
   let source = 1 and target = Sf_gen.Kleinberg.vertex_of_coord ~side ~row:3 ~col:2 in
   let r = Sf_search.Geo_routing.greedy u ~dist ~source ~target ~max_steps:100 in
@@ -463,7 +462,7 @@ let test_geo_routing_pure_lattice_exact () =
 
 let test_percolation_replicate () =
   let rng = Rng.of_seed 14 in
-  let g = Ugraph.of_digraph (path_graph 50) in
+  let g = path_graph 50 in
   let replicas = Sf_search.Percolation.replicate rng g ~owner:25 ~walk_length:10 in
   Alcotest.(check bool) "owner holds a replica" true replicas.(24);
   let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 replicas in
@@ -471,10 +470,9 @@ let test_percolation_replicate () =
 
 let test_percolation_finds_on_small_graph () =
   let rng = Rng.of_seed 15 in
-  let g =
+  let u =
     Sf_gen.Config_model.searchable_power_law rng ~n:500 ~exponent:2.3 ()
   in
-  let u = Ugraph.of_digraph g in
   let params = Sf_search.Percolation.default_params ~n:(Ugraph.n_vertices u) in
   let hits = ref 0 in
   let trials = 20 in
@@ -492,7 +490,7 @@ let test_percolation_finds_on_small_graph () =
 
 let test_percolation_zero_prob_rarely_hits () =
   let rng = Rng.of_seed 16 in
-  let g = Ugraph.of_digraph (path_graph 200) in
+  let g = path_graph 200 in
   let params =
     {
       Sf_search.Percolation.replication_walk = 2;
@@ -556,7 +554,7 @@ let prop_requests_never_decrease_knowledge =
         Gen.(pair (int_bound 100_000) (int_range 10 100)))
     (fun (seed, t) ->
       let rng = Rng.of_seed seed in
-      let g = Ugraph.of_digraph (Sf_gen.Mori.tree rng ~p:0.5 ~t) in
+      let g = Sf_gen.Mori.tree rng ~p:0.5 ~t in
       let oracle = Oracle.start ~rng Oracle.Weak g ~source:1 ~target:t in
       let _, trace = Runner.run_traced ~rng Strategies.dfs oracle in
       fst
@@ -633,7 +631,7 @@ let raises_invalid name f =
   | exception Invalid_argument _ -> ()
 
 let test_use_after_release () =
-  let g = Ugraph.of_digraph (Sf_gen.Mori.tree (Rng.of_seed 8) ~p:0.5 ~t:60) in
+  let g = Sf_gen.Mori.tree (Rng.of_seed 8) ~p:0.5 ~t:60 in
   let o = Oracle.start ~rng:(Rng.of_seed 9) Oracle.Weak g ~source:1 ~target:60 in
   let h = (Oracle.handles o 1).(0) in
   ignore (Oracle.request_weak o ~owner:1 h);
@@ -740,7 +738,7 @@ let test_warm_start_allocation () =
      proportional to n. Source and target are the two newest vertices
      of a Móri tree, leaves whose degree does not grow with n. *)
   let alloc_at n =
-    let g = Ugraph.of_digraph (Sf_gen.Mori.tree (Rng.of_seed 3) ~p:0.5 ~t:n) in
+    let g = Sf_gen.Mori.tree (Rng.of_seed 3) ~p:0.5 ~t:n in
     let go () =
       Oracle.release
         (Oracle.start ~rng:(Rng.of_seed 4) Oracle.Weak g ~source:n ~target:(n - 1))
@@ -776,7 +774,7 @@ let test_obs_counters_match_outcome () =
   let before_strategy = Sf_obs.Counter.value by_strategy in
   let before_runs = Sf_obs.Counter.value runs in
   let rng = Rng.of_seed 4242 in
-  let g = Ugraph.of_digraph (Sf_gen.Mori.tree rng ~p:0.5 ~t:400) in
+  let g = Sf_gen.Mori.tree rng ~p:0.5 ~t:400 in
   let outcome = Runner.search ~rng g Strategies.bfs ~source:1 ~target:400 in
   Alcotest.(check bool) "bfs reaches the target" true (outcome.Runner.to_target <> None);
   Alcotest.(check int) "search.requests counts every oracle request"

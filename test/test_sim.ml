@@ -3,16 +3,15 @@
    structure. *)
 
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
 module Ugraph = Sf_graph.Ugraph
 module Event_queue = Sf_sim.Event_queue
 module Network = Sf_sim.Network
 module Query_sim = Sf_sim.Query_sim
 
-let path_graph n = Digraph.of_edges ~n (List.init (n - 1) (fun i -> (i + 1, i + 2)))
-let star_graph n = Digraph.of_edges ~n (List.init (n - 1) (fun i -> (i + 2, 1)))
+let path_graph n = Ugraph.of_edges ~n (List.init (n - 1) (fun i -> (i + 1, i + 2)))
+let star_graph n = Ugraph.of_edges ~n (List.init (n - 1) (fun i -> (i + 2, 1)))
 
-let net_of ?latency g = Network.create ?latency (Ugraph.of_digraph g)
+let net_of ?latency g = Network.create ?latency g
 
 (* --- Event queue --------------------------------------------------------- *)
 

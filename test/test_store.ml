@@ -11,7 +11,6 @@ module Crc32 = Sf_store.Crc32
 module Cache = Sf_store.Cache
 module Corpus = Sf_store.Corpus
 module Fingerprint = Sf_store.Fingerprint
-module Digraph = Sf_graph.Digraph
 module Ugraph = Sf_graph.Ugraph
 module Rng = Sf_prng.Rng
 module Registry = Sf_obs.Registry
@@ -55,7 +54,7 @@ let same_ugraph a b = Sf_graph.Csr.equal (Ugraph.csr a) (Ugraph.csr b)
 let check_same_ugraph what a b =
   Alcotest.(check bool) (what ^ ": exact round trip") true (same_ugraph a b)
 
-let ugraph ~n edges = Ugraph.of_digraph (Digraph.of_edges ~n edges)
+let ugraph = Ugraph.of_edges
 
 let write_file path bytes = Out_channel.with_open_bin path (fun oc -> output_string oc bytes)
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -129,7 +128,7 @@ let test_codec_small_graphs () =
       List.iter
         (fun (what, u) -> check_same_ugraph what u (file_roundtrip dir u))
         [
-          ("empty", Ugraph.of_digraph (Digraph.create ()));
+          ("empty", ugraph ~n:0 []);
           ("single vertex", ugraph ~n:1 []);
           ("loops and parallels", ugraph ~n:3 [ (1, 1); (1, 2); (1, 2); (3, 1); (2, 2) ]);
         ])
@@ -153,7 +152,7 @@ let random_model_graph rng =
       ~n:(2 + Rng.int rng 60)
   | _ ->
     let n = 2 + Rng.int rng 60 in
-    Ugraph.of_digraph (Sf_gen.Erdos_renyi.gnm rng ~n ~m:(Rng.int rng (max 1 (n * (n - 1) / 4))))
+    Sf_gen.Erdos_renyi.gnm rng ~n ~m:(Rng.int rng (max 1 (n * (n - 1) / 4)))
 
 let test_csr_codec_roundtrip () =
   with_temp_dir (fun dir ->
@@ -206,7 +205,7 @@ let qcheck_ugraph_roundtrip =
       with_temp_dir (fun dir ->
           let sfg = Filename.concat dir "g.sfg" and txt = Filename.concat dir "g.edges" in
           Csr_codec.write_ugraph_file u ~path:sfg;
-          Sf_graph.Gio.write_edge_list (Ugraph.to_digraph u) ~path:txt;
+          Sf_graph.Gio.write_edge_list u ~path:txt;
           same_ugraph u (Csr_codec.load_ugraph ~path:sfg ())
           && same_ugraph u (Csr_codec.load_ugraph ~path:txt ())))
 
@@ -305,15 +304,14 @@ let test_decode_rejects_bit_flips () =
 
 let test_load_ugraph_dispatch () =
   with_temp_dir (fun dir ->
-      let g = Digraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
-      let u = Ugraph.of_digraph g in
+      let u = Ugraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
       let v1 = Filename.concat dir "v1.sfg"
       and v2 = Filename.concat dir "v2.sfg"
       and txt = Filename.concat dir "g.edges"
       and broken = Filename.concat dir "broken.edges" in
       write_file v1 v1_object;
       Csr_codec.write_ugraph_file u ~path:v2;
-      Sf_graph.Gio.write_edge_list g ~path:txt;
+      Sf_graph.Gio.write_edge_list u ~path:txt;
       write_file broken "3 2\n1 2\n";
       Alcotest.(check (option int)) "v1 sniffs 1" (Some 1) (Csr_codec.sniff_version v1);
       Alcotest.(check (option int)) "v2 sniffs 2" (Some 2) (Csr_codec.sniff_version v2);

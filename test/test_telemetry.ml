@@ -458,7 +458,7 @@ let grid_spec = { Searchability.default_spec with Searchability.trials = 5 }
 
 let grid_csv ~jobs =
   let master = Rng.of_seed 2007 in
-  let make rng n = (Ugraph.of_digraph (Sf_gen.Mori.tree rng ~p:0.5 ~t:n), n) in
+  let make rng n = (Sf_gen.Mori.tree rng ~p:0.5 ~t:n, n) in
   let points =
     Searchability.measure ~jobs master ~make
       ~strategies:[ Strategies.bfs; Strategies.high_degree ]

@@ -88,7 +88,7 @@ let test_disabled_stream_emits_nothing () =
           Trace.instant "test.trace.suppressed";
           (* a whole search run: every instrumented site must stay silent *)
           let rng = Rng.of_seed 12 in
-          let g = Ugraph.of_digraph (Sf_gen.Mori.tree rng ~p:0.5 ~t:150) in
+          let g = Sf_gen.Mori.tree rng ~p:0.5 ~t:150 in
           ignore (Runner.search ~rng g Strategies.bfs ~source:1 ~target:150)));
   Alcotest.(check int) "no events under --no-obs" 0 (List.length !acc)
 
@@ -272,7 +272,7 @@ let test_request_events_match_counters () =
   let outcome =
     with_sink (collector acc) (fun () ->
         let rng = Rng.of_seed 41 in
-        let g = Ugraph.of_digraph (Sf_gen.Mori.tree rng ~p:0.6 ~t:300) in
+        let g = Sf_gen.Mori.tree rng ~p:0.6 ~t:300 in
         Runner.search ~rng g Strategies.bfs ~source:1 ~target:290)
   in
   let request_events =
@@ -303,7 +303,7 @@ let test_traced_run_golden_csv () =
   let rng = Rng.of_seed 95 in
   let g = Sf_gen.Mori.tree rng ~p:0.7 ~t:200 in
   let oracle =
-    Oracle.start ~rng Oracle.Weak (Ugraph.of_digraph g) ~source:1 ~target:190
+    Oracle.start ~rng Oracle.Weak g ~source:1 ~target:190
   in
   let _, trace = Runner.run_traced ~rng Strategies.bfs oracle in
   let csv = Runner.trace_to_csv trace in
@@ -320,7 +320,7 @@ let test_traced_run_empty_when_disabled () =
         let rng = Rng.of_seed 95 in
         let g = Sf_gen.Mori.tree rng ~p:0.7 ~t:200 in
         let oracle =
-          Oracle.start ~rng Oracle.Weak (Ugraph.of_digraph g) ~source:1 ~target:190
+          Oracle.start ~rng Oracle.Weak g ~source:1 ~target:190
         in
         Runner.run_traced ~rng Strategies.bfs oracle)
   in
