@@ -288,4 +288,6 @@ let cmd =
   let doc = "distributed experiment fabric: sharded grids, resumable checkpoints, deterministic merge" in
   Cmd.group (Cmd.info "sffabric" ~doc) [ run_cmd; resume_cmd; status_cmd; worker_cmd ]
 
-let () = exit (Cmd.eval' cmd)
+let () =
+  Minor_heap.shrink ();
+  exit (Cmd.eval' cmd)

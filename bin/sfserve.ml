@@ -139,13 +139,6 @@ let cmd =
       $ graph_arg $ listen_arg $ seed_arg $ target_arg $ budget_arg
       $ max_frame_arg $ Obs_cli.term)
 
-(* A 512 KiB minor heap for the main domain instead of the runtime's
-   2 MiB; it runs the select loop and, at --jobs 1, every search (pool
-   domains keep the default). A request allocates tens of kilobytes,
-   and every minor-heap page that allocation reaches stays resident:
-   serving a 4096-vertex graph at --jobs 1, the daemon peaked at 9.1 MB
-   of RSS with the default and 7.6 MB with this size, at about the same
-   request rate. *)
 let () =
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 65536 };
+  Minor_heap.shrink ();
   exit (Cmd.eval' cmd)

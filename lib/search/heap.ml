@@ -36,8 +36,6 @@ let push t ~priority v =
     i := (!i - 1) / 2
   done
 
-let peek_max t = if t.len = 0 then None else Some (t.prio.(0), t.value.(0))
-
 let pop_max t =
   if t.len = 0 then None
   else begin

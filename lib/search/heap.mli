@@ -11,5 +11,3 @@ val push : t -> priority:float -> int -> unit
 
 val pop_max : t -> (float * int) option
 (** Highest-priority entry, or [None] when empty. *)
-
-val peek_max : t -> (float * int) option

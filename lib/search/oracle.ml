@@ -24,12 +24,13 @@ type model = Weak | Strong
    reuses from one query to the next, so [start] costs O(deg target),
    not O(n) (doc/SCALING.md).
 
-   [slot] is the only per-vertex array: one word per vertex. Each query
-   owns the stamps [base, base + stride); a stamp below [base] is left
-   over from an earlier query and means "nothing known". [base + 1]
-   marks the target's closed neighbourhood until discovery, and
-   [base + 2 + i] the vertex discovered [i]-th. Raising [base] by
-   [stride] therefore resets every vertex at once.
+   [slot] is the only per-vertex array: one int32 per vertex, in a
+   Bigarray outside the GC heap. 0 means "nothing known", [near] marks
+   the target's closed neighbourhood until discovery, and [i + 1] the
+   vertex discovered [i]-th; ranks stay below n <= 2^31 - 1, so every
+   code fits. [release] puts back the zeros that the query wrote: the
+   target's closed neighbourhood and the discovered vertices, O(deg
+   target + discovered), the order of the work already done.
 
    Everything else is indexed by discovery rank and grows with the
    search: the discovery sequence, the discovery-tree parent (0 for
@@ -37,9 +38,7 @@ type model = Weak | Strong
    last strong request that listed the vertex, plus 1 once the vertex
    was itself strong-requested. *)
 type arena = {
-  slot : int array;
-  stride : int;
-  mutable base : int;
+  slot : Sf_graph.Bigvec.buf;
   mutable order : int array;
   mutable parent : int array;
   mutable handle_lists : int array array;
@@ -47,12 +46,14 @@ type arena = {
   mutable scratch : int array; (* request_strong's distinct neighbours *)
 }
 
+let near = -1l
+
 let new_arena n =
   let cap = min n 64 in
+  let slot = Sf_graph.Bigvec.create_buf n in
+  Bigarray.Array1.fill slot 0l;
   {
-    slot = Array.make n 0;
-    stride = n + 2;
-    base = 0;
+    slot;
     order = Array.make cap 0;
     parent = Array.make cap 0;
     handle_lists = Array.make cap [||];
@@ -60,19 +61,12 @@ let new_arena n =
     scratch = [||];
   }
 
-(* A fresh stamp range. With 63-bit ints it runs out only after about
-   2^62 / n queries on one arena; the slots are then cleared once. *)
-let next_query a =
-  if a.base > max_int - (2 * a.stride) then begin
-    Array.fill a.slot 0 (Array.length a.slot) 0;
-    a.base <- a.stride
-  end
-  else a.base <- a.base + a.stride
+let capacity a = Bigarray.Array1.dim a.slot
 
 (* Discovery can never outgrow the vertex count, so neither do the
    rank-indexed buffers. *)
 let grow a =
-  let cap = min (Array.length a.slot) (2 * Array.length a.order) in
+  let cap = min (capacity a) (2 * Array.length a.order) in
   let extend old fill =
     let arr = Array.make cap fill in
     Array.blit old 0 arr 0 (Array.length old);
@@ -90,13 +84,13 @@ let free_arena : arena option Atomic.t Domain.DLS.key =
 
 let take_arena n =
   match Atomic.exchange (Domain.DLS.get free_arena) None with
-  | Some a when Array.length a.slot >= n -> a
+  | Some a when capacity a >= n -> a
   | Some _ | None -> new_arena n
 
 let return_arena a =
   let cell = Domain.DLS.get free_arena in
   match Atomic.get cell with
-  | Some kept when Array.length kept.slot >= Array.length a.slot -> ()
+  | Some kept when capacity kept >= capacity a -> ()
   | cur -> ignore (Atomic.compare_and_set cell cur (Some a))
 
 type t = {
@@ -110,9 +104,7 @@ type t = {
   real_of_pub : Vec.t;
   requested : (int, unit) Hashtbl.t; (* public ids of paid weak requests *)
   arena : arena;
-  slot : int array; (* arena.slot *)
-  near : int; (* stamp of the target's closed neighbourhood *)
-  first : int; (* stamp of the first discovery *)
+  slot : Sf_graph.Bigvec.buf; (* arena.slot *)
   mutable count : int; (* vertices discovered *)
   mutable released : bool;
   mutable request_count : int;
@@ -123,8 +115,9 @@ type t = {
 let live t name = if t.released then invalid_arg ("Oracle." ^ name ^ ": oracle released")
 
 (* [v] must be a vertex of the graph; [slot] is at least that long. *)
-let known t v = Array.unsafe_get t.slot (v - 1) >= t.first
-let rank t v = Array.unsafe_get t.slot (v - 1) - t.first
+let code t v = Bigarray.Array1.unsafe_get t.slot (v - 1)
+let known t v = code t v > 0l
+let rank t v = Int32.to_int (code t v) - 1
 
 let publicize t real_id =
   if not t.obfuscate then real_id
@@ -146,17 +139,18 @@ let realize t pub =
   else Vec.get t.real_of_pub pub
 
 let discover ?(via = 0) t v =
-  let stamp = Array.unsafe_get t.slot (v - 1) in
-  if stamp < t.first then begin
+  let c = code t v in
+  if c <= 0l then begin
     if Sf_obs.Registry.enabled () then Sf_obs.Counter.incr obs_discoveries;
     let a = t.arena in
     let i = t.count in
     if i = Array.length a.order then grow a;
-    Array.unsafe_set t.slot (v - 1) (t.first + i);
     a.order.(i) <- v;
     a.parent.(i) <- via;
     a.mark.(i) <- 0;
     t.count <- i + 1;
+    (* written once [order] lists [v], so that release clears it *)
+    Bigarray.Array1.unsafe_set t.slot (v - 1) (Int32.of_int (i + 1));
     (* an explicit ascending loop: publicize assigns public ids in
        first-exposure order, so the fill order is load-bearing *)
     let d = Ugraph.degree t.g v in
@@ -166,7 +160,7 @@ let discover ?(via = 0) t v =
     done;
     if t.obfuscate then Sf_prng.Shuffle.in_place t.rng pubs;
     a.handle_lists.(i) <- pubs;
-    if stamp = t.near && t.neighbor_at = None then t.neighbor_at <- Some t.request_count;
+    if c = near && t.neighbor_at = None then t.neighbor_at <- Some t.request_count;
     if v = t.target && t.found_at = None then t.found_at <- Some t.request_count
   end
 
@@ -174,10 +168,9 @@ let start ?(obfuscate = true) ~rng model g ~source ~target =
   if not (Ugraph.mem_vertex g source) then invalid_arg "Oracle.start: bad source";
   if not (Ugraph.mem_vertex g target) then invalid_arg "Oracle.start: bad target";
   let arena = take_arena (Ugraph.n_vertices g) in
-  next_query arena;
-  let slot = arena.slot and near = arena.base + 1 in
-  slot.(target - 1) <- near;
-  Ugraph.iter_neighbors g target (fun u -> slot.(u - 1) <- near);
+  let slot = arena.slot in
+  slot.{target - 1} <- near;
+  Ugraph.iter_neighbors g target (fun u -> slot.{u - 1} <- near);
   let t =
     {
       model;
@@ -191,8 +184,6 @@ let start ?(obfuscate = true) ~rng model g ~source ~target =
       requested = Hashtbl.create 64;
       arena;
       slot;
-      near;
-      first = arena.base + 2;
       count = 0;
       released = false;
       request_count = 0;
@@ -207,9 +198,15 @@ let start ?(obfuscate = true) ~rng model g ~source ~target =
 let release t =
   if not t.released then begin
     t.released <- true;
+    let a = t.arena and slot = t.slot in
+    slot.{t.target - 1} <- 0l;
+    Ugraph.iter_neighbors t.g t.target (fun u -> slot.{u - 1} <- 0l);
+    for i = 0 to t.count - 1 do
+      slot.{a.order.(i) - 1} <- 0l
+    done;
     (* so that the free arena pins none of this query's handle lists *)
-    Array.fill t.arena.handle_lists 0 t.count [||];
-    return_arena t.arena
+    Array.fill a.handle_lists 0 t.count [||];
+    return_arena a
   end
 
 let model t =

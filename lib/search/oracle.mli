@@ -57,18 +57,21 @@ val start :
     edge ids. [rng] drives the shuffling only.
 
     The instance leases its search state from an arena that the
-    calling domain reuses across queries: one word per vertex, plus
-    buffers that grow with what the search discovers. With a free
-    arena large enough for the graph, [start] costs O(deg target);
-    otherwise it allocates a new one.
+    calling domain reuses across queries: 4 bytes per vertex outside
+    the GC heap, plus buffers that grow with what the search
+    discovers. With a free arena large enough for the graph, [start]
+    costs O(deg target); otherwise it allocates a new one.
     @raise Invalid_argument if [source] or [target] is not a vertex. *)
 
 val release : t -> unit
 (** Ends the lease: the arena goes back to the calling domain, which
-    keeps at most one free arena for the next {!start}. Call it once
-    the last answer has been read (outcome, {!discovery_path}, ...).
-    An instance that is never released is simply collected, at the
-    cost of a fresh arena per {!start}. After [release], every
+    keeps at most one free arena for the next {!start}. Before that,
+    [release] clears what the query wrote, in O(deg target +
+    {!discovered_count}) — the order of the work the query already
+    did. Call it once the last answer has been read (outcome,
+    {!discovery_path}, ...). An instance that is never released is
+    simply collected, with its arena, at the cost of a fresh arena per
+    {!start}. After [release], every
     function of this module except [release] itself raises
     [Invalid_argument] on the instance; a second [release] is a
     no-op. Handle arrays obtained earlier stay valid. *)

@@ -12,47 +12,29 @@
     - [high_degree] — Adamic et al.'s degree-seeking greedy: always
       request from the highest-degree discovered vertex with an
       unexplored handle.
-    - [min_label_distance] — prefer vertices whose {e identity} is
-      numerically closest to the target's: the natural attempt to
-      exploit the label structure (identities are insertion times).
-    - [oldest_label] — prefer small identities: chase the old, highly
-      connected core first.
+    - ["min-label-dist"] (in {!weak_portfolio}) — prefer vertices
+      whose {e identity} is numerically closest to the target's: the
+      natural attempt to exploit the label structure (identities are
+      insertion times).
+    - ["oldest-label"] (in {!weak_portfolio}) — prefer small
+      identities: chase the old, highly connected core first.
 
     Strong-model strategies (request = full neighbourhood):
-    [strong_seq], [strong_random], [strong_high_degree],
-    [strong_min_label] — the same disciplines on whole-vertex
-    requests.
+    [strong_seq], ["s-rand"], [strong_high_degree], ["s-min-label"]
+    (the quoted ones reached through {!strong_portfolio}) — the same
+    disciplines on whole-vertex requests.
 
-    All of them are built from two generic combinators, exported for
-    writing new disciplines in examples and tests. *)
-
-val best_first :
-  name:string ->
-  description:string ->
-  score:(Oracle.t -> Oracle.vertex -> float) ->
-  Strategy.t
-(** Weak-model best-first search: repeatedly request the next useful
-    handle of the live discovered vertex maximising [score] (score is
-    read once, when the vertex is discovered). *)
-
-val strong_best_first :
-  name:string ->
-  description:string ->
-  score:(Oracle.t -> Oracle.vertex -> float) ->
-  Strategy.t
+    The best-first disciplines share one weak and one strong
+    best-first combinator, internal to this module. *)
 
 val bfs : Strategy.t
 val dfs : Strategy.t
 val random_edge : skip_known:bool -> Strategy.t
 val random_walk : Strategy.t
 val high_degree : Strategy.t
-val min_label_distance : Strategy.t
-val oldest_label : Strategy.t
 
 val strong_seq : Strategy.t
-val strong_random : Strategy.t
 val strong_high_degree : Strategy.t
-val strong_min_label : Strategy.t
 
 val strong_random_walk : Strategy.t
 (** The random walk in Adamic et al.'s cost model: every hop is one

@@ -577,48 +577,94 @@ let snapshot oracle outcome =
 
 let query_rng seed k = Rng.of_seed ((seed * 1000) + k)
 
-let run_query ~seed g strategy k (source, target) =
+let run_query ?obfuscate ~seed g strategy k (source, target) =
   let rng = query_rng seed k in
-  let oracle = Oracle.start ~rng strategy.Strategy.model g ~source ~target in
+  let oracle = Oracle.start ?obfuscate ~rng strategy.Strategy.model g ~source ~target in
   let outcome = Runner.run ~budget:(4 * Ugraph.n_vertices g) ~rng strategy oracle in
   (oracle, snapshot oracle outcome)
+
+(* What the reusing domain does before a query, besides the query:
+   nothing; start and run an oracle that is never released; or run a
+   search whose strategy raises after [k] requests, which
+   Runner.search's Fun.protect answers by releasing the oracle. *)
+type disturbance = Quiet | Leak | Raise_after of int
+
+exception Strategy_failed
+
+let raising_after k (strategy : Strategy.t) =
+  {
+    strategy with
+    Strategy.prepare =
+      (fun rng oracle ->
+        let next = strategy.Strategy.prepare rng oracle in
+        fun () -> if Oracle.requests oracle >= k then raise Strategy_failed else next ());
+  }
 
 let prop_arena_reuse_equivalence =
   (* a released arena serves the next query exactly as a fresh one
      would: the references run on a new domain that never releases, so
-     each of its oracles gets a new arena *)
+     each of its oracles gets a new arena. Vertex 1, the oldest and a
+     hub, is drawn often as source and target. *)
   let strategies =
     Array.of_list (Strategies.weak_portfolio () @ Strategies.strong_portfolio ())
   in
-  QCheck.Test.make ~name:"arena reuse = fresh oracle" ~count:40
+  let vertex = QCheck.Gen.(frequency [ (1, return 1); (3, int_range 1 200) ]) in
+  let disturbance =
+    QCheck.Gen.(
+      frequency [ (3, return Quiet); (1, return Leak); (1, map (fun k -> Raise_after k) (int_bound 40)) ])
+  in
+  let show_disturbance = function
+    | Quiet -> ""
+    | Leak -> " after a leak"
+    | Raise_after k -> Printf.sprintf " after a raise at %d" k
+  in
+  QCheck.Test.make ~name:"arena reuse = fresh oracle" ~count:60
     QCheck.(
       make
-        ~print:(fun (seed, cf, si, qs) ->
-          Printf.sprintf "seed=%d cf=%b strategy=%s queries=[%s]" seed cf
+        ~print:(fun ((seed, cf, obfuscate), si, qs) ->
+          Printf.sprintf "seed=%d cf=%b obfuscate=%b strategy=%s queries=[%s]" seed cf obfuscate
             strategies.(si).Strategy.name
-            (String.concat "; " (List.map (fun (s, t) -> Printf.sprintf "%d->%d" s t) qs)))
+            (String.concat "; "
+               (List.map
+                  (fun ((s, t), d) -> Printf.sprintf "%d->%d%s" s t (show_disturbance d))
+                  qs)))
         Gen.(
-          quad (int_bound 100_000) bool
+          triple
+            (triple (int_bound 100_000) bool bool)
             (int_bound (Array.length strategies - 1))
-            (list_size (int_range 1 6) (pair (int_range 1 200) (int_range 1 200)))))
-    (fun (seed, cf, si, qs) ->
+            (list_size (int_range 1 6) (pair (pair vertex vertex) disturbance))))
+    (fun ((seed, cf, obfuscate), si, qs) ->
       let rng = Rng.of_seed seed in
       let g =
         if cf then Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default ~n:150
         else Sf_gen.Mori.graph rng ~p:0.6 ~m:2 ~n:150
       in
       let n = Ugraph.n_vertices g in
-      let qs = List.map (fun (s, t) -> (1 + ((s - 1) mod n), 1 + ((t - 1) mod n))) qs in
+      let qs =
+        List.map (fun ((s, t), d) -> ((1 + ((s - 1) mod n), 1 + ((t - 1) mod n)), d)) qs
+      in
       let strategy = strategies.(si) in
       let fresh =
         Domain.join
           (Domain.spawn (fun () ->
-               List.mapi (fun k q -> snd (run_query ~seed g strategy k q)) qs))
+               List.mapi (fun k (q, _) -> snd (run_query ~obfuscate ~seed g strategy k q)) qs))
+      in
+      let disturb k (source, target) = function
+        | Quiet -> ()
+        | Leak -> ignore (run_query ~obfuscate ~seed:(seed + 1) g strategy k (target, source))
+        | Raise_after r -> (
+          match
+            Runner.search ~obfuscate ~rng:(query_rng (seed + 2) k) g (raising_after r strategy)
+              ~source:target ~target:source
+          with
+          | _ -> ()
+          | exception Strategy_failed -> ())
       in
       let reused =
         List.mapi
-          (fun k q ->
-            let oracle, snap = run_query ~seed g strategy k q in
+          (fun k (q, d) ->
+            disturb k q d;
+            let oracle, snap = run_query ~obfuscate ~seed g strategy k q in
             Oracle.release oracle;
             snap)
           qs
