@@ -93,7 +93,10 @@ let run_experiment id quick seed workers (obs : Obs_cli.t) =
     Option.iter Sf_obs.Progress.finish progress;
     if ok then 0 else 2
 
-let id_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Experiment id (T1..T14) or 'all'")
+let id_arg =
+  let ids = String.concat ", " (Sf_experiments.Registry.ids ()) in
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"ID"
+         ~doc:(Printf.sprintf "Experiment id (%s) or 'all'" ids))
 let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced problem sizes")
 let seed_arg = Arg.(value & opt int 20070615 & info [ "seed" ] ~doc:"Master seed")
 

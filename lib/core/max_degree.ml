@@ -1,7 +1,3 @@
-let predicted_exponent ~p =
-  if p <= 0. || p > 1. then invalid_arg "Max_degree.predicted_exponent: need 0 < p <= 1";
-  p
-
 let max_indegree_series rng ~p ~checkpoints =
   if checkpoints = [] then invalid_arg "Max_degree.max_indegree_series: no checkpoints";
   List.iter

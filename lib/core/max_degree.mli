@@ -4,9 +4,6 @@
     at most the maximum degree, so a [t^p]-ish max degree turns the
     weak √n bound into [n^(1/2 - p - ε)]. *)
 
-val predicted_exponent : p:float -> float
-(** [p] itself. *)
-
 val max_indegree_series :
   Sf_prng.Rng.t -> p:float -> checkpoints:int list -> (int * int) list
 (** Grow one Móri tree to the largest checkpoint and report

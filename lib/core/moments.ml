@@ -39,7 +39,3 @@ let expected_indegree_profile ~p ~t =
       let d_birth = if v = 1 then 1. else 0. in
       (a.(t) /. a.(birth) *. d_birth)
       +. ((1. -. p) *. a.(t) *. (s_sum.(t) -. s_sum.(birth))))
-
-let age_degree_exponent ~p =
-  check_p p "age_degree_exponent";
-  p

@@ -16,10 +16,6 @@
     Everything here is O(t) arithmetic, validated against simulation
     in the test suite. *)
 
-val total_weight : p:float -> t:int -> float
-(** [W_t], the normalising weight at the arrival of vertex [t]
-    (defined for [t >= 3]; the paper's process starts at t = 2). *)
-
 val expected_indegree : p:float -> v:int -> t:int -> float
 (** Exact [E\[indegree of v in G_t\]] for [1 <= v <= t]. Runs the
     recurrence from [v]'s birth (vertex 1 starts at time 2 with
@@ -28,7 +24,3 @@ val expected_indegree : p:float -> v:int -> t:int -> float
 val expected_indegree_profile : p:float -> t:int -> float array
 (** [a.(v-1) = E[d_t(v)]] for all vertices at once, O(t). The sum of
     the profile is exactly [t - 1] (one edge per arrival). *)
-
-val age_degree_exponent : p:float -> float
-(** The growth exponent of [E[d_t(v)] ~ C·(t/v)^p]: the mean-field
-    [p], which the exact recurrence approaches. *)

@@ -21,11 +21,6 @@ type statement = {
       (** named sub-checks; all true = statement verified here *)
 }
 
-val statements : statement list
-(** Theorem 1 (weak, merged, strong), Theorem 2, Lemmas 1–3, and the
-    two background laws the proofs use (max degree, degree power
-    law). *)
-
 type report = { statement : statement; results : (string * bool) list }
 
 val verify : seed:int -> report list

@@ -36,7 +36,6 @@ let zero = { num = 0L; den = 1L }
 let one = { num = 1L; den = 1L }
 
 let num t = t.num
-let den t = t.den
 
 let mul a b =
   (* cross-reduce before multiplying to keep intermediates small *)

@@ -23,8 +23,7 @@ val zero : t
 val one : t
 
 val num : t -> int64
-val den : t -> int64
-(** Always positive; [num]/[den] is in lowest terms. *)
+(** In lowest terms, over a positive denominator. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t

@@ -161,8 +161,6 @@ val exponent_fit : point list -> strategy:string -> Sf_stats.Regression.fit
 (** Log–log fit of [mean] against [n] for one strategy's points.
     @raise Invalid_argument with fewer than two sizes. *)
 
-val points_of_strategy : point list -> strategy:string -> point list
-
 val points_to_csv : point list -> string
 (** CSV export of a measurement grid (header: n, strategy, trials,
     mean, ci95, median, q90, timeouts, gave_up) — the bridge to

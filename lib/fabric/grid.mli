@@ -82,13 +82,8 @@ val sock_path : string -> string
 (** [DIR/fabric.sock] — the coordinator's default control socket. *)
 
 val mkdir_p : string -> unit
-val write_file_atomic : string -> string -> unit
 
 (** {1 Deterministic outputs} *)
-
-val outcomes_crc : (float * bool * bool) array -> int32
-(** CRC-32 of the canonical binary rendering of the full outcome
-    array — the digest the manifest pins. *)
 
 val write_outputs :
   dir:string ->

@@ -38,8 +38,8 @@ let spawn_exec argv =
   (* the child shares the parent's buffered stdio; flush so nothing is
      printed twice. Unix.create_process (posix_spawn underneath), not
      fork+exec: OCaml 5 forbids Unix.fork in any process that has ever
-     created a domain, and callers like bench/main.exe run pool work
-     before fanning out *)
+     created a domain, and a caller may have run pool work before
+     fanning out *)
   flush stdout;
   flush stderr;
   Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr

@@ -22,5 +22,3 @@ let generate rng ~n ~m =
     done
   done;
   Sf_graph.Ugraph.of_csr (Sf_graph.Csr.of_bigvecs ~n srcs dsts)
-
-let degree_exponent = 3.

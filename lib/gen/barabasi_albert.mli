@@ -16,6 +16,3 @@ val generate : Sf_prng.Rng.t -> n:int -> m:int -> Sf_graph.Ugraph.t
 (** [generate rng ~n ~m] grows the BA graph to [n] vertices with [m]
     edges per arrival. The seed is vertices [1, 2] joined by an edge.
     @raise Invalid_argument unless [n >= 2] and [m >= 1]. *)
-
-val degree_exponent : float
-(** The BA degree-distribution exponent, 3. *)

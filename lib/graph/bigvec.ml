@@ -50,8 +50,6 @@ let to_buf t =
   if t.len > 0 then Bigarray.Array1.blit (Bigarray.Array1.sub t.data 0 t.len) out;
   out
 
-let sub_view t = Bigarray.Array1.sub t.data 0 t.len
-
 let to_array t = Array.init t.len (fun i -> unsafe_get t i)
 
 let of_array a =

@@ -47,9 +47,5 @@ val iter : (int -> unit) -> t -> unit
 val to_buf : t -> buf
 (** The first [length] entries as a freshly allocated flat buffer. *)
 
-val sub_view : t -> buf
-(** The first [length] entries as a {e view} sharing storage with the
-    vector: O(1), invalidated by any later {!push} that reallocates. *)
-
 val to_array : t -> int array
 val of_array : int array -> t

@@ -23,12 +23,6 @@ val transposition : int -> int -> int -> t
 (** [transposition n u v] swaps [u] and [v], fixing the rest of
     [1..n]. *)
 
-val of_subrange_permutation : n:int -> lo:int -> images:int array -> t
-(** Permutation of [1..n] that fixes everything outside [lo .. lo+k-1]
-    and maps [lo+i] to [images.(i)], where [images] is a permutation of
-    the same window. Exactly the [σ ∈ S_V] of Lemma 2 with
-    [V = \[lo, lo+k-1\]]. *)
-
 val random_of_subrange : Sf_prng.Rng.t -> n:int -> lo:int -> hi:int -> t
 (** Uniform permutation of the window [lo..hi], fixing the rest. *)
 

@@ -20,10 +20,6 @@ let bfs_tree g ~source =
 
 let bfs_distances g ~source = fst (bfs_tree g ~source)
 
-let distance g ~src ~dst =
-  let dist = bfs_distances g ~source:src in
-  if dist.(dst - 1) < 0 then None else Some dist.(dst - 1)
-
 let shortest_path g ~src ~dst =
   let dist, parent = bfs_tree g ~source:src in
   if dist.(dst - 1) < 0 then None

@@ -10,17 +10,8 @@ val bfs_distances : Ugraph.t -> source:vertex -> int array
 (** [dist.(v-1)] is the hop distance from [source] to [v], or [-1] if
     unreachable. *)
 
-val bfs_tree : Ugraph.t -> source:vertex -> int array * int array
-(** [(dist, parent)] where [parent.(v-1)] is the BFS predecessor of [v]
-    ([0] for the source and unreachable vertices). *)
-
 val shortest_path : Ugraph.t -> src:vertex -> dst:vertex -> vertex list option
 (** Vertices of one shortest path, source first. *)
-
-val distance : Ugraph.t -> src:vertex -> dst:vertex -> int option
-
-val connected_components : Ugraph.t -> int array
-(** Component labels in [0 .. c-1] per vertex, by discovery order. *)
 
 val component_sizes : Ugraph.t -> int array
 

@@ -28,8 +28,6 @@ let degree t v =
   check_vertex t v "degree";
   Csr.degree t v
 
-let incident_count = degree
-
 let incident_nth t v i =
   check_vertex t v "incident_nth";
   Csr.incident_nth t v i

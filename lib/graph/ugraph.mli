@@ -56,9 +56,6 @@ val incident : t -> vertex -> int array
     {e freshly allocated} array. Prefer {!incident_nth} /
     {!iter_incident} on hot paths — they read the CSR row in place. *)
 
-val incident_count : t -> vertex -> int
-(** Same as {!degree}; named for symmetry with {!incident_nth}. *)
-
 val incident_nth : t -> vertex -> int -> int
 (** [incident_nth t v i] is the [i]-th incident edge id of [v],
     [0 <= i < degree t v], without allocating.

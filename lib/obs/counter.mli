@@ -10,8 +10,7 @@
     on the update path.
 
     Counters only ever grow ({!incr}, {!add} with a non-negative
-    delta); {!reset} exists for the harness between runs, not for
-    instrumented code. *)
+    delta); {!reset} exists for tests, not for instrumented code. *)
 
 type t
 
@@ -32,7 +31,7 @@ val value : t -> int
 (** Current count. *)
 
 val reset : t -> unit
-(** Back to zero — for the harness between runs. *)
+(** Back to zero — for tests. *)
 
 (** {1 Domain-local capture}
 

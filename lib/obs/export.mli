@@ -5,9 +5,9 @@
     wall time per phase (the {!Span} forest), and the value of every
     registered metric — written next to a run's human-readable tables
     so that regressions can be tracked across commits by diffing
-    manifests. [bench/main.exe --quick] does exactly that against the
-    committed [bench/baseline_quick.json] (names only, no timing
-    assertions). The schema is documented in [doc/OBSERVABILITY.md].
+    manifests. CI checks the manifest of [sfexp run all --quick]
+    against the committed [bench/baseline_quick.json] (names only, no
+    timing assertions). The schema is documented in [doc/OBSERVABILITY.md].
 
     JSON is rendered by hand, and read back with {!Json}: manifests
     are flat, machine-written documents, and this library must not
@@ -29,28 +29,11 @@ val metrics_csv : unit -> string
     {!Sf_stats.Csv.escape_field} (RFC 4180), so metric names containing
     commas or quotes round-trip through {!Sf_stats.Csv.parse}. *)
 
-val spans_json : unit -> string
-(** The completed span forest as a JSON array of
-    [{"name", "seconds", "children"}] trees. *)
-
 val manifest_json :
   ?extra:(string * string) list -> tool:string -> seed:int -> mode:string -> unit -> string
 (** The full run manifest. [extra] entries are [(key, raw_json)]
     pairs spliced verbatim into the top-level object — the caller is
     responsible for their JSON validity. *)
-
-val write_manifest :
-  ?extra:(string * string) list ->
-  tool:string ->
-  seed:int ->
-  mode:string ->
-  path:string ->
-  unit ->
-  unit
-(** {!manifest_json} written to [path] (truncating). The path ["-"]
-    writes the manifest to stdout instead — the [--metrics -] mode of
-    the tools, which lets a caller capture the manifest without a temp
-    file. *)
 
 val write_manifest_checked :
   ?extra:(string * string) list ->
@@ -60,7 +43,10 @@ val write_manifest_checked :
   path:string ->
   unit ->
   [ `Written | `Skipped_disabled | `Error of string ]
-(** The harness entry point behind [--metrics FILE]. When the registry
+(** {!manifest_json} written to [path] (truncating), the harness entry
+    point behind [--metrics FILE]. The path ["-"] writes the manifest
+    to stdout instead — the [--metrics -] mode of the tools, which lets
+    a caller capture the manifest without a temp file. When the registry
     is disabled ([--no-obs]) the manifest would be a near-empty husk —
     every value zero — so instead of writing one this warns on stderr
     and returns [`Skipped_disabled]. I/O failures come back as

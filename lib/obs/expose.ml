@@ -182,7 +182,7 @@ let stop l =
 
 (* --- manifest extras ----------------------------------------------- *)
 
-(* raw JSON values for Export.write_manifest ~extra; present in every
+(* raw JSON values for Export.write_manifest_checked ~extra; present in every
    manifest whether or not telemetry was on, so the shape checks can
    assert them unconditionally *)
 let manifest_extras ?listener () =

@@ -27,13 +27,6 @@ val render_prometheus_for : (string * Registry.metric) list -> string
     verbatim, histograms as summaries with [quantile] labels and
     [_sum]/[_count]. Unset gauges are omitted. *)
 
-val render_prometheus : unit -> string
-(** {!render_prometheus_for} over {!Registry.all}. *)
-
-val render_json : scrapes:int -> unit -> string
-(** One-line snapshot [{"ts":…,"scrapes":…,"metrics":{…}}] with
-    {!Export.metrics_json} as the payload. *)
-
 (** {1 The listener} *)
 
 type listener
@@ -66,6 +59,6 @@ val scrapes : listener -> int
 
 val manifest_extras : ?listener:listener -> unit -> (string * string) list
 (** [[("rss_peak_bytes", …); ("telemetry_scrapes", …)]] as raw-JSON
-    pairs for [Export.write_manifest ~extra] — present in every
+    pairs for [Export.write_manifest_checked ~extra] — present in every
     manifest (zero scrapes without a listener) so shape checks can
     assert them unconditionally. *)

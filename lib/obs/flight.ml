@@ -40,7 +40,6 @@ let events t =
       match t.buf.((first + i) mod t.capacity) with Some e -> e | None -> assert false)
 
 let arm t ~trigger ~action = t.armed <- Some { pred = trigger; action }
-let disarm t = t.armed <- None
 
 let dump ?(out = stderr) t =
   Printf.fprintf out "--- flight recorder: last %d of %d event(s)%s ---\n" (length t) t.seen

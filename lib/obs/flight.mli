@@ -43,8 +43,6 @@ val arm : t -> trigger:(Trace.event -> bool) -> action:(t -> unit) -> unit
     trigger then disarms itself — re-arm to fire again — so a
     gave-up storm dumps once, not per run. *)
 
-val disarm : t -> unit
-
 val dump : ?out:out_channel -> t -> unit
 (** Human-readable dump ({!Trace.event_to_line} per event) to [out]
     (default [stderr]), flushed. *)

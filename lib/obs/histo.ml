@@ -144,10 +144,3 @@ let quantile t q =
      with Stdlib.Exit -> ());
     !result
   end
-
-let reset t =
-  Array.fill t.counts 0 n_buckets 0;
-  t.count <- 0;
-  t.sum <- 0.;
-  t.min_v <- Float.nan;
-  t.max_v <- Float.nan

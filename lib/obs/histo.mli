@@ -58,8 +58,6 @@ val quantile : t -> float -> float
     estimate with relative error bounded by the bucket base. [nan]
     when empty. @raise Invalid_argument if [q] is outside [[0,1]]. *)
 
-val reset : t -> unit
-
 (** {1 Domain-local capture}
 
     Same contract as {!Counter.capture_begin} — see there for the full

@@ -1,7 +1,7 @@
 (** Live progress reporting for long harness runs: a single
     carriage-return-overwritten stderr line with per-phase counts,
     elapsed time and a linear-extrapolation ETA — the [--progress]
-    flag of [bench/main.exe] and [bin/sfsearch.exe].
+    flag of the [bin/*] tools.
 
     Display-only: nothing is registered in the metric registry and no
     trace events are emitted, so progress can stay on during [--no-obs]

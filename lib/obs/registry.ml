@@ -138,19 +138,6 @@ let all () =
         (fun name -> (name, Hashtbl.find table name))
         (List.sort compare !insertion_order))
 
-let reset_all () =
-  locked (fun () ->
-      Hashtbl.iter
-        (fun _ m ->
-          match m with
-          | Counter c -> Counter.reset c
-          | Timer t -> Timer.reset t
-          | Histo h -> Histo.reset h
-          | Gauge g ->
-            g.g_value <- 0.;
-            g.g_set <- false)
-        table)
-
 let clear () =
   locked (fun () ->
       Hashtbl.reset table;

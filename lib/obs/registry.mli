@@ -88,10 +88,6 @@ val find : string -> metric option
 val all : unit -> (string * metric) list
 (** Sorted by name. *)
 
-val reset_all : unit -> unit
-(** Zero every metric, keeping registrations — the harness calls this
-    between runs so manifests cover exactly one run. *)
-
 val clear : unit -> unit
 (** Forget all registrations. Only for tests: modules register their
     metrics at initialisation time and will not re-register. *)

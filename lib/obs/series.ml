@@ -32,7 +32,6 @@ let ring_create ~capacity =
   if capacity < 1 then invalid_arg "Series.ring_create: capacity must be >= 1";
   { r_capacity = capacity; r_ts = Array.make capacity 0.; r_v = Array.make capacity 0.; r_seen = 0 }
 
-let ring_capacity r = r.r_capacity
 let ring_seen r = r.r_seen
 let ring_length r = min r.r_seen r.r_capacity
 

@@ -36,7 +36,6 @@ val ring_create : capacity:int -> ring
 (** @raise Invalid_argument if [capacity < 1]. *)
 
 val ring_push : ring -> ts:float -> v:float -> unit
-val ring_capacity : ring -> int
 
 val ring_length : ring -> int
 (** Points currently retained (at most capacity). *)

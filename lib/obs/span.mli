@@ -8,16 +8,16 @@
     phase" section of the run manifest ({!Export.manifest_json}).
 
     State is a single implicit stack per process (the stack of the
-    currently-open spans), matching the single-threaded harness. Use
-    {!with_span} wherever possible; it is exception-safe. When the
-    registry is disabled ({!Registry.set_enabled}[ false]),
+    currently-open spans), matching the single-threaded harness. Spans
+    open and close only through {!with_span}, which is exception-safe.
+    When the registry is disabled ({!Registry.set_enabled}[ false]),
     {!with_span} runs its body without touching the clock or
     allocating.
 
-    Span boundaries feed the wider observability layer: each
-    {!enter}/{!leave} emits a [Begin]/[End] event to the {!Trace}
+    Span boundaries feed the wider observability layer: each span's
+    opening and closing emit a [Begin]/[End] event to the {!Trace}
     stream (rendered as nested slices by the Perfetto exporter) and
-    refreshes the {!Gc_sample} runtime gauges. *)
+    refresh the {!Gc_sample} runtime gauges. *)
 
 type t
 (** A {e completed} span. *)
@@ -29,13 +29,6 @@ val with_span : string -> (unit -> 'a) -> 'a
     forest is not touched — it belongs to the pool's caller — but the
     [Begin]/[End] event pair still reaches the stream, so the phase
     keeps its Perfetto slice (doc/PARALLELISM.md). *)
-
-val enter : string -> unit
-(** Open a span by hand. Every [enter] must be matched by a {!leave};
-    prefer {!with_span}. *)
-
-val leave : unit -> unit
-(** Close the innermost open span. Ignored when no span is open. *)
 
 (** {1 Reading the forest} *)
 

@@ -104,8 +104,3 @@ let stop t =
 let count t = t.count
 let total_s t = t.total
 let mean_s t = if t.count = 0 then 0. else t.total /. float_of_int t.count
-
-let reset t =
-  t.total <- 0.;
-  t.count <- 0;
-  t.started <- None

@@ -10,7 +10,7 @@
     standard library, so a harness that links one injects it with
     {!set_clock}; everything downstream — spans, manifests — then
     uses it. The harnesses do exactly that: [bin/obs_cli.ml] (all the
-    [bin/*] tools) and [bench/main.ml] install bechamel's
+    [bin/*] tools) installs bechamel's
     [clock_gettime(CLOCK_MONOTONIC)] stub at session start, so phase
     timings there never depend on [Unix.gettimeofday]. Timings are
     measurements, never test assertions, so library code running
@@ -49,8 +49,6 @@ val total_s : t -> float
 
 val mean_s : t -> float
 (** [total_s / count]; [0.] when nothing was recorded. *)
-
-val reset : t -> unit
 
 (** {1 Domain-local capture}
 

@@ -99,9 +99,6 @@ val attach : sink -> id
 val detach : id -> unit
 (** Remove the sink and call its [close]. Unknown ids are ignored. *)
 
-val detach_all : unit -> unit
-(** Detach and close every sink (harness shutdown path). *)
-
 val attached : unit -> int
 (** Number of attached sinks. *)
 

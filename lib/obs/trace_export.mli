@@ -28,25 +28,13 @@
     [.jsonl] streams, anything else (canonically [.json]) is
     Perfetto. *)
 
-val proc_arg : string -> string * Trace.arg
-(** [("proc", Str name)] — the arg that routes an event to track
-    [name]. *)
-
 val tag : proc:string -> Trace.event list -> Trace.event list
-(** Add {!proc_arg}[ proc] to every event that does not already carry
+(** Add [("proc", Str proc)] to every event that does not already carry
     a track tag (events relayed with their own tag keep it). *)
 
 val event_jsonl : Trace.event -> string
 (** One event as a single-line JSON object:
     [{"seq", "ts", "ph", "name", "value"?, "args"?}]. *)
-
-val jsonl_sink : ?close:(unit -> unit) -> out_channel -> Trace.sink
-(** Stream events to an open channel, one line each; [close] runs
-    after the final flush. The channel is not closed unless [close]
-    does so. *)
-
-val jsonl_file : string -> Trace.sink
-(** {!jsonl_sink} on a fresh file (truncating); detaching closes it. *)
 
 val perfetto_json : ?process:string -> Trace.event list -> string
 (** Pure rendering of an event list (e.g. a {!Flight} buffer) as a
@@ -56,9 +44,6 @@ val perfetto_json : ?process:string -> Trace.event list -> string
 val perfetto_sink : ?process:string -> (string -> unit) -> Trace.sink
 (** Buffering Perfetto sink; the callback receives the finished
     document exactly once, on detach. *)
-
-val perfetto_file : ?process:string -> string -> Trace.sink
-(** {!perfetto_sink} writing to [path] on detach (truncating). *)
 
 val merge_tracks : (string * Trace.event list) list -> Trace.event list
 (** Sequence-ordered merge of per-process event lists: each track is
@@ -72,10 +57,9 @@ val perfetto_of_tracks :
   ?process:string -> (string * Trace.event list) list -> string
 (** [perfetto_json ?process (merge_tracks tracks)]. *)
 
-val sink_for_path : ?process:string -> string -> Trace.sink
-(** [.jsonl] → {!jsonl_file}, anything else → {!perfetto_file}. *)
-
 val attach_file : ?process:string -> string -> Trace.id
-(** [Trace.attach (sink_for_path path)] — the [--trace FILE] flag.
-    [process] names the default Perfetto track (the tool: [server],
-    [load], [coordinator]...). *)
+(** The [--trace FILE] flag: attach a sink writing to [path]
+    (truncating). A [.jsonl] path streams one {!event_jsonl} line per
+    event; any other path gets the {!perfetto_sink} document when the
+    sink is detached. [process] names the default Perfetto track (the
+    tool: [server], [load], [coordinator]...). *)

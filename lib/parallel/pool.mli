@@ -67,14 +67,12 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val default_jobs : unit -> int
 (** The process default: {!set_default_jobs} if called, else a valid
-    [SCALEFREE_JOBS] environment variable, else {!recommended_jobs}.
+    [SCALEFREE_JOBS] environment variable, else
+    [Domain.recommended_domain_count ()] capped at 8: trial workloads
+    stop scaling well before the core count on big machines, and CI
+    runners overstate their parallelism.
     The resolution is sticky — the environment is read once. *)
 
 val set_default_jobs : int -> unit
 (** Set the process default ([--jobs] lands here).
     @raise Invalid_argument when [jobs < 1]. *)
-
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] capped at 8: trial workloads
-    stop scaling well before the core count on big machines, and CI
-    runners overstate their parallelism. *)

@@ -62,9 +62,6 @@ type file_comparison = {
 
 val files : policy -> base:Bench_file.t -> cand:Bench_file.t -> file_comparison
 
-val verdict_label : verdict -> string
-(** ["improved"], ["unchanged"], ["REGRESSED"]. *)
-
 val fmt_ns : float -> string
 (** Human time from nanoseconds: ["1.23 us"], ["4.56 ms"], … *)
 

@@ -1,9 +1,5 @@
 open Bechamel
 
-(* The microbenchmark definitions lived in bench/main.ml through PR 4;
-   they moved here unchanged so that `sfbench record` and the bench
-   harness time exactly the same closures. *)
-
 let tests ~quick =
   let scale n = if quick then n / 8 else n in
   let rng0 = Sf_prng.Rng.of_seed 1 in

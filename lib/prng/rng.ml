@@ -52,8 +52,6 @@ let split_at t i =
   let _, h = splitmix64_next (Int64.logxor mix (Int64.of_int i)) in
   of_int64_seed h
 
-let bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
-
 (* Uniform int in [0, bound) by rejection on the top 62 bits, so the
    result is exact for any bound representable as a positive int. *)
 let int t bound =

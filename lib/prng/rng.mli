@@ -17,9 +17,6 @@ val of_seed : int -> t
 (** [of_seed seed] creates a generator deterministically from [seed].
     Distinct seeds give streams that behave independently. *)
 
-val of_int64_seed : int64 -> t
-(** Same as {!of_seed} but accepts a full 64-bit seed. *)
-
 val split : t -> t
 (** [split t] draws entropy from [t] to create a fresh, statistically
     independent generator. [t] advances; the child shares no state. *)
@@ -35,9 +32,6 @@ val copy : t -> t
 
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
-
-val bits30 : t -> int
-(** 30 uniform bits as a non-negative [int] (portable across word sizes). *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound-1]. Unbiased (rejection

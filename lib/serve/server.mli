@@ -48,7 +48,7 @@ type t
 
 val create : ?backlog:int -> config -> listen:Wire.endpoint list -> t
 (** Bind every endpoint (unix paths go through
-    {!Sf_obs.Sock.claim_unix_path}: stale sockets reclaimed, live
+    {!Sf_obs.Sock.bind_unix}: stale sockets reclaimed, live
     sockets and non-socket paths refused), spawn the domain pool, and
     ignore SIGPIPE process-wide. The loop itself starts in {!run}.
     @raise Invalid_argument on an empty endpoint list or an

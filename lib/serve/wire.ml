@@ -107,8 +107,6 @@ type response =
   | Shutdown_ack of int
   | Error of { err_id : int; code : error_code; message : string }
 
-let request_id = function Search s -> s.id | Ping id | Stats id | Shutdown id -> id
-
 let response_id = function
   | Search_reply r -> r.sr_id
   | Pong id | Shutdown_ack id -> id
@@ -127,12 +125,6 @@ let error_code_of_int = function
   | 3 -> Some Bad_vertex
   | 4 -> Some Bad_request
   | _ -> None
-
-let error_code_to_string = function
-  | Bad_frame -> "bad-frame"
-  | Unknown_strategy -> "unknown-strategy"
-  | Bad_vertex -> "bad-vertex"
-  | Bad_request -> "bad-request"
 
 (* kind bytes: requests in 0x01-0x0F, responses in 0x11-0x1F *)
 let kind_search = 0x01

@@ -99,9 +99,7 @@ type response =
   | Shutdown_ack of int
   | Error of { err_id : int; code : error_code; message : string }
 
-val request_id : request -> int
 val response_id : response -> int
-val error_code_to_string : error_code -> string
 
 (** {1 Payload codec} *)
 

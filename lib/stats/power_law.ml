@@ -25,16 +25,6 @@ let tail_sample xs ~x_min =
   if Array.length tail = 0 then invalid_arg "Power_law: empty tail sample";
   tail
 
-let mle_alpha_approx xs ~x_min =
-  if x_min < 1 then invalid_arg "Power_law.mle_alpha_approx: need x_min >= 1";
-  let tail = tail_sample xs ~x_min in
-  let n = float_of_int (Array.length tail) in
-  let shift = float_of_int x_min -. 0.5 in
-  let log_sum =
-    Array.fold_left (fun acc x -> acc +. log (float_of_int x /. shift)) 0. tail
-  in
-  1. +. (n /. log_sum)
-
 (* Exact discrete MLE: maximise
    L(α) = -α Σ log x_i - n log ζ(α, x_min)
    by golden-section search; L is concave in α on (1, ∞). *)

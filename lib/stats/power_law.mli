@@ -24,11 +24,6 @@ val mle_alpha : int array -> x_min:int -> float
     continuous approximation is badly off.
     @raise Invalid_argument if no sample point reaches [x_min]. *)
 
-val mle_alpha_approx : int array -> x_min:int -> float
-(** The usual continuous approximation
-    [1 + n / Σ ln(x_i / (x_min - 1/2))] — cheap, and accurate only for
-    larger [x_min]; kept for comparison. *)
-
 val fit : int array -> x_min:int -> fit
 (** MLE exponent plus the KS distance between the empirical tail CDF
     and the fitted zeta model. *)

@@ -13,10 +13,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 with fewer than two points. *)
 
-val stddev : t -> float
-val std_error : t -> float
-(** Standard error of the mean. *)
-
 val min_value : t -> float
 val max_value : t -> float
 val total : t -> float
