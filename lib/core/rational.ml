@@ -31,11 +31,8 @@ let normalise num den =
   { num = Int64.div num g; den = Int64.div den g }
 
 let make num den = normalise num den
-let of_int i = { num = Int64.of_int i; den = 1L }
 let zero = { num = 0L; den = 1L }
 let one = { num = 1L; den = 1L }
-
-let num t = t.num
 
 let mul a b =
   (* cross-reduce before multiplying to keep intermediates small *)

@@ -11,19 +11,15 @@
     completed computation is a certificate. *)
 
 type t
-(** A normalised fraction. *)
+(** A normalised fraction: lowest terms, positive denominator. *)
 
 exception Overflow
 
 val make : int64 -> int64 -> t
 (** [make num den]. @raise Invalid_argument if [den = 0]. *)
 
-val of_int : int -> t
 val zero : t
 val one : t
-
-val num : t -> int64
-(** In lowest terms, over a positive denominator. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t

@@ -31,11 +31,6 @@ type spec = {
 type plan = { p_spec : spec; p_shards : (int * int) array }
 (** Contiguous [lo, hi) slices tiling [0, n_tasks) in order. *)
 
-val validate : spec -> unit
-(** @raise Invalid_argument on an unknown model or strategy, empty
-    sizes/strategies, or the {!Sf_core.Searchability.validate_grid}
-    failures. *)
-
 val core_spec : spec -> Sf_core.Searchability.spec
 val make_of_spec : spec -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int
 val strategies_of_spec : spec -> Sf_search.Strategy.t list
@@ -48,7 +43,10 @@ val rng_token : spec -> int64
 
 val make_plan : shards:int -> spec -> plan
 (** Validate and partition [0, n_tasks) into [min shards n_tasks]
-    near-equal contiguous slices. *)
+    near-equal contiguous slices.
+    @raise Invalid_argument on [shards < 1], an unknown model or
+    strategy, empty sizes/strategies, or the
+    {!Sf_core.Searchability.validate_grid} failures. *)
 
 (** {1 Plan persistence} *)
 

@@ -22,9 +22,6 @@ type msg =
           {!Relay}-encoded observability delta since the last relay *)
   | Quit
 
-val version : int
-(** [1]. *)
-
 val max_payload_default : int
 (** 64 MiB — [Done] bodies carry whole experiment outputs. *)
 

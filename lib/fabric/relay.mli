@@ -20,9 +20,6 @@ type batch = {
   r_counters : (string * int) list;  (** non-negative deltas *)
 }
 
-val version : int
-(** [1]. *)
-
 val encode : batch -> string
 (** Canonical bytes for a batch.
     @raise Invalid_argument on a negative counter delta. *)

@@ -10,7 +10,6 @@ let create_buf len : buf = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layo
 let create ?(capacity = 16) () = { data = create_buf (max 1 capacity); len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let check t i name =
   if i < 0 || i >= t.len then invalid_arg ("Bigvec." ^ name ^ ": index out of bounds")
@@ -38,21 +37,7 @@ let push t v =
   Bigarray.Array1.unsafe_set t.data t.len (Int32.of_int v);
   t.len <- t.len + 1
 
-let clear t = t.len <- 0
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (Int32.to_int (Bigarray.Array1.unsafe_get t.data i))
-  done
-
 let to_buf t =
   let out = create_buf t.len in
   if t.len > 0 then Bigarray.Array1.blit (Bigarray.Array1.sub t.data 0 t.len) out;
   out
-
-let to_array t = Array.init t.len (fun i -> unsafe_get t i)
-
-let of_array a =
-  let t = create ~capacity:(max 1 (Array.length a)) () in
-  Array.iter (push t) a;
-  t

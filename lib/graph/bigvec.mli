@@ -25,7 +25,6 @@ val create_buf : int -> buf
     length up front. *)
 
 val length : t -> int
-val is_empty : t -> bool
 
 val get : t -> int -> int
 (** @raise Invalid_argument if out of bounds. *)
@@ -41,11 +40,5 @@ val push : t -> int -> unit
 (** Amortised O(1) append (doubling growth).
     @raise Invalid_argument if the value exceeds 32 bits. *)
 
-val clear : t -> unit
-val iter : (int -> unit) -> t -> unit
-
 val to_buf : t -> buf
 (** The first [length] entries as a freshly allocated flat buffer. *)
-
-val to_array : t -> int array
-val of_array : int array -> t

@@ -26,13 +26,6 @@ let dst t id = get t.dsts id
 let check_vertex t v name =
   if not (mem_vertex t v) then invalid_arg ("Csr." ^ name ^ ": vertex out of range")
 
-let check_edge t id name =
-  if id < 0 || id >= t.m then invalid_arg ("Csr." ^ name ^ ": edge id out of range")
-
-let endpoints t id =
-  check_edge t id "endpoints";
-  (src t id, dst t id)
-
 let degree t v =
   check_vertex t v "degree";
   get t.inc_start v - get t.inc_start (v - 1)
@@ -49,13 +42,6 @@ let iter_incident t v f =
   for slot = get t.inc_start (v - 1) to get t.inc_start v - 1 do
     f (get t.inc slot)
   done
-
-let other_endpoint t ~edge_id v =
-  check_edge t edge_id "other_endpoint";
-  let s = src t edge_id and d = dst t edge_id in
-  if v = s then d
-  else if v = d then s
-  else invalid_arg "Csr.other_endpoint: vertex is not an endpoint"
 
 let iter_neighbors t v f =
   check_vertex t v "iter_neighbors";

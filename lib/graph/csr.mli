@@ -71,9 +71,6 @@ val src : t -> int -> vertex
 
 val dst : t -> int -> vertex
 
-val endpoints : t -> int -> vertex * vertex
-(** @raise Invalid_argument if the id is out of range. *)
-
 val degree : t -> vertex -> int
 (** Observable degree: incidence-row length (self-loop counts once). *)
 
@@ -83,7 +80,6 @@ val incident_nth : t -> vertex -> int -> int
 
 val iter_incident : t -> vertex -> (int -> unit) -> unit
 val iter_neighbors : t -> vertex -> (vertex -> unit) -> unit
-val other_endpoint : t -> edge_id:int -> vertex -> vertex
 
 val max_degree : t -> int
 (** O(n). *)

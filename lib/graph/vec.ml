@@ -31,26 +31,12 @@ let pop t =
 
 let clear t = t.len <- 0
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (Array.unsafe_get t.data i)
-  done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i (Array.unsafe_get t.data i)
-  done
-
 let fold f init t =
   let acc = ref init in
   for i = 0 to t.len - 1 do
     acc := f !acc (Array.unsafe_get t.data i)
   done;
   !acc
-
-let exists p t =
-  let rec go i = i < t.len && (p (Array.unsafe_get t.data i) || go (i + 1)) in
-  go 0
 
 let to_array t = Array.sub t.data 0 t.len
 let to_list t = Array.to_list (to_array t)

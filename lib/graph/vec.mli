@@ -20,11 +20,7 @@ val pop : t -> int
 (** Remove and return the last element. @raise Invalid_argument if empty. *)
 
 val clear : t -> unit
-val iter : (int -> unit) -> t -> unit
-val iteri : (int -> int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-val exists : (int -> bool) -> t -> bool
-val to_array : t -> int array
 val to_list : t -> int list
 val of_array : int array -> t
 val copy : t -> t

@@ -91,15 +91,18 @@ type listener = {
   mutable l_thread : Thread.t option;
 }
 
-let path l = l.l_path
 let scrapes l = l.l_scrapes
 
 let first_line s =
   match String.index_opt s '\n' with Some i -> Some (String.sub s 0 i) | None -> None
 
 (* Read until the first newline (the command line), EOF, 2 s of
-   silence, or 4096 bytes — whichever first. *)
+   silence, or 4096 bytes — whichever first. The silence is a receive
+   timeout, not a select: select cannot watch a descriptor at or above
+   FD_SETSIZE (1024), and a process holding that many (a full sfserve)
+   is just the one worth scraping. *)
 let read_command fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
   let acc = Buffer.create 32 in
   let chunk = Bytes.create 256 in
   let rec go () =
@@ -108,14 +111,12 @@ let read_command fd =
     | None ->
       if Buffer.length acc > 4096 then None
       else (
-        match Unix.select [ fd ] [] [] 2.0 with
-        | [], _, _ -> None
-        | _ -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> if Buffer.length acc > 0 then Some (Buffer.contents acc) else None
-          | n ->
-            Buffer.add_subbytes acc chunk 0 n;
-            go ()))
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> if Buffer.length acc > 0 then Some (Buffer.contents acc) else None
+        | n ->
+          Buffer.add_subbytes acc chunk 0 n;
+          go ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> None)
   in
   Option.map String.trim (go ())
 

@@ -47,8 +47,6 @@ val stop : listener -> unit
 (** Stop the accept loop (prompt: the loop polls at 200 ms), join its
     thread, close and unlink the socket. Idempotent. *)
 
-val path : listener -> string
-
 val scrapes : listener -> int
 (** Scrape commands served so far ([ping] and unknown commands do not
     count). This exact count feeds the [telemetry_scrapes] manifest

@@ -15,7 +15,6 @@ let create ?(capacity = 512) () =
   if capacity < 1 then invalid_arg "Flight.create: need capacity >= 1";
   { capacity; buf = Array.make capacity None; seen = 0; armed = None }
 
-let capacity t = t.capacity
 let seen t = t.seen
 let length t = min t.seen t.capacity
 let dropped t = max 0 (t.seen - t.capacity)

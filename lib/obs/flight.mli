@@ -33,8 +33,6 @@ val seen : t -> int
 val dropped : t -> int
 (** Events overwritten: [seen - capacity] when positive. *)
 
-val capacity : t -> int
-
 (** {1 Triggered dumps} *)
 
 val arm : t -> trigger:(Trace.event -> bool) -> action:(t -> unit) -> unit

@@ -22,8 +22,6 @@ let create ?(base = 2.0) () =
     max_v = Float.nan;
   }
 
-let base t = t.base
-
 (* Domain-local capture, same scheme as Counter: a capture gives each
    touched histogram a private shadow (same base, same bucket layout)
    that absorbs the observations; [apply] merges shadows into the

@@ -19,8 +19,6 @@ val create : ?base:float -> unit -> t
 (** [base] (default [2.0]) is the geometric bucket growth factor.
     @raise Invalid_argument if [base <= 1]. *)
 
-val base : t -> float
-
 val observe : t -> float -> unit
 (** Record one value. Values [<= 1] (including negatives) land in
     bucket 0. *)

@@ -130,15 +130,9 @@ let gauge_value g = g.g_value
 let gauge_set g = g.g_set
 
 let names () = locked (fun () -> List.sort compare !insertion_order)
-let find name = locked (fun () -> Hashtbl.find_opt table name)
 
 let all () =
   locked (fun () ->
       List.map
         (fun name -> (name, Hashtbl.find table name))
         (List.sort compare !insertion_order))
-
-let clear () =
-  locked (fun () ->
-      Hashtbl.reset table;
-      insertion_order := [])

@@ -83,11 +83,5 @@ type metric =
 val names : unit -> string list
 (** All registered names, sorted. *)
 
-val find : string -> metric option
-
 val all : unit -> (string * metric) list
 (** Sorted by name. *)
-
-val clear : unit -> unit
-(** Forget all registrations. Only for tests: modules register their
-    metrics at initialisation time and will not re-register. *)

@@ -130,7 +130,6 @@ let create ?(capacity = 600) ?(tick_s = 0.5) () =
     thread = None;
   }
 
-let tick_s t = t.tick_s
 let samples t = t.n_samples
 
 let ring_for t name =
@@ -177,8 +176,6 @@ let sample t =
           metrics;
         t.n_samples <- t.n_samples + 1)
   end
-
-let names t = locked t (fun () -> List.sort compare t.order)
 
 (* The only ring accessor: runs the reader under the collection lock.
    Handing a ring out of the lock would let callers race the sampler

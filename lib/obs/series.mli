@@ -91,13 +91,9 @@ val stop : t -> unit
     partial tick is covered. Idempotent. *)
 
 val running : t -> bool
-val tick_s : t -> float
 
 val samples : t -> int
 (** Snapshots taken so far (manual + ticked). *)
-
-val names : t -> string list
-(** All series names seen so far, sorted. *)
 
 val with_ring : t -> string -> (ring -> 'a) -> 'a option
 (** Run a reader under the collection lock; the only way to reach a

@@ -27,9 +27,6 @@ val child : t -> key:int -> t
 (** Same trace, fresh span: the receiving process derives its own span
     under key [key] (callers pick small distinct keys per stage). *)
 
-val mix : int -> int -> int
-(** The underlying mixer (exposed for tests): non-negative output. *)
-
 val to_hex : int -> string
 (** 16 lowercase hex digits, zero-padded — the rendering used in trace
     event args and docs. *)

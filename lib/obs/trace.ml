@@ -40,11 +40,6 @@ let detach id =
     sinks := List.filter (fun (i, _) -> i <> id) !sinks;
     sink.close ()
 
-let detach_all () =
-  let closing = !sinks in
-  sinks := [];
-  List.iter (fun (_, s) -> s.close ()) closing
-
 let attached () = List.length !sinks
 
 (* Domain-local capture (see Counter for the scheme): while a capture
@@ -114,7 +109,3 @@ let event_to_line e =
   in
   let value = match e.kind with Counter v -> Printf.sprintf " value=%.9g" v | _ -> "" in
   Printf.sprintf "#%d %.6f %s %s%s%s" e.seq e.ts (kind_tag e.kind) e.name value args
-
-let reset () =
-  detach_all ();
-  seq := 0

@@ -112,7 +112,3 @@ val arg_to_string : arg -> string
 
 val event_to_line : event -> string
 (** One human-readable line (the {!Flight} dump format). *)
-
-val reset : unit -> unit
-(** Detach all sinks and restart the sequence counter. Only for
-    tests. *)

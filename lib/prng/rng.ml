@@ -73,8 +73,6 @@ let int_in_range t ~lo ~hi =
 let unit_float t =
   Int64.to_float (Int64.shift_right_logical (int64 t) 11) *. 0x1.0p-53
 
-let float t bound = unit_float t *. bound
-
 let bool t = Int64.logand (int64 t) 1L = 1L
 
 let bernoulli t p =

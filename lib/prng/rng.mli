@@ -41,11 +41,8 @@ val int_in_range : t -> lo:int -> hi:int -> int
 (** [int_in_range t ~lo ~hi] is uniform on [lo, hi] inclusive.
     @raise Invalid_argument if [hi < lo]. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform on [0, bound) with 53-bit resolution. *)
-
 val unit_float : t -> float
-(** Uniform on [0, 1). *)
+(** Uniform on [0, 1) with 53-bit resolution. *)
 
 val bool : t -> bool
 (** Fair coin. *)

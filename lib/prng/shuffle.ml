@@ -11,11 +11,6 @@ let permutation rng n =
   in_place rng a;
   a
 
-let array rng a =
-  let b = Array.copy a in
-  in_place rng b;
-  b
-
 let sample_without_replacement rng ~k ~n =
   if k < 0 || k > n then invalid_arg "Shuffle.sample_without_replacement: need 0 <= k <= n";
   (* Floyd's algorithm: for j in n-k..n-1, insert a uniform value from

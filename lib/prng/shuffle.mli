@@ -6,9 +6,6 @@ val in_place : Rng.t -> 'a array -> unit
 val permutation : Rng.t -> int -> int array
 (** [permutation rng n] is a uniform permutation of [0 .. n-1]. *)
 
-val array : Rng.t -> 'a array -> 'a array
-(** Shuffled copy; the input is untouched. *)
-
 val sample_without_replacement : Rng.t -> k:int -> n:int -> int array
 (** [sample_without_replacement rng ~k ~n] draws [k] distinct values
     from [0 .. n-1], uniform over all k-subsets, in O(k) expected space

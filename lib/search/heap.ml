@@ -7,7 +7,6 @@ type t = {
 let create () = { prio = Array.make 16 0.; value = Array.make 16 0; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let swap t i j =
   let p = t.prio.(i) and v = t.value.(i) in

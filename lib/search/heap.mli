@@ -6,7 +6,6 @@ type t
 
 val create : unit -> t
 val length : t -> int
-val is_empty : t -> bool
 val push : t -> priority:float -> int -> unit
 
 val pop_max : t -> (float * int) option

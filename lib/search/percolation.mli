@@ -36,17 +36,9 @@ val replicate :
 (** Replica placement: the set of vertices visited by a random walk
     from [owner] (owner included), as a membership array. *)
 
-val query :
-  Sf_prng.Rng.t ->
-  Sf_graph.Ugraph.t ->
-  params ->
-  source:int ->
-  replicas:bool array ->
-  result
-(** Run the query phase from [source] against a replica set: seed walk,
-    then probabilistic flooding from every seed. Stops early on the
-    first replica hit or when the message budget is exhausted. *)
-
 val run :
   Sf_prng.Rng.t -> Sf_graph.Ugraph.t -> params -> source:int -> target:int -> result
-(** Replicate the target's content, then query from [source]. *)
+(** Replicate the target's content, then query from [source]: a seed
+    walk, then probabilistic flooding from every vertex it contacted.
+    Stops early on the first replica hit or when the message budget is
+    exhausted. *)

@@ -31,9 +31,4 @@ module Cursor = struct
     done;
     Hashtbl.replace cur v !i;
     if !i < len then Some hs.(!i) else None
-
-  let exhausted cur oracle v =
-    match Hashtbl.find_opt cur v with
-    | Some i -> i >= Array.length (Oracle.handles oracle v)
-    | None -> Array.length (Oracle.handles oracle v) = 0
 end

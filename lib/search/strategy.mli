@@ -40,7 +40,4 @@ module Cursor : sig
       permanently useless ones. Returns the same handle again until it
       is requested (usefulness is re-checked each call, since other
       requests may have revealed its endpoints in the meantime). *)
-
-  val exhausted : cursor -> Oracle.t -> Oracle.vertex -> bool
-  (** The cursor has passed the end of the vertex's handle list. *)
 end

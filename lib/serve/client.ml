@@ -42,28 +42,3 @@ let recv t = Wire.decode_response (recv_payload t)
 let call t req =
   send t req;
   recv t
-
-(* One traced search round trip: builds the request (deriving a trace
-   context from (seed, id) unless the caller supplies one), and — when
-   this process is tracing — emits a client.request span covering
-   send-to-receive, carrying the same trace id the server's stage
-   spans will carry.  Single-threaded callers only, like [call]. *)
-let search ?source ?target ?budget ?(stop_at_neighbor = false) ?ctx ~seed ~strategy t id =
-  let ctx =
-    match ctx with Some _ as c -> c | None -> Some (Sf_obs.Tctx.derive ~seed ~id)
-  in
-  let req =
-    Wire.Search { id; strategy; source; target; budget; stop_at_neighbor; ctx }
-  in
-  let t0 = Sf_obs.Timer.now_s () in
-  let resp = call t req in
-  if Sf_obs.Trace.active () then begin
-    let t1 = Sf_obs.Timer.now_s () in
-    let args =
-      ("id", Sf_obs.Trace.Int id)
-      :: (match ctx with Some c -> Sf_obs.Tctx.args c | None -> [])
-    in
-    Sf_obs.Trace.emit ~ts:t0 "client.request" Sf_obs.Trace.Begin ~args;
-    Sf_obs.Trace.emit ~ts:(Float.max t0 t1) "client.request" Sf_obs.Trace.End
-  end;
-  resp

@@ -33,21 +33,3 @@ val recv : t -> Wire.response
 
 val call : t -> Wire.request -> Wire.response
 (** [send] then [recv] — a synchronous round trip. *)
-
-val search :
-  ?source:int ->
-  ?target:int ->
-  ?budget:int ->
-  ?stop_at_neighbor:bool ->
-  ?ctx:Sf_obs.Tctx.t ->
-  seed:int ->
-  strategy:string ->
-  t ->
-  int ->
-  Wire.response
-(** One synchronous search for request id [i], carrying a trace
-    context ([ctx], or {!Sf_obs.Tctx.derive}[ ~seed ~id] when
-    omitted). When this process is tracing, a [client.request] span
-    covering the round trip is emitted with the same trace id the
-    server's [serve.stage.*] spans carry — the two process timelines
-    correlate in the merged Perfetto view. *)

@@ -11,8 +11,9 @@
    client disconnecting mid-frame just drops its connection, a
    well-framed garbage payload gets an error reply and the connection
    survives, an oversized or undersized frame length poisons the
-   stream and closes that one connection after an error reply — the
-   server outlives all of it. *)
+   stream and closes that one connection after an error reply, and a
+   connection beyond select's FD_SETSIZE is refused — the server
+   outlives all of it. *)
 
 module Rng = Sf_prng.Rng
 module Ugraph = Sf_graph.Ugraph
@@ -32,6 +33,7 @@ let c_replies = Registry.counter "serve.replies"
 let c_errors = Registry.counter "serve.protocol_errors"
 let c_rejected = Registry.counter "serve.rejected"
 let c_connections = Registry.counter "serve.connections"
+let c_refused = Registry.counter "serve.connections_refused"
 let c_batches = Registry.counter "serve.batches"
 let c_bytes_in = Registry.counter "serve.bytes_in"
 let c_bytes_out = Registry.counter "serve.bytes_out"
@@ -222,17 +224,18 @@ let flush_conn c =
         if c.c_close_after_flush then close_conn c
       end
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> close_conn c
+    | exception Unix.Unix_error _ -> close_conn c
   end
 
-(* EOF or a connection reset mid-frame is the client's prerogative —
-   drop the connection, keep serving everyone else *)
+(* EOF, a reset or any other socket error (ETIMEDOUT from an expired
+   TCP keepalive, say) ends that one connection; everyone else keeps
+   being served *)
 let read_conn c =
   match Frame.read c.c_in c.c_fd with
   | 0 -> close_conn c
   | n -> Counter.add c_bytes_in n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> close_conn c
+  | exception Unix.Unix_error _ -> close_conn c
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -419,9 +422,22 @@ let run_batch t batch =
 (* The event loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* select raises EINVAL for a whole set that holds any descriptor at or
+   above FD_SETSIZE (1024). A connection select cannot watch is closed
+   at once, so its client reads EOF, and counted; the loop never sees
+   its fd *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error _ -> false
+
 let accept_ready t lfd =
   let rec go () =
     match Unix.accept lfd with
+    | fd, _ when not (selectable fd) ->
+      Counter.incr c_refused;
+      Unix.close fd;
+      go ()
     | fd, _ ->
       Unix.set_nonblock fd;
       (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());

@@ -12,13 +12,16 @@
     identical replies — a client wanting independent trials varies the
     id.
 
-    {b Robustness.} A client disconnecting mid-frame loses only its
-    own connection. A well-framed but mutilated payload is answered
-    with an [Error] frame (code [bad-frame]) and the connection
-    survives. A frame whose declared length is outside the legal range
-    poisons the byte stream: the server answers once and closes that
-    connection. The [serve.*] metric catalogue is in
-    doc/OBSERVABILITY.md. *)
+    {b Robustness.} A client disconnecting mid-frame, or any other
+    socket error on one connection, loses only that connection. A
+    well-framed but mutilated payload is answered with an [Error] frame
+    (code [bad-frame]) and the connection survives. A frame whose
+    declared length is outside the legal range poisons the byte
+    stream: the server answers once and closes that connection. A
+    connection whose descriptor is beyond [select]'s limit
+    (FD_SETSIZE, 1024) is closed as soon as it is accepted, so its
+    client reads EOF, and counted in [serve.connections_refused]. The
+    [serve.*] metric catalogue is in doc/OBSERVABILITY.md. *)
 
 type config = {
   graph : Sf_graph.Ugraph.t;
@@ -75,6 +78,3 @@ val protocol_errors : t -> int
     counter tracks the same quantity as a metric). *)
 
 val connections_accepted : t -> int
-
-val strategy_names : t -> string list
-(** The request-addressable strategy portfolio, in dispatch order. *)

@@ -15,9 +15,6 @@
     bytes — what the determinism tests and [sfload]'s reply digest
     rely on. *)
 
-val version : int
-(** [1]. *)
-
 val max_payload_default : int
 (** Default per-frame payload cap (1 MiB): anything claiming to be
     larger is rejected at the framing layer before allocation. *)

@@ -254,18 +254,6 @@ let verify t =
          in
          (e, status))
 
-let remove t fp =
-  with_lock t (fun () ->
-      let present = Hashtbl.mem t.table fp in
-      if present then begin
-        drop_entry t fp;
-        rewrite_index t
-      end;
-      present)
-
-let flush t =
-  with_lock t (fun () -> match t.index_oc with Some oc -> flush oc | None -> ())
-
 let close t =
   with_lock t (fun () ->
       match t.index_oc with

@@ -87,12 +87,6 @@ val verify : t -> (entry * (unit, string) result) list
     An object of another format version reports
     ["unsupported format version v"]. *)
 
-val remove : t -> string -> bool
-(** Remove one entry by fingerprint; [false] if absent. *)
-
-val flush : t -> unit
-(** Flush the index channel (for tests that reopen the directory). *)
-
 val close : t -> unit
 (** Flush and close the index channel. Further use raises
     [Sys_error]. *)

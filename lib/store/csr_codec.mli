@@ -24,12 +24,6 @@
     same file, so content-addressing and the warm-read byte-identity
     contract of doc/STORAGE.md hold. *)
 
-val magic : string
-(** The 4-byte magic, ["SFGB"]. *)
-
-val version : int
-(** [2]. *)
-
 val file_bytes : n:int -> m:int -> inc_len:int -> int
 (** Exact on-disk size of a graph with these section dimensions. *)
 

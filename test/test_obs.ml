@@ -3,8 +3,8 @@
    semantics, and the JSON manifest round-trip.
 
    The registry is process-global and shared with the instrumented
-   libraries, so these tests use a reserved "test.obs." name prefix
-   and never call Registry.clear. *)
+   libraries and has no way to unregister a name, so these tests use a
+   reserved "test.obs." name prefix. *)
 
 module Counter = Sf_obs.Counter
 module Timer = Sf_obs.Timer

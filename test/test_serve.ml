@@ -518,6 +518,58 @@ let test_client_timeout_resumes_frame () =
               | Wire.Pong 6 -> ()
               | _ -> Alcotest.fail "expected Pong 6 after the timeout")))
 
+(* 1,100 clients from this one thread push the server's descriptors
+   past select's limit: the connections it cannot watch are closed at
+   once and counted, and everyone else is still served *)
+let test_connection_flood () =
+  let path = temp_sock () in
+  let server = Server.create (Server.config ~jobs:1 ~seed:5 graph) ~listen:[ Wire.Unix_path path ] in
+  let died = Atomic.make None in
+  let th =
+    Thread.create
+      (fun () -> try Server.run ~tick:0.01 server with e -> Atomic.set died (Some e))
+      ()
+  in
+  let refused = Counter.value (Registry.counter "serve.connections_refused") in
+  let clients = ref [] in
+  let alive () =
+    match Atomic.get died with
+    | None -> ()
+    | Some e -> Alcotest.failf "server thread died: %s" (Printexc.to_string e)
+  in
+  let flood () =
+    clients := Fds.open_up_to 1100 (fun () -> raw_connect path);
+    alive ();
+    if Fds.reached_limit !clients then begin
+      (* the newest client's server end was past the limit: EOF, not a hang *)
+      let last = List.hd !clients in
+      Unix.setsockopt_float last Unix.SO_RCVTIMEO 5.;
+      (match Unix.read last (Bytes.create 1) 0 1 with
+      | 0 -> ()
+      | _ -> Alcotest.fail "refused client read data"
+      | exception Unix.Unix_error (e, _, _) ->
+        (* EAGAIN here is the 5 s receive timeout: a hang *)
+        Alcotest.failf "refused client read %s, not EOF" (Unix.error_message e));
+      alive ();
+      Alcotest.(check bool) "refusals counted" true
+        (Counter.value (Registry.counter "serve.connections_refused") > refused)
+    end;
+    List.iter Unix.close !clients;
+    clients := [];
+    with_client path (fun c ->
+        match Client.call c (Wire.Ping 9) with
+        | Wire.Pong 9 -> ()
+        | _ -> Alcotest.fail "server should answer after the flood");
+    alive ()
+  in
+  let outcome = try Ok (flood ()) with e -> Error e in
+  List.iter Unix.close !clients;
+  Server.stop server;
+  Thread.join th;
+  (* a server that died mid-flood is the failure, whatever it broke *)
+  alive ();
+  match outcome with Ok () -> () | Error e -> raise e
+
 let test_socket_claim_lifecycle () =
   (* stale socket: a bound-then-abandoned path is reclaimed *)
   let path = temp_sock () in
@@ -810,4 +862,5 @@ let suite =
     ("load: config validation", `Quick, test_load_rejects_bad_config);
     ("ramp: brackets a capacity cliff", `Quick, test_ramp_brackets_capacity);
     ("ramp: edge cases and validation", `Quick, test_ramp_edge_cases);
+    ("robustness: connection flood past FD_SETSIZE", `Quick, test_connection_flood);
   ]

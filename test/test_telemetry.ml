@@ -431,6 +431,18 @@ let test_client_disconnect_mid_response () =
       Thread.delay 0.05;
       Alcotest.(check string) "server survives rude clients" "pong\n" (scrape path "ping"))
 
+(* A process holding more than FD_SETSIZE descriptors (a full sfserve)
+   still answers a scrape, whose socket is then past select's limit. *)
+let test_scrape_past_fd_setsize () =
+  with_listener "fds" (fun path _listener ->
+      let held = Fds.open_up_to 1100 (fun () -> Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0) in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close held)
+        (fun () ->
+          if Fds.reached_limit held then
+            Alcotest.(check string) "ping past FD_SETSIZE answers pong" "pong\n"
+              (scrape path "ping")))
+
 let test_manifest_extras () =
   let extras = Expose.manifest_extras () in
   Alcotest.(check bool) "rss_peak_bytes present" true
@@ -613,4 +625,5 @@ let suite =
     Alcotest.test_case "grid bytes identical with sampler" `Slow
       test_grid_identical_with_and_without_sampler;
     Alcotest.test_case "sigusr1 dumps the flight ring" `Quick test_sigusr1_dump;
+    Alcotest.test_case "scrape past FD_SETSIZE" `Quick test_scrape_past_fd_setsize;
   ]
