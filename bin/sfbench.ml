@@ -8,8 +8,7 @@
      sfbench gate --against bench/history/BENCH_0001.json --max-regression 10
 
    `gate` is the CI command: it exits non-zero on a confirmed
-   regression beyond the cap, a lost benchmark, or a quick/full mode
-   mismatch. *)
+   regression beyond the cap, a lost benchmark, or a mode mismatch. *)
 
 open Cmdliner
 
@@ -31,12 +30,6 @@ let default_date () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let read_file_or_die path =
   match Sf_perf.Bench_file.read ~path with
   | Ok f -> f
@@ -48,30 +41,35 @@ let read_file_or_die path =
 (* record                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let record quick seed repeats no_micro no_phases out commit date (obs : Obs_cli.t) =
+(* The full experiment registry [repeats] times on the default pool;
+   per experiment, the wall-clock ns of each pass, named "exp.<id>" and
+   sorted by name. Results and observability side effects are the
+   deterministic ones of Registry.run_all; only the timings vary. *)
+let run_phases ~quick ~seed ~repeats =
+  if repeats < 1 then invalid_arg "sfbench record: need --repeats >= 1";
+  let acc : (string, float list ref) Hashtbl.t = Hashtbl.create 32 in
+  for _ = 1 to repeats do
+    List.iter
+      (fun ((entry : Sf_experiments.Registry.entry), _result, dt) ->
+        let name = "exp." ^ entry.Sf_experiments.Registry.id in
+        match Hashtbl.find_opt acc name with
+        | Some cell -> cell := (dt *. 1e9) :: !cell
+        | None -> Hashtbl.add acc name (ref [ dt *. 1e9 ]))
+      (Sf_experiments.Registry.run_all ~quick ~seed Sf_experiments.Registry.all)
+  done;
+  Hashtbl.fold (fun name cell rows -> (name, Array.of_list (List.rev !cell)) :: rows) acc []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let record quick seed repeats out commit date (obs : Obs_cli.t) =
   let mode = if quick then "quick" else "full" in
   Obs_cli.with_session obs ~tool:"sfbench" ~seed ~mode @@ fun () ->
-  if no_micro && no_phases then failwith "--no-micro and --no-phases leave nothing to record";
   let commit = match commit with Some c -> c | None -> default_commit () in
   let date = match date with Some d -> d | None -> default_date () in
-  let micro =
-    if no_micro then []
-    else begin
-      Printf.eprintf "running %s microbenchmarks...\n%!" mode;
-      Sf_perf.Suite.run_micro ~quick ()
-    end
-  in
-  let phases =
-    if no_phases then []
-    else begin
-      Printf.eprintf "running experiment phases (%d repeat(s))...\n%!" repeats;
-      Sf_perf.Suite.run_phases ~quick ~seed ~repeats
-    end
-  in
+  Printf.eprintf "running experiment phases (%d repeat(s))...\n%!" repeats;
   let benchmarks =
     List.map
       (fun (name, samples) -> { Sf_perf.Bench_file.name; unit_label = "ns"; samples })
-      (micro @ phases)
+      (run_phases ~quick ~seed ~repeats)
   in
   let file =
     {
@@ -84,7 +82,7 @@ let record quick seed repeats no_micro no_phases out commit date (obs : Obs_cli.
       benchmarks;
     }
   in
-  mkdir_p out;
+  Sf_fabric.Grid.mkdir_p out;
   let index = Sf_perf.Bench_file.next_index ~dir:out in
   let path = Filename.concat out (Sf_perf.Bench_file.filename index) in
   Sf_perf.Bench_file.write ~path file;
@@ -98,7 +96,8 @@ let record quick seed repeats no_micro no_phases out commit date (obs : Obs_cli.
               [
                 b.Sf_perf.Bench_file.name;
                 string_of_int (Array.length b.Sf_perf.Bench_file.samples);
-                Sf_perf.Compare.fmt_ns (Sf_stats.Quantile.median b.Sf_perf.Bench_file.samples);
+                Sf_perf.Compare.fmt_value ~unit_label:b.Sf_perf.Bench_file.unit_label
+                  (Sf_stats.Quantile.median b.Sf_perf.Bench_file.samples);
               ])
             benchmarks)
        ());
@@ -194,8 +193,8 @@ let quick_arg =
     value & flag
     & info [ "quick" ]
         ~doc:
-          "Record in quick mode: 1/8 input sizes and shorter bechamel quotas. Quick and \
-           full recordings are never gated against each other")
+          "Time the experiments at their quick scale. Quick and full recordings are \
+           never gated against each other")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Master seed of the experiment phases")
 
@@ -204,12 +203,6 @@ let repeats_arg =
     value & opt int 3
     & info [ "repeats" ] ~docv:"N"
         ~doc:"Full experiment-registry passes; each pass contributes one phase sample")
-
-let no_micro_arg =
-  Arg.(value & flag & info [ "no-micro" ] ~doc:"Skip the bechamel microbenchmarks")
-
-let no_phases_arg =
-  Arg.(value & flag & info [ "no-phases" ] ~doc:"Skip the experiment phase timers")
 
 let out_arg =
   Arg.(
@@ -255,8 +248,8 @@ let record_cmd =
     (Cmd.info "record"
        ~doc:"run the benchmark suite and append a BENCH_<n>.json to the history")
     Term.(
-      const record $ quick_arg $ seed_arg $ repeats_arg $ no_micro_arg $ no_phases_arg
-      $ out_arg $ commit_arg $ date_arg $ Obs_cli.term)
+      const record $ quick_arg $ seed_arg $ repeats_arg $ out_arg $ commit_arg $ date_arg
+      $ Obs_cli.term)
 
 let compare_cmd =
   let base =
@@ -309,7 +302,7 @@ let gate_cmd =
     (Cmd.info "gate"
        ~doc:
          "fail (exit 1) if the candidate confirms a regression beyond the cap, lost a \
-          benchmark, or mixes quick/full modes")
+          benchmark, or mixes modes")
     Term.(
       const gate $ against $ candidate $ dir_arg $ max_regression $ noise_floor_arg
       $ alpha_arg)

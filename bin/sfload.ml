@@ -107,6 +107,8 @@ let run server requests rate connections concurrency mix target budget
   Obs_cli.with_session obs ~process:"load" ~extra:(fun () -> !extra) ~tool:"sfload" ~seed
     ~mode:(if ramp then "ramp" else "load")
   @@ fun () ->
+  (* a server that is not there, or goes away, is one line, not a crash *)
+  try
   if ramp then begin
     let code, kv =
       run_ramp ~server ~requests ~connections ~concurrency ~mix ~target ~budget
@@ -164,6 +166,10 @@ let run server requests rate connections concurrency mix target budget
     ];
   if o.Sf_serve.Load.o_errors > 0 || o.Sf_serve.Load.o_missing > 0 then 1 else 0
   end
+  with Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "sfload: %s: %s\n%!" (Sf_serve.Wire.endpoint_to_string server)
+      (Unix.error_message e);
+    1
 
 let server_arg =
   Arg.(

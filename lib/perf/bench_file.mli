@@ -1,11 +1,12 @@
 (** The versioned [BENCH_<n>.json] schema — one durable record of a
     benchmark run, the unit of the repo's performance trajectory.
 
-    A BENCH file stores the {e raw per-sample timing arrays} of every
-    microbenchmark and experiment phase ({!Suite}), not just their
-    means: the comparison engine ({!Compare}) needs whole samples for
-    the Mann–Whitney test and the bootstrap confidence intervals, and
-    a mean alone cannot be re-analysed once the run is gone.
+    A BENCH file stores the {e raw per-sample arrays} of every series
+    a run records (the experiment phase timers of [sfbench record],
+    the end-to-end metrics of [e2ebench/run.sh --record]), not just
+    their means: the comparison engine ({!Compare}) needs whole
+    samples for the Mann–Whitney test and the bootstrap confidence
+    intervals, and a mean alone cannot be re-analysed once the run is gone.
 
     Files live under [bench/history/] as [BENCH_0001.json],
     [BENCH_0002.json], …; committing them is what turns one-shot runs
@@ -30,8 +31,10 @@ type host = {
 }
 
 type benchmark = {
-  name : string;  (** e.g. ["sf/gen: mori tree t=8192 (T1)"] or ["exp.T1"] *)
-  unit_label : string;  (** always ["ns"] today; recorded for evolution *)
+  name : string;  (** e.g. ["exp.T1"] or ["e2e/serve_capped: setup_s"] *)
+  unit_label : string;
+      (** ["ns"] for times, ["bytes"] for sizes; every series is
+          lower-is-better *)
   samples : float array;  (** raw per-sample values, at least one *)
 }
 
@@ -41,7 +44,9 @@ type t = {
   host : host;
   jobs : int;
   seed : int;
-  mode : string;  (** ["quick"] or ["full"]; gates refuse to mix them *)
+  mode : string;
+      (** ["quick"], ["full"] or ["e2e"] (smoke and full e2e runs
+          alike); gates refuse to mix modes *)
   benchmarks : benchmark list;
 }
 

@@ -2,6 +2,7 @@ type verdict = Improved | Unchanged | Regressed
 
 type result = {
   name : string;
+  unit_label : string;
   base_median : float;
   cand_median : float;
   change_pct : float;
@@ -41,7 +42,14 @@ let bootstrap_median_ci policy xs =
       Sf_stats.Quantile.quantile medians ~q:0.975 )
   end
 
-let samples policy ~name ~base ~cand =
+(* The smallest p-value Mann–Whitney can give samples of these sizes:
+   the one of a complete separation, every [cand] above every [base]. *)
+let min_p ~n_base ~n_cand =
+  snd
+    (Sf_stats.Tests.mann_whitney_u (Array.init n_base float_of_int)
+       (Array.init n_cand (fun i -> float_of_int (n_base + i))))
+
+let samples policy ~unit_label ~name ~base ~cand =
   if Array.length base = 0 || Array.length cand = 0 then
     invalid_arg "Compare.samples: empty sample";
   let base_median = Sf_stats.Quantile.median base in
@@ -54,7 +62,12 @@ let samples policy ~name ~base ~cand =
   let base_ci = bootstrap_median_ci policy base in
   let cand_ci = bootstrap_median_ci policy cand in
   let u, p = Sf_stats.Tests.mann_whitney_u base cand in
-  let significant = p < policy.alpha in
+  (* samples too short to ever clear alpha drop the test, or a
+     3-sample series could never flag *)
+  let significant =
+    p < policy.alpha
+    || min_p ~n_base:(Array.length base) ~n_cand:(Array.length cand) >= policy.alpha
+  in
   let base_lo, base_hi = base_ci in
   let cand_lo, cand_hi = cand_ci in
   let verdict =
@@ -63,7 +76,7 @@ let samples policy ~name ~base ~cand =
       Improved
     else Unchanged
   in
-  { name; base_median; cand_median; change_pct; base_ci; cand_ci; u; p; verdict }
+  { name; unit_label; base_median; cand_median; change_pct; base_ci; cand_ci; u; p; verdict }
 
 type file_comparison = {
   results : result list;
@@ -77,7 +90,8 @@ let files policy ~base ~cand =
       (fun (b : Bench_file.benchmark) ->
         Bench_file.find cand b.name
         |> Option.map (fun (c : Bench_file.benchmark) ->
-               samples policy ~name:b.name ~base:b.samples ~cand:c.samples))
+               samples policy ~unit_label:b.unit_label ~name:b.name ~base:b.samples
+                 ~cand:c.samples))
       base.Bench_file.benchmarks
   in
   let only_base =
@@ -100,6 +114,12 @@ let fmt_ns ns =
   else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
   else Printf.sprintf "%.0f ns" ns
 
+let fmt_value ~unit_label v =
+  match unit_label with
+  | "ns" -> fmt_ns v
+  | "bytes" -> Printf.sprintf "%.2f MB" (v /. 1048576.)
+  | u -> Printf.sprintf "%.4g %s" v u
+
 let render results =
   Sf_stats.Table.render
     ~aligns:
@@ -113,8 +133,8 @@ let render results =
          (fun r ->
            [
              r.name;
-             fmt_ns r.base_median;
-             fmt_ns r.cand_median;
+             fmt_value ~unit_label:r.unit_label r.base_median;
+             fmt_value ~unit_label:r.unit_label r.cand_median;
              Printf.sprintf "%+.1f%%" r.change_pct;
              Printf.sprintf "%.3f" r.p;
              verdict_label r.verdict;

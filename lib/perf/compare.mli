@@ -16,12 +16,20 @@
     intervals are disjoint. A <2 % drift therefore never flags, no
     matter how statistically "significant" a large sample makes it —
     the noise floor is a magnitude requirement, not a confidence
-    one. *)
+    one.
+
+    Short series cannot clear [alpha] at all: two 3-run samples give
+    p ≥ 0.08 even when every candidate run is slower than every
+    baseline run. When the two sample sizes cannot reach [p < alpha],
+    the Mann–Whitney condition is dropped and the verdict rests on
+    the other two; at 3 runs a side, disjoint intervals mean every
+    candidate run lies beyond every baseline run. *)
 
 type verdict = Improved | Unchanged | Regressed
 
 type result = {
   name : string;
+  unit_label : string;  (** the baseline series' unit, see {!fmt_value} *)
   base_median : float;
   cand_median : float;
   change_pct : float;  (** [(cand/base - 1) * 100]; positive = slower *)
@@ -50,8 +58,9 @@ val bootstrap_median_ci : policy -> float array -> float * float
     single-sample array collapses to a point interval.
     @raise Invalid_argument on an empty array. *)
 
-val samples : policy -> name:string -> base:float array -> cand:float array -> result
-(** Compare two raw sample arrays (same unit).
+val samples :
+  policy -> unit_label:string -> name:string -> base:float array -> cand:float array -> result
+(** Compare two raw sample arrays of the same unit.
     @raise Invalid_argument if either is empty. *)
 
 type file_comparison = {
@@ -62,8 +71,10 @@ type file_comparison = {
 
 val files : policy -> base:Bench_file.t -> cand:Bench_file.t -> file_comparison
 
-val fmt_ns : float -> string
-(** Human time from nanoseconds: ["1.23 us"], ["4.56 ms"], … *)
+val fmt_value : unit_label:string -> float -> string
+(** A value in its unit: ["ns"] as human time (["1.23 us"],
+    ["4.56 ms"], …), ["bytes"] as MB (["44.76 MB"]), any other unit
+    as the number followed by its label. *)
 
 val render : result list -> string
 (** One table row per result: medians, change, p-value, verdict. *)

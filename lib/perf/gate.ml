@@ -62,7 +62,9 @@ let render o =
     (fun (r : Compare.result) ->
       Buffer.add_string b
         (Printf.sprintf "FAIL: %s regressed %+.1f%% (%s -> %s, p=%.4f)\n" r.name r.change_pct
-           (Compare.fmt_ns r.base_median) (Compare.fmt_ns r.cand_median) r.p))
+           (Compare.fmt_value ~unit_label:r.unit_label r.base_median)
+           (Compare.fmt_value ~unit_label:r.unit_label r.cand_median)
+           r.p))
     o.failures;
   Buffer.add_string b
     (if passed o then "perf gate: PASS\n" else "perf gate: FAIL\n");

@@ -5,14 +5,14 @@
     non-zero — when any of these hold:
 
     - a benchmark is a {e confirmed} regression ({!Compare.verdict} is
-      [Regressed]: beyond the noise floor, Mann–Whitney-significant,
-      disjoint bootstrap CIs) {e and} its median slowdown exceeds
-      [max_regression_pct];
+      [Regressed]: beyond the noise floor, Mann–Whitney-significant
+      where the sample sizes allow it, disjoint bootstrap CIs) {e and}
+      its median slowdown exceeds [max_regression_pct];
     - a benchmark recorded in the baseline is missing from the
       candidate (a lost benchmark is a lost instrument, the same rule
       the manifest shape check applies to metric names);
-    - the two files were recorded in different modes (quick vs full
-      timings are not comparable).
+    - the two files were recorded in different modes ([quick], [full]
+      and [e2e] timings are not comparable).
 
     Host differences do {e not} fail the gate — CI baselines are
     routinely recorded on other machines — but they are reported, and

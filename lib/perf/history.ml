@@ -52,11 +52,15 @@ let trend_table entries =
         let change =
           if first > 0. then ((last /. first) -. 1.) *. 100. else 0.
         in
+        let unit_label =
+          List.find_map (fun e -> Bench_file.find e.file name) entries
+          |> Option.fold ~none:"ns" ~some:(fun (b : Bench_file.benchmark) -> b.unit_label)
+        in
         [
           name;
           string_of_int (List.length points);
-          Compare.fmt_ns first;
-          Compare.fmt_ns last;
+          Compare.fmt_value ~unit_label first;
+          Compare.fmt_value ~unit_label last;
           Printf.sprintf "%+.1f%%" change;
           sparkline medians;
         ])

@@ -11,9 +11,10 @@
    client disconnecting mid-frame just drops its connection, a
    well-framed garbage payload gets an error reply and the connection
    survives, an oversized or undersized frame length poisons the
-   stream and closes that one connection after an error reply, and a
-   connection beyond select's FD_SETSIZE is refused — the server
-   outlives all of it. *)
+   stream and closes that one connection after an error reply, a
+   connection beyond select's FD_SETSIZE is refused, and a full
+   descriptor table pauses accepting until a connection closes — the
+   server outlives all of it. *)
 
 module Rng = Sf_prng.Rng
 module Ugraph = Sf_graph.Ugraph
@@ -123,6 +124,10 @@ type t = {
   mutable served : int;
   mutable errors : int;
   mutable accepted : int;
+  (* accept failed for want of descriptors (EMFILE/ENFILE); the
+     listeners stay readable with their backlog, so selecting on them
+     would spin. They rejoin the select set once a connection closes *)
+  mutable accept_paused : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -170,6 +175,7 @@ let create ?(backlog = 64) cfg ~listen =
     served = 0;
     errors = 0;
     accepted = 0;
+    accept_paused = false;
   }
 
 let endpoints t = List.map snd t.listeners
@@ -455,12 +461,13 @@ let accept_ready t lfd =
         :: t.conns;
       go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> t.accept_paused <- true
     | exception Unix.Unix_error _ -> ()
   in
   go ()
 
 let step t ~timeout =
-  let listener_fds = List.map fst t.listeners in
+  let listener_fds = if t.accept_paused then [] else List.map fst t.listeners in
   let conn_fds = List.filter_map (fun c -> if c.c_alive then Some c.c_fd else None) t.conns in
   let wfds = List.filter_map (fun c -> if pending_out c then Some c.c_fd else None) t.conns in
   match Unix.select (listener_fds @ conn_fds) wfds [] timeout with
@@ -477,6 +484,8 @@ let step t ~timeout =
        connection with output pending — including output the batch
        created after the select returned *)
     List.iter (fun c -> if pending_out c then flush_conn c) t.conns;
+    if t.accept_paused && List.exists (fun c -> not c.c_alive) t.conns then
+      t.accept_paused <- false;
     Registry.set_gauge g_conns
       (float_of_int (List.length (List.filter (fun c -> c.c_alive) t.conns)));
     t.conns <- List.filter (fun c -> c.c_alive) t.conns;

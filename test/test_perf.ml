@@ -210,7 +210,7 @@ let test_bootstrap_ci () =
 let test_compare_identical_unchanged () =
   let rng = Rng.of_seed 7 in
   let xs = jittered rng ~center:1000. ~spread:0.05 ~n:50 in
-  let r = Compare.samples policy ~name:"x" ~base:xs ~cand:(Array.copy xs) in
+  let r = Compare.samples policy ~unit_label:"ns" ~name:"x" ~base:xs ~cand:(Array.copy xs) in
   Alcotest.(check bool) "identical samples are unchanged" true
     (r.Compare.verdict = Compare.Unchanged);
   Alcotest.(check (float 1e-9)) "zero change" 0. r.Compare.change_pct;
@@ -223,7 +223,7 @@ let test_compare_regression_detected () =
   let rng = Rng.of_seed 11 in
   let base = jittered rng ~center:1000. ~spread:0.05 ~n:50 in
   let cand = jittered rng ~center:1500. ~spread:0.05 ~n:50 in
-  let r = Compare.samples policy ~name:"slow" ~base ~cand in
+  let r = Compare.samples policy ~unit_label:"ns" ~name:"slow" ~base ~cand in
   Alcotest.(check bool)
     (Printf.sprintf "50%% slowdown flags (p=%.4g, change=%+.1f%%)" r.Compare.p
        r.Compare.change_pct)
@@ -237,7 +237,7 @@ let test_compare_improvement_detected () =
   let rng = Rng.of_seed 13 in
   let base = jittered rng ~center:1500. ~spread:0.05 ~n:50 in
   let cand = jittered rng ~center:1000. ~spread:0.05 ~n:50 in
-  let r = Compare.samples policy ~name:"fast" ~base ~cand in
+  let r = Compare.samples policy ~unit_label:"ns" ~name:"fast" ~base ~cand in
   Alcotest.(check bool) "speedup flags as improved" true
     (r.Compare.verdict = Compare.Improved);
   Alcotest.(check bool) "change near -33%" true
@@ -250,7 +250,7 @@ let test_noise_floor_suppresses_small_drift () =
   let rng = Rng.of_seed 17 in
   let base = jittered rng ~center:1000. ~spread:0.002 ~n:200 in
   let cand = jittered rng ~center:1010. ~spread:0.002 ~n:200 in
-  let r = Compare.samples policy ~name:"drift" ~base ~cand in
+  let r = Compare.samples policy ~unit_label:"ns" ~name:"drift" ~base ~cand in
   Alcotest.(check bool)
     (Printf.sprintf "p=%.2e yet verdict stays unchanged" r.Compare.p)
     true
@@ -269,14 +269,38 @@ let test_compare_files_set_difference () =
   Alcotest.(check (list string)) "only base" [ "lost" ] c.Compare.only_base;
   Alcotest.(check (list string)) "only cand" [ "new" ] c.Compare.only_cand
 
+let test_short_series_can_regress () =
+  (* two 3-run samples cannot reach p < 0.01, so the verdict rests on
+     the noise floor and disjoint intervals: every candidate run beyond
+     every baseline run flags, one overlapping run does not *)
+  let base = [| 100.; 104.; 110. |] in
+  let vs cand = Compare.samples policy ~unit_label:"ns" ~name:"short" ~base ~cand in
+  let r = vs (Array.map (( *. ) 3.) base) in
+  Alcotest.(check bool) (Printf.sprintf "p=%.3f above alpha" r.Compare.p) true
+    (r.Compare.p > policy.Compare.alpha);
+  Alcotest.(check bool) "x3 on 3 runs flags" true (r.Compare.verdict = Compare.Regressed);
+  Alcotest.(check bool) "an overlapping run keeps it unchanged" true
+    ((vs [| 105.; 300.; 330. |]).Compare.verdict = Compare.Unchanged);
+  Alcotest.(check bool) "a 3-run speedup flags" true
+    ((vs (Array.map (( *. ) 0.3) base)).Compare.verdict = Compare.Improved)
+
 let test_render_mentions_verdicts () =
   let rng = Rng.of_seed 23 in
   let base = jittered rng ~center:1000. ~spread:0.05 ~n:50 in
   let cand = jittered rng ~center:1500. ~spread:0.05 ~n:50 in
-  let r = Compare.samples policy ~name:"hot path" ~base ~cand in
+  let r = Compare.samples policy ~unit_label:"ns" ~name:"hot path" ~base ~cand in
   let table = Compare.render [ r ] in
   Alcotest.(check bool) "names the benchmark" true (contains ~needle:"hot path" table);
-  Alcotest.(check bool) "shouts the regression" true (contains ~needle:"REGRESSED" table)
+  Alcotest.(check bool) "shouts the regression" true (contains ~needle:"REGRESSED" table);
+  (* a memory series prints in MB, not as a time *)
+  let mb = 1048576. in
+  let r =
+    Compare.samples policy ~unit_label:"bytes" ~name:"rss_peak_mb"
+      ~base:[| 44.76 *. mb; 44.76 *. mb |] ~cand:[| 45.5 *. mb; 45.5 *. mb |]
+  in
+  let table = Compare.render [ r ] in
+  Alcotest.(check bool) "bytes print as MB" true (contains ~needle:"44.76 MB" table);
+  Alcotest.(check bool) "not as a time" false (contains ~needle:" ms" table)
 
 (* --- Gate ----------------------------------------------------------------- *)
 
@@ -403,11 +427,43 @@ let test_sparkline () =
 (* dune runtest runs from _build/default/test (where the committed
    history is a declared dep one level up); dune exec from the project
    root — probe both so either invocation works *)
-let baseline_path =
-  let candidates = [ "../bench/history/BENCH_0002.json"; "bench/history/BENCH_0002.json" ] in
+let history_file name =
+  let candidates = [ "../bench/history/" ^ name; "bench/history/" ^ name ] in
   match List.find_opt Sys.file_exists candidates with
   | Some p -> p
   | None -> List.hd candidates
+
+let baseline_path = history_file "BENCH_0002.json"
+
+(* The two baselines CI gates, at CI's cap: each passes against
+   itself and fails on a x3 of any one series, a lost series, and a
+   mode mix. *)
+let test_ci_baselines_can_fail () =
+  let ci_policy = { Gate.default_policy with Gate.max_regression_pct = 100. } in
+  List.iter
+    (fun file ->
+      match Bench_file.read ~path:(history_file file) with
+      | Error msg -> Alcotest.failf "%s invalid: %s" file msg
+      | Ok base ->
+        let gate cand = Gate.passed (Gate.run ci_policy ~base ~cand) in
+        Alcotest.(check bool) (file ^ " passes against itself") true (gate base);
+        List.iter
+          (fun (b : Bench_file.benchmark) ->
+            let slowed =
+              List.map
+                (fun (c : Bench_file.benchmark) ->
+                  if c.name = b.name then { c with samples = Array.map (( *. ) 3.) c.samples }
+                  else c)
+                base.benchmarks
+            in
+            Alcotest.(check bool) (Printf.sprintf "%s: x3 %s fails" file b.name) false
+              (gate { base with benchmarks = slowed }))
+          base.benchmarks;
+        Alcotest.(check bool) (file ^ ": a lost series fails") false
+          (gate { base with benchmarks = List.tl base.benchmarks });
+        Alcotest.(check bool) (file ^ ": a mode mix fails") false
+          (gate { base with mode = base.mode ^ "-other" }))
+    [ "BENCH_0005.json"; "BENCH_0006.json" ]
 
 let test_committed_baseline_valid () =
   match Bench_file.read ~path:baseline_path with
@@ -461,4 +517,6 @@ let suite =
     ("sparkline", `Quick, test_sparkline);
     ("committed baseline valid", `Quick, test_committed_baseline_valid);
     ("committed baseline renders", `Quick, test_committed_baseline_renders);
+    ("short series can regress", `Quick, test_short_series_can_regress);
+    ("CI baselines can fail", `Quick, test_ci_baselines_can_fail);
   ]
