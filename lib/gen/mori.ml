@@ -35,29 +35,34 @@ let grow rng ~p ~t ~a ~b =
       ~args:[ ("t", Sf_obs.Trace.Int t); ("p", Sf_obs.Trace.Float p) ];
   let dsts = Bigvec.create ~capacity:(max 16 (t - 1)) () in
   Bigvec.push dsts 1;
+  let pref_steps = ref 0 in
   for k = 3 to t do
     let window = if k > a && k <= b then a else k - 1 in
     let pref_mass = p *. float_of_int (k - 2) in
-    let unif_mass = (1. -. p) *. float_of_int window in
     let father =
-      if Rng.unit_float rng *. (pref_mass +. unif_mass) < pref_mass then begin
-        if obs then Sf_obs.Counter.incr obs_pref_steps;
+      if Rng.unit_float rng *. (pref_mass +. ((1. -. p) *. float_of_int window)) < pref_mass
+      then begin
+        incr pref_steps;
         Bigvec.unsafe_get dsts (Rng.int rng (Bigvec.length dsts))
       end
-      else begin
-        if obs then Sf_obs.Counter.incr obs_unif_steps;
-        1 + Rng.int rng window
-      end
+      else 1 + Rng.int rng window
     in
-    if obs then Sf_obs.Histo.observe_int obs_father_age father;
+    Bigvec.push dsts father;
     if tracing && k mod checkpoint_every = 0 then
       Sf_obs.Trace.instant "gen.mori.checkpoint"
         ~args:
-          [ ("vertices", Sf_obs.Trace.Int k); ("last_father", Sf_obs.Trace.Int father) ];
-    Bigvec.push dsts father
+          [ ("vertices", Sf_obs.Trace.Int k); ("last_father", Sf_obs.Trace.Int father) ]
   done;
   if tracing then Sf_obs.Trace.emit "gen.mori.grow" Sf_obs.Trace.End;
   if obs then begin
+    (* the step counters are bumped once and the father-age histogram
+       is filled from the finished buffer, in arrival order, so the
+       growth loop carries no metric updates *)
+    Sf_obs.Counter.add obs_pref_steps !pref_steps;
+    Sf_obs.Counter.add obs_unif_steps (t - 2 - !pref_steps);
+    for j = 1 to Bigvec.length dsts - 1 do
+      Sf_obs.Histo.observe_int obs_father_age (Bigvec.unsafe_get dsts j)
+    done;
     Sf_obs.Counter.add obs_vertices t;
     Sf_obs.Timer.stop obs_build_timer
   end;

@@ -65,7 +65,8 @@ let bucket_index t v =
     if i < 1 then 1 else if i >= n_buckets then n_buckets - 1 else i
 
 let observe_direct t v =
-  t.counts.(bucket_index t v) <- t.counts.(bucket_index t v) + 1;
+  let i = bucket_index t v in
+  t.counts.(i) <- t.counts.(i) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum +. v;
   if t.count = 1 then begin

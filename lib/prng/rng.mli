@@ -34,8 +34,11 @@ val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
-(** [int t bound] is uniform on [0, bound-1]. Unbiased (rejection
-    sampling). @raise Invalid_argument if [bound <= 0]. *)
+(** [int t bound] is on [0, bound-1]: the top 62 bits of one output
+    reduced mod [bound], so each value's probability is within a
+    relative [bound / 2^62] of uniform (exact when [bound] is a power
+    of two). One output per call. @raise Invalid_argument if
+    [bound <= 0]. *)
 
 val int_in_range : t -> lo:int -> hi:int -> int
 (** [int_in_range t ~lo ~hi] is uniform on [lo, hi] inclusive.

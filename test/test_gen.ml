@@ -139,6 +139,27 @@ let test_mori_giant_rng_stream_position () =
   ignore (Mori.graph rng_b ~p:0.5 ~m:2 ~n:80);
   Alcotest.(check int) "next draw agrees" (Rng.int rng_a 1_000_000) (Rng.int rng_b 1_000_000)
 
+(* The growth loop's only allocation is the float [Rng.unit_float]
+   returns across the module boundary (16 B); the father buffer is
+   off-heap.  Instrumentation is off here: the counters and the
+   father-age histogram are measured by their own tests. *)
+let test_mori_growth_allocation () =
+  let t = 65_536 in
+  let rng = Rng.of_seed 5 in
+  Sf_obs.Registry.set_enabled false;
+  let bytes =
+    Fun.protect
+      ~finally:(fun () -> Sf_obs.Registry.set_enabled true)
+      (fun () ->
+        (* Gc.minor_words, unlike Gc.allocated_bytes, counts the
+           current minor heap too *)
+        let before = Gc.minor_words () in
+        ignore (Mori.tree_fathers rng ~p:0.5 ~t);
+        (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8))
+  in
+  let per_vertex = bytes /. float_of_int t in
+  Alcotest.(check bool) (Printf.sprintf "%.1f B per vertex <= 24" per_vertex) true (per_vertex <= 24.)
+
 let test_cf_giant_structure () =
   let g = Cooper_frieze.generate_n_vertices (Rng.of_seed 41) Cooper_frieze.default ~n:800 in
   Alcotest.(check int) "vertex count" 800 (Ugraph.n_vertices g);
@@ -712,6 +733,7 @@ let suite =
     ("mori giant parity", `Quick, test_mori_giant_samplewise_parity);
     ("mori giant fathers", `Quick, test_mori_giant_fathers_match_tree);
     ("mori giant stream position", `Quick, test_mori_giant_rng_stream_position);
+    ("mori growth allocation", `Quick, test_mori_growth_allocation);
     ("CF giant structure", `Quick, test_cf_giant_structure);
     ("merge properties", `Quick, test_merge_properties);
     ("merge m=1 identity", `Quick, test_merge_m1_is_identity);

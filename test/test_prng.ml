@@ -115,6 +115,166 @@ let test_jump_changes_state () =
   Rng.jump rng;
   Alcotest.(check bool) "jump moves the state" true (before <> Rng.state_fingerprint rng)
 
+(* --- Known answers ----------------------------------------------------
+   Every generator, graph and golden digest in the repo depends on these
+   streams, so a change to how the generator stores or steps its state
+   must reproduce each value bit for bit. *)
+
+let draws n f = List.init n (fun _ -> f ())
+let outputs n r = draws n (fun () -> Rng.int64 r)
+
+let kat_cases : (string * (unit -> int64 list)) list =
+  let seeded seed = Rng.of_seed seed in
+  let split_at i =
+    let p = seeded 42 in
+    let c = Rng.split_at p i in
+    outputs 4 c @ outputs 2 p
+  in
+  let ints bound = draws 4 (let r = seeded 7 in fun () -> Int64.of_int (Rng.int r bound)) in
+  [
+    ("seed 0", fun () -> outputs 8 (seeded 0));
+    ("seed 1", fun () -> outputs 8 (seeded 1));
+    ("seed -1", fun () -> outputs 8 (seeded (-1)));
+    ("seed max_int", fun () -> outputs 8 (seeded max_int));
+    ( "split",
+      fun () ->
+        let p = seeded 42 in
+        let c = Rng.split p in
+        outputs 4 c @ outputs 4 p );
+    ("split_at 0", fun () -> split_at 0);
+    ("split_at 1", fun () -> split_at 1);
+    ("split_at 2^40", fun () -> split_at (1 lsl 40));
+    ( "jump",
+      fun () ->
+        let r = seeded 42 in
+        Rng.jump r;
+        outputs 4 r );
+    ( "copy",
+      fun () ->
+        let r = seeded 42 in
+        ignore (outputs 3 r);
+        let c = Rng.copy r in
+        let from_copy = outputs 4 c in
+        from_copy @ outputs 4 r );
+    ( "state_words round trip",
+      fun () ->
+        let r = seeded 42 in
+        ignore (outputs 5 r);
+        let w = Rng.state_words r in
+        let s = seeded 0 in
+        Rng.set_state_words s w;
+        let restored = Array.to_list (Rng.state_words s) in
+        let next = outputs 2 s in
+        Array.to_list w @ next @ restored );
+    ( "state_fingerprint",
+      fun () ->
+        let r = seeded 42 in
+        let f0 = Rng.state_fingerprint r in
+        ignore (Rng.int64 r);
+        [ Rng.state_fingerprint (seeded 0); f0; Rng.state_fingerprint r ] );
+    ("int 1", fun () -> ints 1);
+    ("int 2", fun () -> ints 2);
+    ("int 3", fun () -> ints 3);
+    ("int 1000", fun () -> ints 1000);
+    ("int 2^31", fun () -> ints (1 lsl 31));
+    ("int max_int", fun () -> ints max_int);
+    ( "unit_float",
+      fun () ->
+        let r = seeded 9 in
+        draws 4 (fun () -> Int64.bits_of_float (Rng.unit_float r)) );
+    ( "bool",
+      fun () ->
+        let r = seeded 9 in
+        draws 8 (fun () -> if Rng.bool r then 1L else 0L) );
+    ( "bernoulli",
+      fun () ->
+        let r = seeded 9 in
+        let edges = [ Rng.bernoulli r 0.; Rng.bernoulli r 1. ] in
+        (* p <= 0 and p >= 1 draw nothing: this is the stream's first output *)
+        let first = outputs 1 r in
+        List.map (fun b -> if b then 1L else 0L) (edges @ draws 6 (fun () -> Rng.bernoulli r 0.3))
+        @ first );
+  ]
+
+let kat_expected =
+  [
+    ( "seed 0",
+      [ 0x53175d61490b23dfL; 0x61da6f3dc380d507L; 0x5c0fdf91ec9a7bfcL; 0x02eebf8c3bbe5e1aL; 0x7eca04ebaf4a5eeaL; 0x0543c37757f08d9aL; 0xdb7490c75ab5026eL; 0xd87343e6464bc959L ] );
+    ( "seed 1",
+      [ 0xcfc5d07f6f03c29bL; 0xbf424132963fe08dL; 0x19a37d5757aaf520L; 0xbf08119f05cd56d6L; 0x2f47184b86186fa4L; 0x97299fcae7202345L; 0xfca3c79508f41507L; 0x85fea5c90363f221L ] );
+    ( "seed -1",
+      [ 0x56ccf8ce948e27b2L; 0xe68588432e5a5b90L; 0xe3e9b5a48119ca8bL; 0x460f19495532ae73L; 0xa7d62040ea9263e1L; 0x66f1fb2ac9402c14L; 0xe243b47de8a73f68L; 0x7c93fdab4c7b3dffL ] );
+    ( "seed max_int",
+      [ 0x45fb48efb1c2c1c2L; 0xc3add3a798906624L; 0x1f94c7639c6d4438L; 0x24ca4178d9f00c1fL; 0x0403dd39f8ea9b43L; 0xc72e8c5a7b6b1b76L; 0x4e17136fd11e4c40L; 0x1789e5f2dec9dae6L ] );
+    ( "split",
+      [ 0x4fbbc8a5d7ee027bL; 0xcbf580142f9eed0fL; 0xe792208c7d75e47dL; 0x8295db570be22203L; 0x519e4174576f3791L; 0xfbe07cfb0c24ed8cL; 0xb37d9f600cd835b8L; 0xcb231c3874846a73L ] );
+    ( "split_at 0",
+      [ 0xe46beb44539bc1c3L; 0xff0de1c9991d83d9L; 0x91ffea81f780eb31L; 0x6978a905e0c03186L; 0xd0764d4f4476689fL; 0x519e4174576f3791L ] );
+    ( "split_at 1",
+      [ 0x4ed8b844165259daL; 0xa57ce1b733947933L; 0x9c290bff7f755dccL; 0x98029b72539744feL; 0xd0764d4f4476689fL; 0x519e4174576f3791L ] );
+    ( "split_at 2^40",
+      [ 0x6b9fba8ed1f77998L; 0x646a1a667f721bb7L; 0xe4b3e0b3703940e5L; 0x06610f6cbcee6af1L; 0xd0764d4f4476689fL; 0x519e4174576f3791L ] );
+    ( "jump",
+      [ 0xc0b6f4be293b1ae5L; 0x5db3dd9683e7bb33L; 0x08d177efba75b08eL; 0xdd4b9019a605434dL ] );
+    ( "copy",
+      [ 0xb37d9f600cd835b8L; 0xcb231c3874846a73L; 0x968d9f004e50de7dL; 0x201718ff221a3556L; 0xb37d9f600cd835b8L; 0xcb231c3874846a73L; 0x968d9f004e50de7dL; 0x201718ff221a3556L ] );
+    ( "state_words round trip",
+      [ 0x7e3fedbea92a13a5L; 0xc9a25ba0f11c828cL; 0xc38346747039f414L; 0xcf55c271f2386fa5L; 0x968d9f004e50de7dL; 0x201718ff221a3556L; 0x7e3fedbea92a13a5L; 0xc9a25ba0f11c828cL; 0xc38346747039f414L; 0xcf55c271f2386fa5L ] );
+    ( "state_fingerprint",
+      [ 0x922afe74948963a6L; 0x23de3c63eaf1be08L; 0x3bc79f6791ac955aL ] );
+    ( "int 1",
+      [ 0x0000000000000000L; 0x0000000000000000L; 0x0000000000000000L; 0x0000000000000000L ] );
+    ( "int 2",
+      [ 0x0000000000000001L; 0x0000000000000001L; 0x0000000000000000L; 0x0000000000000001L ] );
+    ( "int 3",
+      [ 0x0000000000000001L; 0x0000000000000002L; 0x0000000000000000L; 0x0000000000000000L ] );
+    ( "int 1000",
+      [ 0x000000000000019fL; 0x00000000000000e5L; 0x000000000000002cL; 0x0000000000000347L ] );
+    ( "int 2^31",
+      [ 0x000000000aaba44fL; 0x000000007e93a785L; 0x000000006c35161cL; 0x0000000018c6004fL ] );
+    ( "int max_int",
+      [ 0x038b06800aaba44fL; 0x0b03f2377e93a785L; 0x2decc46cec35161cL; 0x1b5767da98c6004fL ] );
+    ( "unit_float",
+      [ 0x3fe32b447be41585L; 0x3fdb80cd1b3aeab0L; 0x3fc96d5b8088d994L; 0x3fec4830b4ce0572L ] );
+    ( "bool",
+      [ 0x0000000000000001L; 0x0000000000000000L; 0x0000000000000001L; 0x0000000000000001L; 0x0000000000000001L; 0x0000000000000000L; 0x0000000000000001L; 0x0000000000000001L ] );
+    ( "bernoulli",
+      [ 0x0000000000000000L; 0x0000000000000001L; 0x0000000000000000L; 0x0000000000000001L; 0x0000000000000000L; 0x0000000000000001L; 0x0000000000000001L; 0x0000000000000000L; 0x995a23df20ac2cd3L ] );
+  ]
+
+let test_known_answers () =
+  Alcotest.(check (list string)) "every case pinned" (List.map fst kat_expected) (List.map fst kat_cases);
+  List.iter2
+    (fun (name, f) (_, want) -> Alcotest.(check (list int64)) name want (f ()))
+    kat_cases kat_expected
+
+(* --- Allocation ----------------------------------------------------- *)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The state lives in one bytes buffer read through unboxed primitives,
+   so a draw that returns an immediate allocates nothing. *)
+let test_draws_allocate_nothing () =
+  let rng = Rng.of_seed 3 in
+  let a = Array.init 10_000 Fun.id in
+  let baseline = minor_words_of (fun () -> ()) in
+  let loop draw () =
+    for _ = 1 to 10_000 do
+      draw ()
+    done
+  in
+  List.iter
+    (fun (name, f) -> Alcotest.(check (float 0.)) name baseline (minor_words_of f))
+    [
+      ("Rng.int", loop (fun () -> ignore (Rng.int rng 1000)));
+      ("Rng.bool", loop (fun () -> ignore (Rng.bool rng)));
+      ("Rng.bernoulli", loop (fun () -> ignore (Rng.bernoulli rng 0.3)));
+      ("Shuffle.in_place", fun () -> Shuffle.in_place rng a);
+    ]
+
 (* --- Dist ----------------------------------------------------------- *)
 
 let sample_mean n f =
@@ -378,6 +538,8 @@ let suite =
     ("unit_float", `Quick, test_unit_float);
     ("bernoulli", `Quick, test_bernoulli);
     ("jump", `Quick, test_jump_changes_state);
+    ("known answers", `Quick, test_known_answers);
+    ("draws allocate nothing", `Quick, test_draws_allocate_nothing);
     ("exponential mean", `Quick, test_exponential_mean);
     ("geometric mean", `Quick, test_geometric_mean);
     ("binomial moments", `Quick, test_binomial_moments);
