@@ -1,6 +1,6 @@
-(** CRC-32 (IEEE 802.3, the zlib polynomial), table-driven — the
-    trailing integrity checksum of the graph container and of every
-    binary protocol and file.
+(** CRC-32 (IEEE 802.3, the zlib polynomial), table-driven and sliced
+    by 8 — the trailing integrity checksum of the graph container and
+    of every binary protocol and file.
 
     The checksum detects the failure modes an on-disk corpus actually
     meets (truncated writes, bit rot, concurrent-writer shears); it is
@@ -12,6 +12,11 @@ val string : ?init:int32 -> string -> int32
 
 val sub : ?init:int32 -> string -> pos:int -> len:int -> int32
 (** CRC of a substring.
+    @raise Invalid_argument on an out-of-bounds range. *)
+
+val bytes_sub : ?init:int32 -> bytes -> pos:int -> len:int -> int32
+(** {!sub} over a [bytes] range, read in place: a staging buffer is
+    checksummed without a copy.
     @raise Invalid_argument on an out-of-bounds range. *)
 
 val seal : Buffer.t -> string

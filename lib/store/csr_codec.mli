@@ -13,8 +13,9 @@
 
     Integrity: a trailing CRC-32 over everything before it.
     {!map_ugraph_file} verifies it by default (one streaming pass over
-    the file — opening is then O(file) in I/O but still
-    allocation-free); passing [~verify:false] skips the pass and
+    the file — opening is then O(file) in I/O and CPU, through one
+    fixed 64 KB buffer the CRC reads in place); passing
+    [~verify:false] skips the pass and
     trusts the mapping — for callers that checked the file through
     [Cache.verify] out of band. Structural sanity (header/size
     arithmetic, offset endpoints) is always checked; deep validation

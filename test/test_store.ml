@@ -114,10 +114,102 @@ let test_varint_truncation () =
   done
 
 let test_crc32_known_value () =
-  (* the standard test vector for reflected CRC-32 (0xEDB88320) *)
-  Alcotest.(check int32)
-    "crc32 of '123456789'" 0xCBF43926l
-    (Crc32.string "123456789")
+  (* the standard test vectors for reflected CRC-32 (0xEDB88320) *)
+  List.iter
+    (fun (s, crc) -> Alcotest.(check int32) (Printf.sprintf "crc32 of %S" s) crc (Crc32.string s))
+    [
+      ("", 0l);
+      ("a", 0xE8B7BE43l);
+      ("123456789", 0xCBF43926l);
+      ("The quick brown fox jumps over the lazy dog", 0x414FA339l);
+    ]
+
+(* The bytewise CRC the sliced one replaced, kept as the reference:
+   one lookup in a boxed [int32] table per byte *)
+let reference_table =
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
+
+let reference_crc ~init s ~pos ~len =
+  let crc = ref (Int32.lognot init) in
+  for i = pos to pos + len - 1 do
+    let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code s.[i]))) 0xffl) in
+    crc := Int32.logxor reference_table.(idx) (Int32.shift_right_logical !crc 8)
+  done;
+  Int32.lognot !crc
+
+(* [sub] and [bytes_sub] both agree with the reference on one range *)
+let crc_matches_reference ~init s ~pos ~len =
+  let want = reference_crc ~init s ~pos ~len in
+  Crc32.sub ~init s ~pos ~len = want
+  && Crc32.bytes_sub ~init (Bytes.of_string s) ~pos ~len = want
+
+(* one pass over [s] against a chain of [sub ~init] over the pieces
+   between sorted [cuts] *)
+let crc_chain_matches s cuts =
+  let last, crc =
+    List.fold_left
+      (fun (pos, init) cut -> (cut, Crc32.sub ~init s ~pos ~len:(cut - pos)))
+      (0, 0l) cuts
+  in
+  Crc32.sub ~init:crc s ~pos:last ~len:(String.length s - last) = Crc32.string s
+
+let crc_range_gen =
+  QCheck.Gen.(
+    string_size (int_bound 300) >>= fun s ->
+    let n = String.length s in
+    int_bound n >>= fun pos ->
+    int_bound (n - pos) >>= fun len ->
+    frequency [ (1, return 0l); (3, int32) ] >|= fun init -> (s, pos, len, init))
+
+let qcheck_crc32_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"crc32 sliced equals bytewise on random ranges"
+    (QCheck.make crc_range_gen ~print:(fun (s, pos, len, init) ->
+         Printf.sprintf "%S ~pos:%d ~len:%d ~init:%ld" s pos len init))
+    (fun (s, pos, len, init) -> crc_matches_reference ~init s ~pos ~len)
+
+let qcheck_crc32_chain =
+  QCheck.Test.make ~count:500 ~name:"crc32 chained over split points equals one pass"
+    QCheck.(
+      make
+        Gen.(
+          string_size (int_bound 300) >>= fun s ->
+          list_size (int_bound 6) (int_bound (String.length s)) >|= fun cuts ->
+          (s, List.sort compare cuts))
+        ~print:(fun (s, cuts) ->
+          Printf.sprintf "%S cuts [%s]" s (String.concat "; " (List.map string_of_int cuts))))
+    (fun (s, cuts) -> crc_chain_matches s cuts)
+
+(* the same two properties where the sliced loop does nearly all the
+   work: two inputs of at least 1 MiB, one a multiple of 8 bytes long
+   and one not *)
+let test_crc32_large_inputs () =
+  let rng = Rng.of_seed 66 in
+  List.iter
+    (fun n ->
+      let s = String.init n (fun _ -> Char.chr (Rng.int rng 256)) in
+      let check what ~init ~pos ~len =
+        Alcotest.(check bool)
+          (Printf.sprintf "%d B, %s: pos %d len %d init %ld" n what pos len init)
+          true
+          (crc_matches_reference ~init s ~pos ~len)
+      in
+      check "whole" ~init:0l ~pos:0 ~len:n;
+      for _ = 1 to 6 do
+        let pos = Rng.int rng n in
+        check "range" ~init:(Int64.to_int32 (Rng.int64 rng)) ~pos ~len:(Rng.int rng (n - pos + 1))
+      done;
+      for _ = 1 to 4 do
+        let cuts = List.sort compare (List.init (1 + Rng.int rng 8) (fun _ -> Rng.int rng (n + 1))) in
+        Alcotest.(check bool) (Printf.sprintf "%d B chained" n) true (crc_chain_matches s cuts)
+      done)
+    [ 1 lsl 20; (1 lsl 20) + 13 ]
 
 (* ---------------------------------------------------------------- *)
 (* The graph container (SFGB v2)                                     *)
@@ -269,6 +361,59 @@ let test_csr_codec_rejects_bit_flips () =
             (Printf.sprintf "bit flip at byte %d" i)
             (fun () -> Csr_codec.map_ugraph_file ~path:bad ()))
         good)
+
+(* A 10^5-vertex file (2 MB) crosses many of the writer's 262,144-byte
+   staging chunks and the reader's 65,536-byte ones; the 40-vertex files
+   above never leave the first. Checksumming runs over those buffers in
+   place, so opening the file allocates a fixed 64 KB read buffer, not
+   its size (2 MB when every chunk was copied to a string). *)
+let test_csr_codec_multi_chunk () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "g.sfg" and bad = Filename.concat dir "bad.sfg" in
+      let u = Sf_gen.Mori.graph (Rng.of_seed 65) ~p:0.5 ~m:1 ~n:100_000 in
+      Csr_codec.write_ugraph_file u ~path;
+      let before = Gc.allocated_bytes () in
+      let mapped = Csr_codec.map_ugraph_file ~path () in
+      let kb = (Gc.allocated_bytes () -. before) /. 1024. in
+      if kb >= 256. then Alcotest.failf "opening a 2 MB file allocated %.0f KB" kb;
+      check_same_ugraph "multi-chunk file" u mapped;
+      let good = Bytes.of_string (read_file path) in
+      let size = Bytes.length good in
+      let csr = Ugraph.csr u in
+      let n = csr.Sf_graph.Csr.n and m = csr.Sf_graph.Csr.m in
+      let inc_len = Bigarray.Array1.dim csr.Sf_graph.Csr.inc in
+      let sections =
+        let srcs = 32 and bytes k = 4 * k in
+        let dsts = srcs + bytes m in
+        let inc_start = dsts + bytes m in
+        let inc = inc_start + bytes (n + 1) in
+        [ (srcs, bytes m); (dsts, bytes m); (inc_start, bytes (n + 1)); (inc, bytes inc_len);
+          (size - 4, 4) ]
+      in
+      (* both sides of every [chunk]-byte boundary from [off] within [len] *)
+      let boundaries ~chunk off len =
+        List.concat
+          (List.init ((len - 1) / chunk) (fun k ->
+               let b = off + (chunk * (k + 1)) in
+               [ b - 1; b ]))
+      in
+      let flips =
+        List.sort_uniq compare
+          (boundaries ~chunk:65_536 0 (size - 4)
+          @ List.concat_map
+              (fun (off, len) -> (off :: (off + len - 1) :: boundaries ~chunk:262_144 off len))
+              sections)
+      in
+      List.iter
+        (fun i ->
+          let orig = Bytes.get good i in
+          Bytes.set good i (Char.chr (Char.code orig lxor (1 lsl (i land 7))));
+          Out_channel.with_open_bin bad (fun oc -> Out_channel.output_bytes oc good);
+          Bytes.set good i orig;
+          match Csr_codec.map_ugraph_file ~path:bad () with
+          | (_ : Ugraph.t) -> Alcotest.failf "bit flip at byte %d of %d accepted" i size
+          | exception Codec_error.Error (Codec_error.Checksum_mismatch _) -> ())
+        flips)
 
 (* The [--graph] loader must refuse every mutilated container: a
    damaged header either fails the version check or, once the magic is
@@ -675,4 +820,8 @@ let suite =
     ("corpus: parallel cold fill", `Slow, test_measure_parallel_cold_matches);
     ("cache: index replays escaped fields", `Quick, test_cache_index_replays_escapes);
     ("corpus: golden cold/warm at jobs 1 and 4", `Slow, test_measure_golden_cold_warm_jobs);
+    QCheck_alcotest.to_alcotest qcheck_crc32_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_crc32_chain;
+    ("crc32: 1 MiB inputs match bytewise", `Quick, test_crc32_large_inputs);
+    ("giant container: multi-chunk flips, fixed allocation", `Quick, test_csr_codec_multi_chunk);
   ]
