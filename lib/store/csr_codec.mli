@@ -14,12 +14,11 @@
     Integrity: a trailing CRC-32 over everything before it.
     {!map_ugraph_file} verifies it by default (one streaming pass over
     the file — opening is then O(file) in I/O and CPU, through one
-    fixed 64 KB buffer the CRC reads in place); passing
-    [~verify:false] skips the pass and
-    trusts the mapping — for callers that checked the file through
-    [Cache.verify] out of band. Structural sanity (header/size
-    arithmetic, offset endpoints) is always checked; deep validation
-    is [Csr.validate] on the result.
+    fixed 64 KB buffer the CRC reads in place); passing [~verify:false]
+    skips the pass and trusts the mapping — for callers that checked
+    the file through [Cache.verify] out of band. Structural sanity
+    (header/size arithmetic, offset endpoints) is always checked; deep
+    validation is [Csr.validate] on the result.
 
     Written files are byte-deterministic: the same graph produces the
     same file, so content-addressing and the warm-read byte-identity

@@ -366,7 +366,7 @@ let test_csr_codec_rejects_bit_flips () =
    staging chunks and the reader's 65,536-byte ones; the 40-vertex files
    above never leave the first. Checksumming runs over those buffers in
    place, so opening the file allocates a fixed 64 KB read buffer, not
-   its size (2 MB when every chunk was copied to a string). *)
+   its size. *)
 let test_csr_codec_multi_chunk () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "g.sfg" and bad = Filename.concat dir "bad.sfg" in
