@@ -107,7 +107,12 @@ let run server requests rate connections concurrency mix target budget
   Obs_cli.with_session obs ~process:"load" ~extra:(fun () -> !extra) ~tool:"sfload" ~seed
     ~mode:(if ramp then "ramp" else "load")
   @@ fun () ->
-  (* a server that is not there, or goes away, is one line, not a crash *)
+  (* a server that is not there, goes away or sends a reply that fails
+     its decode is one line, not a crash *)
+  let fail msg =
+    Printf.eprintf "sfload: %s: %s\n%!" (Sf_serve.Wire.endpoint_to_string server) msg;
+    1
+  in
   try
   if ramp then begin
     let code, kv =
@@ -166,10 +171,9 @@ let run server requests rate connections concurrency mix target budget
     ];
   if o.Sf_serve.Load.o_errors > 0 || o.Sf_serve.Load.o_missing > 0 then 1 else 0
   end
-  with Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "sfload: %s: %s\n%!" (Sf_serve.Wire.endpoint_to_string server)
-      (Unix.error_message e);
-    1
+  with
+  | Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+  | Sf_store.Codec_error.Error e -> fail (Sf_store.Codec_error.to_string e)
 
 let server_arg =
   Arg.(

@@ -104,6 +104,12 @@ let validate_grid ~sizes ~spec =
 let n_grid_tasks ~sizes ~strategies ~spec =
   List.length sizes * List.length strategies * spec.trials
 
+(* The (size, strategy, trial) cell of a flattened task, trial
+   innermost: the one place that inverts the task index. *)
+let grid_cell ~n_strats ~trials task =
+  let cell = task / trials in
+  (cell / n_strats, cell mod n_strats, task mod trials)
+
 (* One flattened grid task, ascending in exactly the order the old
    sequential triple loop visited (size, strategy, trial).  This
    decomposition is the unit both Pool.mapi (below) and the lib/fabric
@@ -111,9 +117,9 @@ let n_grid_tasks ~sizes ~strategies ~spec =
    another process is draw-for-draw the same work as positions
    [lo, hi) of an in-process run. *)
 let run_grid_task master ~spec ~make ~strategies ~sizes task =
-  let n_strats = Array.length strategies in
-  let cell = task / spec.trials and trial = task mod spec.trials in
-  let size_idx = cell / n_strats and strat_idx = cell mod n_strats in
+  let size_idx, strat_idx, trial =
+    grid_cell ~n_strats:(Array.length strategies) ~trials:spec.trials task
+  in
   run_trial master spec ~make ~strategy:strategies.(strat_idx) ~n:sizes.(size_idx) ~size_idx
     ~strat_idx ~trial
 

@@ -83,6 +83,11 @@ val validate_grid : sizes:int list -> spec:spec -> unit
 val n_grid_tasks : sizes:int list -> strategies:'a list -> spec:spec -> int
 (** [|sizes| * |strategies| * spec.trials] — the flattened task count. *)
 
+val grid_cell : n_strats:int -> trials:int -> int -> int * int * int
+(** [(size_idx, strat_idx, trial)] of a flattened grid task over
+    [n_strats] strategies and [trials] trials per cell — the inverse
+    of [task = (size_idx * n_strats + strat_idx) * trials + trial]. *)
+
 val run_grid_task :
   Sf_prng.Rng.t ->
   spec:spec ->

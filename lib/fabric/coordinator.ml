@@ -90,14 +90,21 @@ let render_status (plan : Grid.plan) sts =
        (List.length sts));
   Buffer.contents b
 
+(* Largest remaining work first, so the costliest shard — in a grid
+   that sweeps n, the last — starts at once instead of running alone
+   on one worker at the end.  The stable sort keeps ties in index
+   order.  Order picks only when each slice lands, never its bytes. *)
 let pending ~dir ~grid_crc (plan : Grid.plan) =
-  let pend = ref [] in
+  let weighed = ref [] in
   for shard = Array.length plan.Grid.p_shards - 1 downto 0 do
+    let lo, hi = plan.Grid.p_shards.(shard) in
+    let work from = (Grid.work plan.Grid.p_spec ~lo:from ~hi, shard) in
     match ckpt_of_shard ~dir ~grid_crc plan shard with
     | Some c when Ckpt.complete c -> ()
-    | _ -> pend := shard :: !pend
+    | Some c -> weighed := work c.Ckpt.c_next :: !weighed
+    | None -> weighed := work lo :: !weighed
   done;
-  !pend
+  List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare b a) !weighed)
 
 (* reconstruct the full task-order outcome array and the summed
    counter deltas from the complete shard checkpoints *)

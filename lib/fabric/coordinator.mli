@@ -35,7 +35,9 @@ val status : dir:string -> Grid.plan * int32 -> shard_status list
 val render_status : Grid.plan -> shard_status list -> string
 
 val pending : dir:string -> grid_crc:int32 -> Grid.plan -> int list
-(** Shards without a complete checkpoint, in index order.
+(** Shards without a complete checkpoint, largest remaining
+    {!Grid.work} first (tasks [c_next..hi) of a partial checkpoint),
+    ties in index order — the order [run] assigns them in.
     @raise Failure on a checkpoint from a different grid or seed. *)
 
 val merge :

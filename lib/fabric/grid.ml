@@ -75,6 +75,15 @@ let strategies_of_spec spec =
 let n_tasks spec =
   S.n_grid_tasks ~sizes:spec.gs_sizes ~strategies:spec.gs_strategies ~spec:(core_spec spec)
 
+let work spec ~lo ~hi =
+  let sizes = Array.of_list spec.gs_sizes and n_strats = List.length spec.gs_strategies in
+  let w = ref 0 in
+  for task = lo to hi - 1 do
+    let size_idx, _, _ = S.grid_cell ~n_strats ~trials:spec.gs_trials task in
+    w := !w + sizes.(size_idx)
+  done;
+  !w
+
 let validate spec =
   if spec.gs_sizes = [] then invalid_arg "Grid: need at least one size";
   if spec.gs_strategies = [] then invalid_arg "Grid: need at least one strategy";

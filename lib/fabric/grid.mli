@@ -36,6 +36,11 @@ val make_of_spec : spec -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int
 val strategies_of_spec : spec -> Sf_search.Strategy.t list
 val n_tasks : spec -> int
 
+val work : spec -> lo:int -> hi:int -> int
+(** The estimated cost of tasks [\[lo, hi)]: the sum of each task's
+    graph size n. Generating a graph is linear in n and Theorem 1 puts
+    its search at [>= sqrt n] requests, so n ranks trials by cost. *)
+
 val rng_token : spec -> int64
 (** {!Sf_prng.Rng.state_fingerprint} of the seed's master stream —
     stored in every checkpoint so a resume against the wrong seed is

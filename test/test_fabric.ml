@@ -619,6 +619,126 @@ let test_prepare_refuses_existing () =
       | _ -> Alcotest.fail "re-planned a started run"
       | exception Failure _ -> ())
 
+(* ---- dispatch order: largest remaining work first ------------------- *)
+
+(* a checkpoint for [shard] persisted up to [next], without running a
+   trial: [pending] reads only its binding fields and [c_next] *)
+let fake_ckpt ~dir ~grid_crc (plan : Grid.plan) ~shard ~next =
+  let lo, hi = plan.Grid.p_shards.(shard) in
+  Ckpt.write ~path:(Grid.shard_path dir shard)
+    {
+      Ckpt.c_grid_crc = grid_crc;
+      c_shard = shard;
+      c_lo = lo;
+      c_hi = hi;
+      c_rng_token = Grid.rng_token plan.Grid.p_spec;
+      c_next = next;
+      c_outcomes = Array.make (next - lo) (0., false, false);
+      c_counters = [];
+    }
+
+let test_pending_largest_first () =
+  with_temp_dir (fun dir ->
+      (* 10 tasks over 4 shards of 3, 3, 2, 2: shard 0 holds three
+         n=64 tasks (192), shard 1 two n=64 and one n=1024 (1152),
+         shards 2 and 3 two n=1024 each (2048, a tie) *)
+      let spec =
+        {
+          (pinned_spec ()) with
+          Grid.gs_sizes = [ 64; 1024 ];
+          gs_strategies = [ "high-degree" ];
+          gs_trials = 5;
+        }
+      in
+      let plan, crc = Coordinator.prepare ~dir ~shards:4 spec in
+      Alcotest.(check (list (pair int int))) "the skewed split"
+        [ (0, 3); (3, 6); (6, 8); (8, 10) ]
+        (Array.to_list plan.Grid.p_shards);
+      let pending () = Coordinator.pending ~dir ~grid_crc:crc plan in
+      Alcotest.(check (list int)) "by remaining work, ties in index order" [ 2; 3; 1; 0 ]
+        (pending ());
+      (* shard 2 persisted up to task 7: one n=1024 task (1024) left *)
+      fake_ckpt ~dir ~grid_crc:crc plan ~shard:2 ~next:7;
+      Alcotest.(check (list int)) "a partial shard weighs its remaining tasks only"
+        [ 3; 1; 2; 0 ] (pending ());
+      fake_ckpt ~dir ~grid_crc:crc plan ~shard:3 ~next:10;
+      Alcotest.(check (list int)) "a complete shard drops out" [ 1; 2; 0 ] (pending ()))
+
+(* over random grids, shard counts and checkpoint states: [pending]
+   is a permutation of the incomplete shards, by non-increasing
+   remaining sum of n with ties in index order — checked against the
+   task index formula written out here, not Grid.work *)
+let qcheck_pending_order =
+  QCheck.Test.make ~count:40 ~name:"pending: incomplete shards, largest remaining work first"
+    QCheck.(make Gen.(pair (int_bound 1_000_000) (int_range 1 12)))
+    (fun (salt, shards) ->
+      let r = Rng.of_seed salt in
+      let pick l = List.nth l (Rng.int r (List.length l)) in
+      let sizes = List.init (1 + Rng.int r 3) (fun _ -> pick [ 16; 64; 256; 1024 ]) in
+      let strategies =
+        List.filteri (fun i _ -> i <= Rng.int r 3) [ "high-degree"; "rand-walk"; "bfs" ]
+      in
+      let trials = 1 + Rng.int r 6 in
+      let spec =
+        { (pinned_spec ()) with Grid.gs_sizes = sizes; gs_strategies = strategies; gs_trials = trials }
+      in
+      with_temp_dir (fun dir ->
+          let plan, crc = Coordinator.prepare ~dir ~shards spec in
+          let sizes_a = Array.of_list sizes and per_size = List.length strategies * trials in
+          (* remaining work per shard, or None once complete *)
+          let remaining =
+            Array.mapi
+              (fun shard (lo, hi) ->
+                let next =
+                  match Rng.int r 3 with
+                  | 0 -> lo
+                  | 1 ->
+                    let next = lo + Rng.int r (hi - lo) in
+                    fake_ckpt ~dir ~grid_crc:crc plan ~shard ~next;
+                    next
+                  | _ ->
+                    fake_ckpt ~dir ~grid_crc:crc plan ~shard ~next:hi;
+                    hi
+                in
+                if next = hi then None
+                else
+                  Some
+                    (List.fold_left ( + ) 0
+                       (List.init (hi - next) (fun i -> sizes_a.((next + i) / per_size)))))
+              plan.Grid.p_shards
+          in
+          let got = Coordinator.pending ~dir ~grid_crc:crc plan in
+          let incomplete =
+            List.filter (fun s -> remaining.(s) <> None)
+              (List.init (Array.length remaining) Fun.id)
+          in
+          let rec ordered = function
+            | a :: (b :: _ as rest) ->
+              let wa = Option.get remaining.(a) and wb = Option.get remaining.(b) in
+              (wa > wb || (wa = wb && a < b)) && ordered rest
+            | [ _ ] | [] -> true
+          in
+          List.sort compare got = incomplete && ordered got))
+
+(* the run assigns in [pending] order: one worker stopped after one
+   shard has finished the first n=128 shard, not shard 0 *)
+let test_run_dispatches_largest_first () =
+  with_temp_dir (fun dir ->
+      prepare_pinned ~dir ~shards:4;
+      (match run_grid ~dir ~workers:1 ~stop_after:1 () with
+      | `Stopped_early _ -> ()
+      | `Complete _ -> Alcotest.fail "stop_after completed");
+      let plan, crc = Coordinator.load ~dir in
+      Alcotest.(check (list string)) "shard 2 complete, the rest missing"
+        [ "missing"; "missing"; "complete"; "missing" ]
+        (List.map
+           (fun st ->
+             match st.Coordinator.st_state with
+             | `Missing -> "missing"
+             | `Partial -> "partial"
+             | `Complete -> "complete")
+           (Coordinator.status ~dir (plan, crc))))
+
 (* a generic swarm client whose job 0 kills its first worker: death
    detection, head-of-queue reassignment and respawn, visible in the
    report.  A single worker makes the respawn deterministic — with two,
@@ -921,6 +1041,9 @@ let suite =
     ("fabric: SIGKILL mid-shard, resume byte-identical", `Slow, test_stop_then_resume);
     ("fabric: rerun of a completed grid is a no-op", `Quick, test_rerun_completed_is_noop);
     ("fabric: prepare refuses a started run", `Quick, test_prepare_refuses_existing);
+    ("fabric: pending is largest remaining work first", `Quick, test_pending_largest_first);
+    QCheck_alcotest.to_alcotest qcheck_pending_order;
+    ("fabric: run dispatches the largest shard first", `Quick, test_run_dispatches_largest_first);
     ("swarm: death, reassignment, respawn", `Quick, test_swarm_death_reassignment);
     ("swarm: live socket refused, stale reclaimed", `Quick, test_swarm_socket_exclusion);
     ("fault schedule is deterministic", `Quick, test_fault_schedule_deterministic);

@@ -734,6 +734,61 @@ let test_load_rejects_bad_config () =
       (fun () -> Load.config ~seed:1 ~requests:1 ~budget:0 ep);
     ]
 
+(* The sfload binary against a peer whose first reply fails its CRC:
+   one line naming the endpoint and exit 1, not an uncaught exception.
+   The binary sits beside this test's own build directory. *)
+let test_sfload_corrupt_reply () =
+  let path = temp_sock () in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let err_path = Filename.temp_file "sf-sfload" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close lfd;
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; err_path ])
+    (fun () ->
+      let sfload =
+        Filename.concat (Filename.dirname Sys.executable_name) "../bin/sfload.exe"
+      in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let pid =
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.close null;
+            Unix.close err)
+          (fun () ->
+            Unix.create_process sfload
+              [| sfload; "unix:" ^ path; "--requests"; "1" |]
+              null null err)
+      in
+      (match Unix.select [ lfd ] [] [] 30. with
+      | [], _, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail "sfload never connected"
+      | _ ->
+        let fd, _ = Unix.accept lfd in
+        (* take the request, answer with a Pong whose CRC tail has one
+           bit flipped *)
+        ignore (Unix.read fd (Bytes.create 4096) 0 4096);
+        let p = Bytes.of_string (Wire.encode_response (Wire.Pong 0)) in
+        let last = Bytes.length p - 1 in
+        Bytes.set p last (Char.chr (Char.code (Bytes.get p last) lxor 1));
+        raw_write fd (Wire.frame (Bytes.to_string p));
+        Unix.close fd);
+      let _, status = Unix.waitpid [] pid in
+      let stderr = In_channel.with_open_bin err_path In_channel.input_all in
+      Alcotest.(check bool) "exit 1" true (status = Unix.WEXITED 1);
+      let prefix = Printf.sprintf "sfload: unix:%s: " path in
+      Alcotest.(check bool)
+        (Printf.sprintf "one line naming the endpoint and the mismatch: %S" stderr)
+        true
+        (String.starts_with ~prefix stderr
+        && contains_sub stderr "checksum"
+        && String.index_opt stderr '\n' = Some (String.length stderr - 1)))
+
 (* ---- the capacity ramp, against a synthetic probe ------------------- *)
 
 (* ramp never opens sockets itself — the probe closure does — so the
@@ -860,6 +915,7 @@ let suite =
     ("load: bench file validates", `Quick, test_load_bench_file_validates);
     ("load: open loop", `Quick, test_open_loop_poisson);
     ("load: config validation", `Quick, test_load_rejects_bad_config);
+    ("sfload: a corrupt reply is one line and exit 1", `Quick, test_sfload_corrupt_reply);
     ("ramp: brackets a capacity cliff", `Quick, test_ramp_brackets_capacity);
     ("ramp: edge cases and validation", `Quick, test_ramp_edge_cases);
     ("robustness: connection flood past FD_SETSIZE", `Quick, test_connection_flood);
