@@ -107,8 +107,8 @@ let run server requests rate connections concurrency mix target budget
   Obs_cli.with_session obs ~process:"load" ~extra:(fun () -> !extra) ~tool:"sfload" ~seed
     ~mode:(if ramp then "ramp" else "load")
   @@ fun () ->
-  (* a server that is not there, goes away or sends a reply that fails
-     its decode is one line, not a crash *)
+  (* a server that is not there, hangs up or sends a reply that fails
+     its decode or is of the wrong kind is one line, not a crash *)
   let fail msg =
     Printf.eprintf "sfload: %s: %s\n%!" (Sf_serve.Wire.endpoint_to_string server) msg;
     1
@@ -174,6 +174,8 @@ let run server requests rate connections concurrency mix target budget
   with
   | Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
   | Sf_store.Codec_error.Error e -> fail (Sf_store.Codec_error.to_string e)
+  | Failure msg -> fail msg
+  | End_of_file -> fail "connection closed by the server"
 
 let server_arg =
   Arg.(

@@ -734,10 +734,11 @@ let test_load_rejects_bad_config () =
       (fun () -> Load.config ~seed:1 ~requests:1 ~budget:0 ep);
     ]
 
-(* The sfload binary against a peer whose first reply fails its CRC:
-   one line naming the endpoint and exit 1, not an uncaught exception.
-   The binary sits beside this test's own build directory. *)
-let test_sfload_corrupt_reply () =
+(* The sfload binary against a peer that answers its first request
+   with the bytes [reply] and hangs up; returns the exit status, stderr
+   and the endpoint. The binary sits beside this test's own
+   build directory. *)
+let sfload_against reply =
   let path = temp_sock () in
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX path);
@@ -770,24 +771,38 @@ let test_sfload_corrupt_reply () =
         Alcotest.fail "sfload never connected"
       | _ ->
         let fd, _ = Unix.accept lfd in
-        (* take the request, answer with a Pong whose CRC tail has one
-           bit flipped *)
         ignore (Unix.read fd (Bytes.create 4096) 0 4096);
-        let p = Bytes.of_string (Wire.encode_response (Wire.Pong 0)) in
-        let last = Bytes.length p - 1 in
-        Bytes.set p last (Char.chr (Char.code (Bytes.get p last) lxor 1));
-        raw_write fd (Wire.frame (Bytes.to_string p));
+        raw_write fd reply;
         Unix.close fd);
       let _, status = Unix.waitpid [] pid in
-      let stderr = In_channel.with_open_bin err_path In_channel.input_all in
-      Alcotest.(check bool) "exit 1" true (status = Unix.WEXITED 1);
-      let prefix = Printf.sprintf "sfload: unix:%s: " path in
+      (status, In_channel.with_open_bin err_path In_channel.input_all, "unix:" ^ path))
+
+(* a reply that fails its CRC, a well-formed one of the wrong kind,
+   or none at all is one line naming the endpoint and exit 1, not an
+   uncaught exception *)
+let test_sfload_bad_reply () =
+  let pong = Wire.encode_response (Wire.Pong 0) in
+  let crc_flipped =
+    let p = Bytes.of_string pong in
+    let last = Bytes.length p - 1 in
+    Bytes.set p last (Char.chr (Char.code (Bytes.get p last) lxor 1));
+    Bytes.to_string p
+  in
+  List.iter
+    (fun (reply, what) ->
+      let status, stderr, endpoint = sfload_against reply in
+      Alcotest.(check bool) (what ^ ": exit 1") true (status = Unix.WEXITED 1);
       Alcotest.(check bool)
-        (Printf.sprintf "one line naming the endpoint and the mismatch: %S" stderr)
+        (Printf.sprintf "%s: one line naming the endpoint: %S" what stderr)
         true
-        (String.starts_with ~prefix stderr
-        && contains_sub stderr "checksum"
+        (String.starts_with ~prefix:("sfload: " ^ endpoint ^ ": ") stderr
+        && contains_sub stderr what
         && String.index_opt stderr '\n' = Some (String.length stderr - 1)))
+    [
+      (Wire.frame crc_flipped, "checksum");
+      (Wire.frame pong, "message kind");
+      ("", "connection closed");
+    ]
 
 (* ---- the capacity ramp, against a synthetic probe ------------------- *)
 
@@ -915,7 +930,7 @@ let suite =
     ("load: bench file validates", `Quick, test_load_bench_file_validates);
     ("load: open loop", `Quick, test_open_loop_poisson);
     ("load: config validation", `Quick, test_load_rejects_bad_config);
-    ("sfload: a corrupt reply is one line and exit 1", `Quick, test_sfload_corrupt_reply);
+    ("sfload: a bad reply is one line and exit 1", `Quick, test_sfload_bad_reply);
     ("ramp: brackets a capacity cliff", `Quick, test_ramp_brackets_capacity);
     ("ramp: edge cases and validation", `Quick, test_ramp_edge_cases);
     ("robustness: connection flood past FD_SETSIZE", `Quick, test_connection_flood);
