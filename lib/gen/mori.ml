@@ -25,7 +25,7 @@ let check_params ~p ~t =
    restricted preferential branch needs no filtering. *)
 let grow rng ~p ~t ~a ~b =
   let obs = Sf_obs.Registry.enabled () in
-  if obs then Sf_obs.Timer.start obs_build_timer;
+  let t0 = if obs then Sf_obs.Timer.now_s () else 0. in
   let tracing = Sf_obs.Trace.active () in
   (* at most 8 growth checkpoints per build, so tracing a microbench
      full of small builds stays proportionate *)
@@ -64,7 +64,7 @@ let grow rng ~p ~t ~a ~b =
       Sf_obs.Histo.observe_int obs_father_age (Bigvec.unsafe_get dsts j)
     done;
     Sf_obs.Counter.add obs_vertices t;
-    Sf_obs.Timer.stop obs_build_timer
+    Sf_obs.Timer.add_s obs_build_timer (Sf_obs.Timer.now_s () -. t0)
   end;
   dsts
 

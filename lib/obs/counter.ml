@@ -1,52 +1,20 @@
-type t = { mutable n : int }
+type t = Capture.counter
 
-(* Domain-local capture: while a capture is open on the current domain
-   (Pool workers, via Shard), updates land in a private delta list
-   instead of the shared cell, and are folded in deterministically at
-   the join barrier.  The common sequential path pays one domain-local
-   read per update. *)
+let create () = { Capture.n = 0 }
 
-type delta = { c_target : t; mutable c_add : int }
-type deltas = delta list
-type frame = delta list ref option
+(* the cell an update lands in: [t] itself, or its shadow while a
+   capture is open on this domain *)
+let[@inline] cell t =
+  match !(Domain.DLS.get Capture.slot) with None -> t | Some b -> Capture.counter b t
 
-let slot : delta list ref option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let capture_begin () : frame =
-  let s = Domain.DLS.get slot in
-  let prev = !s in
-  s := Some (ref []);
-  prev
-
-let capture_end (prev : frame) : deltas =
-  let s = Domain.DLS.get slot in
-  let ds = match !s with Some buf -> List.rev !buf | None -> [] in
-  s := prev;
-  ds
-
-let create () = { n = 0 }
-
-(* the delta list stays tiny (a handful of distinct counters per task),
-   so a physical-equality scan beats any keyed structure *)
-let record t d =
-  match !(Domain.DLS.get slot) with
-  | None -> t.n <- t.n + d
-  | Some buf ->
-    let rec bump = function
-      | [] -> buf := { c_target = t; c_add = d } :: !buf
-      | cell :: _ when cell.c_target == t -> cell.c_add <- cell.c_add + d
-      | _ :: rest -> bump rest
-    in
-    bump !buf
-
-let incr t = record t 1
+let incr t =
+  let c = cell t in
+  c.n <- c.n + 1
 
 let add t d =
   if d < 0 then invalid_arg "Counter.add: negative delta (counters are monotone)";
-  record t d
+  let c = cell t in
+  c.n <- c.n + d
 
-let apply ds = List.iter (fun d -> record d.c_target d.c_add) ds
-
-let value t = t.n
-let reset t = t.n <- 0
+let value (t : t) = t.n
+let reset (t : t) = t.n <- 0

@@ -33,35 +33,15 @@ val value : t -> int
 val reset : t -> unit
 (** Back to zero — for tests. *)
 
-(** {1 Domain-local capture}
+(** {1 Parallel tasks}
 
-    The raw mutable cells above are {e not} safe under concurrent
-    update. {!Sf_parallel.Pool} makes them safe by bracketing every
-    parallel task in a capture: between {!capture_begin} and
-    {!capture_end} on a given domain, {!incr}/{!add} accumulate into a
-    private delta list instead of the shared cell, and the pool folds
-    the deltas in with {!apply} — in task-index order, at the join
-    barrier, on one domain. Sequential code never opens a capture and
-    pays one domain-local read per update. Prefer the composed
-    {!Shard} API over calling these directly.
+    The cell above is {e not} safe under concurrent update.
+    {!Sf_parallel.Pool} makes it safe by bracketing every parallel
+    task in a {!Shard.capture}: while one is open on a domain,
+    {!incr}/{!add} land in the counter's private shadow
+    ({!Capture}), and {!Shard.merge} adds the shadows in, in
+    task-index order, at the join barrier. Sequential code pays one
+    domain-local read per update.
 
     {!value} and {!reset} always address the shared cell: reads inside
-    a capture do not see the deltas buffered so far. *)
-
-type frame
-(** Token restoring the enclosing capture (if any) — captures nest. *)
-
-type deltas
-(** The updates recorded by one closed capture. *)
-
-val capture_begin : unit -> frame
-(** Start buffering this domain's counter updates. *)
-
-val capture_end : frame -> deltas
-(** Stop buffering and return the recorded updates; the enclosing
-    capture (or direct mode) is restored. *)
-
-val apply : deltas -> unit
-(** Fold recorded updates into their counters. Capture-aware: applied
-    inside another capture, the deltas merge into {e that} capture —
-    this is what makes nested pools compose. *)
+    a capture do not see the updates buffered so far. *)

@@ -1,142 +1,80 @@
-let n_buckets = 64
+type t = Capture.histo
 
-type t = {
-  base : float;
-  log_base : float;
-  counts : int array;
-  mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
+let n_buckets = Capture.n_buckets
+let create = Capture.new_histo
 
-let create ?(base = 2.0) () =
-  if base <= 1. then invalid_arg "Histo.create: need base > 1";
-  {
-    base;
-    log_base = Float.log base;
-    counts = Array.make n_buckets 0;
-    count = 0;
-    sum = 0.;
-    min_v = Float.nan;
-    max_v = Float.nan;
-  }
+(* the cell an update lands in: [t] itself, or its shadow while a
+   capture is open on this domain *)
+let[@inline] cell t =
+  match !(Domain.DLS.get Capture.slot) with None -> t | Some b -> Capture.histo b t
 
-(* Domain-local capture, same scheme as Counter: a capture gives each
-   touched histogram a private shadow (same base, same bucket layout)
-   that absorbs the observations; [apply] merges shadows into the
-   shared accumulators at the join barrier. *)
+let log_base = Float.log 2.
 
-type delta = { h_target : t; h_shadow : t }
-type deltas = delta list
-type frame = delta list ref option
-
-let slot : delta list ref option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let capture_begin () : frame =
-  let s = Domain.DLS.get slot in
-  let prev = !s in
-  s := Some (ref []);
-  prev
-
-let capture_end (prev : frame) : deltas =
-  let s = Domain.DLS.get slot in
-  let ds = match !s with Some buf -> List.rev !buf | None -> [] in
-  s := prev;
-  ds
-
-let shadow_of buf t =
-  let rec find = function
-    | [] ->
-      let cell = { h_target = t; h_shadow = create ~base:t.base () } in
-      buf := cell :: !buf;
-      cell.h_shadow
-    | cell :: _ when cell.h_target == t -> cell.h_shadow
-    | _ :: rest -> find rest
-  in
-  find !buf
-
-let bucket_index t v =
+let bucket_index (_ : t) v =
   if v <= 1. then 0
   else
     (* epsilon guards exact powers of the base against log rounding up *)
-    let i = int_of_float (Float.ceil ((Float.log v /. t.log_base) -. 1e-9)) in
+    let i = int_of_float (Float.ceil ((Float.log v /. log_base) -. 1e-9)) in
     if i < 1 then 1 else if i >= n_buckets then n_buckets - 1 else i
 
-let observe_direct t v =
-  let i = bucket_index t v in
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.count <- t.count + 1;
-  t.sum <- t.sum +. v;
-  if t.count = 1 then begin
-    t.min_v <- v;
-    t.max_v <- v
+(* inlined so that [observe_int]'s float stays unboxed *)
+let[@inline] record (c : t) i v =
+  c.counts.(i) <- c.counts.(i) + 1;
+  c.h_count <- c.h_count + 1;
+  let s = c.stats in
+  s.(0) <- s.(0) +. v;
+  if c.h_count = 1 then begin
+    s.(1) <- v;
+    s.(2) <- v
   end
   else begin
-    if v < t.min_v then t.min_v <- v;
-    if v > t.max_v then t.max_v <- v
+    if v < s.(1) then s.(1) <- v;
+    if v > s.(2) then s.(2) <- v
   end
 
-let observe t v =
-  match !(Domain.DLS.get slot) with
-  | None -> observe_direct t v
-  | Some buf -> observe_direct (shadow_of buf t) v
+let observe t v = record (cell t) (bucket_index t v) v
 
-let observe_int t v = observe t (float_of_int v)
+let observe_int t v =
+  let i =
+    if v <= 1 then 0
+    else
+      (* for v >= 2, ceil (log2 v) is the bit length of v - 1, which is
+         the exponent field of float_of_int (v - 1): no log, no loop.
+         A 63-bit int gives at most 63, the last bucket. *)
+      let bits = Int64.bits_of_float (float_of_int (v - 1)) in
+      Int64.to_int (Int64.shift_right_logical bits 52) - 1022
+  in
+  record (cell t) i (float_of_int v)
 
-let merge_direct ~into:t src =
-  if src.count > 0 then begin
-    Array.iteri (fun i c -> if c > 0 then t.counts.(i) <- t.counts.(i) + c) src.counts;
-    if t.count = 0 then begin
-      t.min_v <- src.min_v;
-      t.max_v <- src.max_v
-    end
-    else begin
-      if src.min_v < t.min_v then t.min_v <- src.min_v;
-      if src.max_v > t.max_v then t.max_v <- src.max_v
-    end;
-    t.count <- t.count + src.count;
-    t.sum <- t.sum +. src.sum
-  end
+let count (t : t) = t.h_count
+let sum (t : t) = t.stats.(0)
+let min_value (t : t) = t.stats.(1)
+let max_value (t : t) = t.stats.(2)
+let mean t = if count t = 0 then 0. else sum t /. float_of_int (count t)
 
-let apply ds =
-  List.iter
-    (fun d ->
-      match !(Domain.DLS.get slot) with
-      | None -> merge_direct ~into:d.h_target d.h_shadow
-      | Some buf -> merge_direct ~into:(shadow_of buf d.h_target) d.h_shadow)
-    ds
+let bucket_count (t : t) i = t.counts.(i)
 
-let count t = t.count
-let sum t = t.sum
-let min_value t = t.min_v
-let max_value t = t.max_v
-let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
+let upper_bound i = if i = 0 then 1. else 2. ** float_of_int i
 
-let bucket_count t i = t.counts.(i)
-
-let upper_bound t i = if i = 0 then 1. else t.base ** float_of_int i
-
-let buckets t =
+let buckets (t : t) =
   let acc = ref [] in
   for i = n_buckets - 1 downto 0 do
-    if t.counts.(i) > 0 then acc := (upper_bound t i, t.counts.(i)) :: !acc
+    if t.counts.(i) > 0 then acc := (upper_bound i, t.counts.(i)) :: !acc
   done;
   !acc
 
-let quantile t q =
+let quantile (t : t) q =
   if q < 0. || q > 1. then invalid_arg "Histo.quantile: need q in [0, 1]";
-  if t.count = 0 then Float.nan
+  if count t = 0 then Float.nan
   else begin
-    let target = q *. float_of_int t.count in
+    let target = q *. float_of_int (count t) in
     let cum = ref 0 in
-    let result = ref (upper_bound t (n_buckets - 1)) in
+    let result = ref (upper_bound (n_buckets - 1)) in
     (try
        for i = 0 to n_buckets - 1 do
          cum := !cum + t.counts.(i);
          if float_of_int !cum >= target && t.counts.(i) > 0 then begin
-           result := upper_bound t i;
+           result := upper_bound i;
            raise Stdlib.Exit
          end
        done

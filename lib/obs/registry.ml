@@ -4,7 +4,7 @@ type metric =
   | Histo of Histo.t
   | Gauge of gauge
 
-and gauge = { mutable g_value : float; mutable g_set : bool }
+and gauge = Capture.gauge
 
 let table : (string, metric) Hashtbl.t = Hashtbl.create 64
 let insertion_order : string list ref = ref []
@@ -73,61 +73,27 @@ let timer name =
       (Timer t, t))
     ~cast:(function Timer t -> Some t | _ -> None)
 
-let histo ?base name =
+let histo name =
   find_or_add name
     ~make:(fun () ->
-      let h = Histo.create ?base () in
+      let h = Histo.create () in
       (Histo h, h))
     ~cast:(function Histo h -> Some h | _ -> None)
 
 let gauge name =
   find_or_add name
     ~make:(fun () ->
-      let g = { g_value = 0.; g_set = false } in
+      let g = { Capture.g_value = 0.; g_set = false } in
       (Gauge g, g))
     ~cast:(function Gauge g -> Some g | _ -> None)
 
-(* Domain-local gauge capture, same scheme as Counter: a capture
-   remembers the last value set per gauge; the join-barrier replay
-   applies them in task order, so "last write wins" is decided by task
-   index, not scheduling. *)
-
-type gauge_delta = { gd_target : gauge; mutable gd_value : float }
-type gauge_deltas = gauge_delta list
-type gauge_frame = gauge_delta list ref option
-
-let gauge_slot : gauge_delta list ref option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let gauge_capture_begin () : gauge_frame =
-  let s = Domain.DLS.get gauge_slot in
-  let prev = !s in
-  s := Some (ref []);
-  prev
-
-let gauge_capture_end (prev : gauge_frame) : gauge_deltas =
-  let s = Domain.DLS.get gauge_slot in
-  let ds = match !s with Some buf -> List.rev !buf | None -> [] in
-  s := prev;
-  ds
-
 let set_gauge g v =
-  match !(Domain.DLS.get gauge_slot) with
-  | None ->
-    g.g_value <- v;
-    g.g_set <- true
-  | Some buf ->
-    let rec set = function
-      | [] -> buf := { gd_target = g; gd_value = v } :: !buf
-      | cell :: _ when cell.gd_target == g -> cell.gd_value <- v
-      | _ :: rest -> set rest
-    in
-    set !buf
+  let c = match !(Domain.DLS.get Capture.slot) with None -> g | Some b -> Capture.gauge b g in
+  c.g_value <- v;
+  c.g_set <- true
 
-let apply_gauges ds = List.iter (fun d -> set_gauge d.gd_target d.gd_value) ds
-
-let gauge_value g = g.g_value
-let gauge_set g = g.g_set
+let gauge_value (g : gauge) = g.g_value
+let gauge_set (g : gauge) = g.g_set
 
 let names () = locked (fun () -> List.sort compare !insertion_order)
 

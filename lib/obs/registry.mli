@@ -38,8 +38,7 @@ val enabled : unit -> bool
 val counter : string -> Counter.t
 val timer : string -> Timer.t
 
-val histo : ?base:float -> string -> Histo.t
-(** [base] is only used on first creation. *)
+val histo : string -> Histo.t
 
 type gauge
 (** A point-in-time float (queue depth, event rate): the one
@@ -54,23 +53,16 @@ val gauge_set : gauge -> bool
 (** Whether the gauge was ever set (distinguishes "0" from "never
     measured"). *)
 
-(** {1 Domain-local gauge capture}
+(** {1 Parallel tasks}
 
-    Same contract as {!Counter.capture_begin}. A capture remembers the
-    last value set per gauge; {!apply_gauges} replays them at the join
-    barrier in task-index order, so "last write wins" is decided by
-    index, not scheduling. Prefer the composed {!Shard} API.
+    Same contract as {!Counter}'s. While a {!Shard.capture} is open,
+    {!set_gauge} writes the gauge's private shadow; {!Shard.merge}
+    replays the last value at the join barrier in task-index order, so
+    "last write wins" is decided by index, not scheduling.
 
     Get-or-create itself ({!counter}, {!timer}, {!histo}, {!gauge}) is
     protected by a mutex and safe to call from any domain — a few
     instrumentation sites register metrics lazily from hot paths. *)
-
-type gauge_frame
-type gauge_deltas
-
-val gauge_capture_begin : unit -> gauge_frame
-val gauge_capture_end : gauge_frame -> gauge_deltas
-val apply_gauges : gauge_deltas -> unit
 
 (** {1 Walking the registry} *)
 

@@ -6,10 +6,12 @@
     the {!Trace} sinks are deliberately plain mutable state — the hot
     paths they instrument cannot afford atomics. Parallel execution
     keeps them safe by {e isolation}, not locking: the pool brackets
-    every task in {!capture}, so all metric updates and trace events
-    land in a private, domain-local shard; {!merge} folds the shards
-    back on the pool's caller, in task-index order, at the join
-    barrier.
+    every task in {!capture}, which opens a {!Capture} buffer on the
+    current domain, so all metric updates land in private shadows of
+    their targets and trace events are buffered; {!merge} folds the
+    shards back on the pool's caller, in task-index order, at the join
+    barrier, and is the one place that knows each kind's merge
+    rule.
 
     That fixed merge order is the heart of the determinism contract
     (doc/PARALLELISM.md): counter totals, histogram contents, gauge
@@ -23,8 +25,9 @@
     shard, and the composition stays deterministic. *)
 
 type t
-(** The observability output of one completed task: counter and timer
-    deltas, histogram shadows, gauge writes, buffered trace events. *)
+(** The observability output of one completed task: the shadows of
+    the counters, timers, histograms and gauges it touched, and its
+    buffered trace events. *)
 
 val capturing : unit -> bool
 (** True while a capture is open on the current domain — i.e. the

@@ -32,7 +32,7 @@ let leave () =
 
 let with_span name f =
   if not (Registry.enabled ()) then f ()
-  else if Trace.capturing () then begin
+  else if Capture.capturing () then begin
     (* inside a parallel task: the span forest (global stack) belongs
        to the pool's caller, so only the stream sees this phase — the
        Begin/End pair is buffered and replayed at the join barrier,

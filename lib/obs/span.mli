@@ -25,7 +25,7 @@ type t
 val with_span : string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f] inside a fresh span; the span is
     closed (and attached to its parent, or to the root list) even if
-    [f] raises. Inside a parallel task ({!Trace.capturing}), the span
+    [f] raises. Inside a parallel task ({!Shard.capturing}), the span
     forest is not touched — it belongs to the pool's caller — but the
     [Begin]/[End] event pair still reaches the stream, so the phase
     keeps its Perfetto slice (doc/PARALLELISM.md). *)

@@ -27,14 +27,6 @@ val time : t -> (unit -> 'a) -> 'a
 (** [time t f] runs [f ()], adding its elapsed time to [t] (one
     interval), even if [f] raises. *)
 
-val start : t -> unit
-(** Open an interval by hand (for code that cannot be wrapped in a
-    closure). A second [start] before {!stop} restarts the interval. *)
-
-val stop : t -> unit
-(** Close the interval opened by {!start} and accumulate it. A [stop]
-    without a pending [start] is ignored. *)
-
 val add_s : t -> float -> unit
 (** Accumulate one externally measured interval of [dt] seconds — for
     stages whose endpoints are recorded clock readings rather than a
@@ -50,24 +42,14 @@ val total_s : t -> float
 val mean_s : t -> float
 (** [total_s / count]; [0.] when nothing was recorded. *)
 
-(** {1 Domain-local capture}
+(** {1 Parallel tasks}
 
-    Same contract as {!Counter.capture_begin} — see there for the full
-    story. While a capture is open on this domain, {!time},
-    {!start}/{!stop} accumulate into a private delta (including the
-    pending-interval state, so paired start/stop inside a parallel
-    task never touches the shared cell); {!apply} folds closed deltas
-    in at the join barrier. Interval {e counts} merge
-    deterministically; the accumulated seconds are wall-clock and
-    therefore vary run to run (doc/PARALLELISM.md, determinism
-    contract). *)
-
-type frame
-type deltas
-
-val capture_begin : unit -> frame
-val capture_end : frame -> deltas
-val apply : deltas -> unit
+    Same contract as {!Counter}'s. While a {!Shard.capture} is open
+    on this domain, {!time} and {!add_s} accumulate into the timer's
+    private shadow; {!Shard.merge} folds it in at the join barrier.
+    Interval {e counts} merge deterministically; the accumulated
+    seconds are wall-clock and therefore vary run to run
+    (doc/PARALLELISM.md, determinism contract). *)
 
 (** {1 Clock injection} *)
 

@@ -4,11 +4,16 @@
    registry kill switch, so an untraced or --no-obs run pays a single
    branch per site. *)
 
-type arg = Int of int | Float of float | Str of string | Bool of bool | Ints of int list
+type arg = Capture.arg =
+  | Int of int
+  | Float of float
+  | Str of string
+  | Bool of bool
+  | Ints of int list
 
-type kind = Begin | End | Instant | Counter of float
+type kind = Capture.kind = Begin | End | Instant | Counter of float
 
-type event = {
+type event = Capture.event = {
   seq : int;
   ts : float;
   name : string;
@@ -42,31 +47,11 @@ let detach id =
 
 let attached () = List.length !sinks
 
-(* Domain-local capture (see Counter for the scheme): while a capture
-   is open, events are buffered with a zero sequence number; the pool
-   replays buffers at the join barrier in task-index order, and only
-   that replay touches the global counter and the sinks — so sinks
-   remain single-domain and sequence numbers stay gap-free and
-   deterministic for a fixed seed. *)
-
-type frame = event list ref option
-
-let slot : event list ref option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let capturing () = Option.is_some !(Domain.DLS.get slot)
-
-let capture_begin () : frame =
-  let s = Domain.DLS.get slot in
-  let prev = !s in
-  s := Some (ref []);
-  prev
-
-let capture_end (prev : frame) : event list =
-  let s = Domain.DLS.get slot in
-  let events = match !s with Some buf -> List.rev !buf | None -> [] in
-  s := prev;
-  events
+(* While a capture is open, events are buffered with a zero sequence
+   number; Shard.merge replays buffers at the join barrier in
+   task-index order, and only that replay touches the global counter
+   and the sinks — so sinks remain single-domain and sequence numbers
+   stay gap-free and deterministic for a fixed seed. *)
 
 let dispatch e =
   incr seq;
@@ -77,14 +62,14 @@ let emit ?ts ?(args = []) name kind =
   if active () then begin
     let ts = match ts with Some t -> t | None -> Timer.now_s () in
     let e = { seq = 0; ts; name; kind; args } in
-    match !(Domain.DLS.get slot) with
-    | Some buf -> buf := e :: !buf
+    match !(Domain.DLS.get Capture.slot) with
+    | Some b -> b.events <- e :: b.events
     | None -> dispatch e
   end
 
 let replay events =
-  match !(Domain.DLS.get slot) with
-  | Some buf -> List.iter (fun e -> buf := e :: !buf) events
+  match !(Domain.DLS.get Capture.slot) with
+  | Some b -> b.events <- List.rev_append events b.events
   | None -> if active () then List.iter dispatch events
 
 let instant ?args name = emit ?args name Instant

@@ -16,20 +16,20 @@
     that must {e prepare} payloads (e.g. the oracle collecting the
     revealed-vertex list) guard the preparation behind {!active}. *)
 
-type arg =
+type arg = Capture.arg =
   | Int of int
   | Float of float
   | Str of string
   | Bool of bool
   | Ints of int list  (** small vertex lists, e.g. revealed-by-request *)
 
-type kind =
+type kind = Capture.kind =
   | Begin  (** a phase opens (paired with [End] by name nesting) *)
   | End  (** the innermost open phase of this name closes *)
   | Instant  (** a point event — one oracle request, one checkpoint *)
   | Counter of float  (** a sampled value (queue depth, heap words) *)
 
-type event = {
+type event = Capture.event = {
   seq : int;  (** 1-based global sequence number, gap-free per process *)
   ts : float;  (** seconds on the {!Timer.now_s} clock *)
   name : string;  (** dotted event name, same grammar as metric names *)
@@ -55,28 +55,18 @@ val emit : ?ts:float -> ?args:(string * arg) list -> string -> kind -> unit
 val instant : ?args:(string * arg) list -> string -> unit
 val counter : ?args:(string * arg) list -> string -> float -> unit
 
-(** {1 Domain-local capture}
+(** {1 Parallel tasks}
 
     Sinks are plain closures and must only ever run on one domain.
     {!Sf_parallel.Pool} guarantees that by bracketing parallel tasks
-    in a capture: while one is open on the current domain, {!emit}
-    buffers events (with a zero [seq] and the emitting domain's
-    timestamp) instead of touching the sinks; {!replay} at the join
-    barrier — in task-index order, on the pool's caller — assigns the
-    definitive sequence numbers and fans out. Sequence numbers are
-    therefore gap-free and identical for a fixed seed at any job
-    count; timestamps keep wall-clock truth and may interleave.
-    Prefer the composed {!Shard} API over calling these directly. *)
-
-type frame
-
-val capturing : unit -> bool
-(** True while a capture is open on the current domain — i.e. the code
-    is running inside a parallel task. Sites that must side-step
-    capture (e.g. attaching a sink) can refuse when this is set. *)
-
-val capture_begin : unit -> frame
-val capture_end : frame -> event list
+    in a {!Shard.capture}: while one is open on the current domain,
+    {!emit} buffers events (with a zero [seq] and the emitting
+    domain's timestamp) instead of touching the sinks; {!Shard.merge}
+    {!replay}s them at the join barrier — in task-index order, on the
+    pool's caller — which assigns the definitive sequence numbers and
+    fans out. Sequence numbers are therefore gap-free and identical
+    for a fixed seed at any job count; timestamps keep wall-clock
+    truth and may interleave. *)
 
 val replay : event list -> unit
 (** Re-emit captured events: assigns fresh sequence numbers and fans

@@ -69,7 +69,7 @@ let run ?budget ?(stop_at = At_target) ~rng (strategy : Strategy.t) oracle =
   let continue = ref true in
   let requests_before = Oracle.requests oracle in
   let obs = Sf_obs.Registry.enabled () in
-  if obs then Sf_obs.Timer.start obs_run_timer;
+  let t0 = if obs then Sf_obs.Timer.now_s () else 0. in
   while !continue && (not (stopped stop_at oracle)) && Oracle.requests oracle < budget do
     match stepper () with
     | Strategy.Request_edge (owner, h) -> ignore (Oracle.request_weak oracle ~owner h)
@@ -87,7 +87,7 @@ let run ?budget ?(stop_at = At_target) ~rng (strategy : Strategy.t) oracle =
           ("discovered", Sf_obs.Trace.Int (Oracle.discovered_count oracle));
         ];
   if obs then begin
-    Sf_obs.Timer.stop obs_run_timer;
+    Sf_obs.Timer.add_s obs_run_timer (Sf_obs.Timer.now_s () -. t0);
     let paid = Oracle.requests oracle - requests_before in
     Sf_obs.Counter.incr obs_runs;
     if !gave_up then Sf_obs.Counter.incr obs_gave_up;

@@ -44,14 +44,15 @@ let test_timer_accumulates () =
   Alcotest.(check int) "payload returned" 42 x;
   Alcotest.(check int) "one interval" 1 (Timer.count t);
   Alcotest.(check bool) "non-negative total" true (Timer.total_s t >= 0.);
-  Timer.start t;
-  Timer.stop t;
-  Alcotest.(check int) "start/stop interval" 2 (Timer.count t);
-  Timer.stop t;
-  Alcotest.(check int) "stray stop ignored" 2 (Timer.count t);
+  Timer.add_s t 0.25;
+  Alcotest.(check int) "add_s interval" 2 (Timer.count t);
+  let total = Timer.total_s t in
+  Timer.add_s t (-1.);
+  Alcotest.(check int) "negative interval counted" 3 (Timer.count t);
+  Alcotest.(check (float 0.)) "negative dt clamped to zero" total (Timer.total_s t);
   (* exceptions still record the interval *)
   (try Timer.time t (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "interval recorded on raise" 3 (Timer.count t)
+  Alcotest.(check int) "interval recorded on raise" 4 (Timer.count t)
 
 (* --- histogram bucket boundaries --------------------------------------- *)
 
@@ -79,21 +80,35 @@ let test_histo_bucket_boundaries () =
   Alcotest.(check (list (pair (float 1e-9) int)))
     "non-empty buckets with upper bounds"
     [ (1., 2); (2., 2); (4., 2); (128., 1) ]
-    (Histo.buckets h)
+    (Histo.buckets h);
+  (* observe_int buckets by bit length, not by log: it must agree with
+     the float path wherever the float path is exact *)
+  let hi = Histo.create () in
+  let check_int v =
+    let i = Histo.bucket_index hi (float_of_int v) in
+    let before = Histo.bucket_count hi i in
+    Histo.observe_int hi v;
+    if Histo.bucket_count hi i <> before + 1 then
+      Alcotest.failf "observe_int %d missed bucket %d" v i
+  in
+  for v = -3 to 1 lsl 16 do
+    check_int v
+  done;
+  for k = 17 to 30 do
+    for d = -3 to 3 do
+      check_int ((1 lsl k) + d)
+    done
+  done
 
-let test_histo_quantile_and_base () =
-  Alcotest.check_raises "base must exceed 1" (Invalid_argument "Histo.create: need base > 1")
-    (fun () -> ignore (Histo.create ~base:1. ()));
-  let h = Histo.create ~base:10. () in
-  Alcotest.(check int) "ten closes bucket 1 (base 10)" 1 (Histo.bucket_index h 10.);
-  Alcotest.(check int) "eleven opens bucket 2 (base 10)" 2 (Histo.bucket_index h 11.);
+let test_histo_quantiles () =
+  let h = Histo.create () in
   Alcotest.(check bool) "quantile of empty is nan" true (Float.is_nan (Histo.quantile h 0.5));
   for v = 1 to 100 do
     Histo.observe_int h v
   done;
   (* quantile returns the bucket upper bound: an upper estimate *)
-  Alcotest.(check (float 1e-9)) "p50 upper estimate" 100. (Histo.quantile h 0.5);
-  Alcotest.(check (float 1e-9)) "p05 in the first decade" 10. (Histo.quantile h 0.05);
+  Alcotest.(check (float 1e-9)) "p50 upper estimate" 64. (Histo.quantile h 0.5);
+  Alcotest.(check (float 1e-9)) "p05 in (4, 8]" 8. (Histo.quantile h 0.05);
   Alcotest.check_raises "quantile range" (Invalid_argument "Histo.quantile: need q in [0, 1]")
     (fun () -> ignore (Histo.quantile h 1.5))
 
@@ -293,7 +308,7 @@ let suite =
     ("counter monotonicity", `Quick, test_counter_monotone);
     ("timer accumulates", `Quick, test_timer_accumulates);
     ("histogram bucket boundaries", `Quick, test_histo_bucket_boundaries);
-    ("histogram quantiles and bases", `Quick, test_histo_quantile_and_base);
+    ("histogram quantiles", `Quick, test_histo_quantiles);
     ("histogram quantile edge cases", `Quick, test_histo_quantile_edges);
     ("span nesting and ordering", `Quick, test_span_nesting_and_order);
     ("span exception safety", `Quick, test_span_exception_safety);

@@ -188,6 +188,140 @@ let test_gauge_last_write_by_index () =
   Alcotest.(check (float 1e-9)) "last write decided by task index" 31. (Registry.gauge_value g)
 
 (* ---------------------------------------------------------------- *)
+(* Capture then merge equals direct                                  *)
+(* ---------------------------------------------------------------- *)
+
+(* A random program of metric and trace operations, split into tasks
+   that nest and sometimes raise. Run once directly (raising tasks
+   skipped, since capture discards them) and once with every task in
+   Shard.capture, top-level shards merged in task order after all ran
+   and nested ones as they finish: every deterministic quantity must
+   agree. Observed floats are multiples of 1/4 below 2^12, so sums are
+   exact in any association order. *)
+
+type cap_op =
+  | Incr of int
+  | Add of int * int
+  | Observe_int of int * int
+  | Observe of int * float
+  | Add_s of int * float
+  | Time of int
+  | Set_gauge of float
+  | Emit of int * int
+
+type cap_item = Op of cap_op | Task of cap_task
+and cap_task = { items : cap_item list; raises : bool }
+
+exception Task_failed
+
+let gen_cap_op =
+  QCheck.Gen.(
+    let quarter = map (fun k -> float_of_int k /. 4.) (int_range (-8) 16_000) in
+    oneof
+      [
+        map (fun i -> Incr i) (int_bound 2);
+        map2 (fun i d -> Add (i, d)) (int_bound 2) (int_bound 50);
+        map2 (fun i v -> Observe_int (i, v)) (int_bound 1) (int_range (-3) 100_000);
+        map2 (fun i v -> Observe (i, v)) (int_bound 1) quarter;
+        map2 (fun i v -> Add_s (i, v)) (int_bound 1) quarter;
+        map (fun i -> Time i) (int_bound 1);
+        map (fun v -> Set_gauge v) quarter;
+        map2 (fun k a -> Emit (k, a)) (int_bound 3) (int_bound 1000);
+      ])
+
+let gen_cap_task =
+  QCheck.Gen.(
+    fix
+      (fun self depth ->
+        let item =
+          if depth = 0 then map (fun o -> Op o) gen_cap_op
+          else
+            frequency
+              [ (5, map (fun o -> Op o) gen_cap_op); (1, map (fun t -> Task t) (self (depth - 1))) ]
+        in
+        map2 (fun items raises -> { items; raises }) (list_size (int_bound 8) item)
+          (frequency [ (5, return false); (1, return true) ]))
+      2)
+
+let gauge_serial = ref 0
+
+(* fresh metrics per run; a registry gauge is the only way to get one,
+   so each run registers a new name *)
+let fresh_cap_metrics () =
+  incr gauge_serial;
+  ( Array.init 3 (fun _ -> Counter.create ()),
+    Array.init 2 (fun _ -> Histo.create ()),
+    Array.init 2 (fun _ -> Timer.create ()),
+    Registry.gauge (Printf.sprintf "test.parallel.capture_prop.%d" !gauge_serial) )
+
+let run_cap_op (cs, hs, ts, g) = function
+  | Incr i -> Counter.incr cs.(i)
+  | Add (i, d) -> Counter.add cs.(i) d
+  | Observe_int (i, v) -> Histo.observe_int hs.(i) v
+  | Observe (i, v) -> Histo.observe hs.(i) v
+  | Add_s (i, v) -> Timer.add_s ts.(i) v
+  | Time i -> Timer.time ts.(i) ignore
+  | Set_gauge v -> Registry.set_gauge g v
+  | Emit (k, a) ->
+    let kind =
+      match k with 0 -> Trace.Begin | 1 -> Trace.End | 2 -> Trace.Instant | _ -> Trace.Counter 1.5
+    in
+    Trace.emit "test.capture_prop" kind ~args:[ ("a", Trace.Int a) ]
+
+let rec run_direct m task =
+  if not task.raises then
+    List.iter (function Op o -> run_cap_op m o | Task t -> run_direct m t) task.items
+
+let rec run_captured m task =
+  List.iter
+    (function
+      | Op o -> run_cap_op m o
+      | Task t -> (
+        match Shard.capture (fun () -> run_captured m t) with
+        | (), s -> Shard.merge s
+        | exception Task_failed -> ()))
+    task.items;
+  if task.raises then raise Task_failed
+
+let cap_fingerprint (cs, hs, ts, g) events =
+  let base = match events with first :: _ -> first.Trace.seq | [] -> 0 in
+  ( Array.map Counter.value cs,
+    Array.map
+      (fun h -> (Histo.buckets h, Histo.count h, Histo.sum h, Histo.min_value h, Histo.max_value h))
+      hs,
+    Array.map Timer.count ts,
+    (Registry.gauge_value g, Registry.gauge_set g),
+    (* the first event is the run's marker, so seq is taken relative
+       to it *)
+    List.map (fun e -> (e.Trace.seq - base, e.Trace.name, e.Trace.kind, e.Trace.args)) events )
+
+let prop_capture_merge_equals_direct =
+  QCheck.Test.make ~name:"capture then merge equals direct" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_bound 6) gen_cap_task))
+    (fun tasks ->
+      let observe run =
+        let m = fresh_cap_metrics () in
+        let acc = ref [] in
+        with_sink (collector acc) (fun () ->
+            Trace.instant "test.capture_prop.marker";
+            run m);
+        cap_fingerprint m (List.rev !acc)
+      in
+      let direct = observe (fun m -> List.iter (run_direct m) tasks) in
+      let captured =
+        observe (fun m ->
+            List.filter_map
+              (fun t ->
+                match Shard.capture (fun () -> run_captured m t) with
+                | (), s -> Some s
+                | exception Task_failed -> None)
+              tasks
+            |> List.iter Shard.merge)
+      in
+      (* compare (not =) so nan min/max of empty histograms agree *)
+      compare direct captured = 0)
+
+(* ---------------------------------------------------------------- *)
 (* Rng.split_at under domains                                        *)
 (* ---------------------------------------------------------------- *)
 
@@ -339,6 +473,7 @@ let suite =
       test_shard_stress_trace_sink;
     Alcotest.test_case "gauge last-write decided by index" `Quick
       test_gauge_last_write_by_index;
+    QCheck_alcotest.to_alcotest prop_capture_merge_equals_direct;
     QCheck_alcotest.to_alcotest prop_split_at_same_across_domains;
     QCheck_alcotest.to_alcotest prop_split_at_same_through_pool;
     Alcotest.test_case "measure identical across jobs (golden)" `Slow

@@ -224,10 +224,7 @@ let test_prometheus_golden () =
   Timer.set_clock (fun () -> !fake);
   Fun.protect
     ~finally:(fun () -> Timer.set_clock Unix.gettimeofday)
-    (fun () ->
-      Timer.start tm;
-      fake := 1.5;
-      Timer.stop tm);
+    (fun () -> Timer.time tm (fun () -> fake := 1.5));
   Registry.set_gauge g 3.5;
   List.iter (Histo.observe h) [ 1.; 2.; 4. ];
   let rendered =
