@@ -6,10 +6,10 @@
    Shard.merge folds the shadows back at the join barrier. *)
 
 type counter = { mutable n : int }
-type timer = { mutable total : float; mutable count : int }
 
-(* stats holds sum, min and max unboxed, so an observation allocates
-   nothing *)
+(* a timer's one-slot [total] and a histogram's [stats] (sum, min,
+   max) hold their floats unboxed, so an update allocates nothing *)
+type timer = { total : float array; mutable count : int }
 type histo = { counts : int array; stats : float array; mutable h_count : int }
 type gauge = { mutable g_value : float; mutable g_set : bool }
 
@@ -51,7 +51,7 @@ let counter b t =
 
 let timer b t =
   shadow t
-    (fun () -> { total = 0.; count = 0 })
+    (fun () -> { total = [| 0. |]; count = 0 })
     (fun b p -> b.timers <- p :: b.timers)
     b b.timers
 

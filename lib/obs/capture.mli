@@ -17,7 +17,10 @@
     the modules named above keep them abstract or re-export them. *)
 
 type counter = { mutable n : int }
-type timer = { mutable total : float; mutable count : int }
+type timer = {
+  total : float array;  (** one slot: the accumulated seconds *)
+  mutable count : int;
+}
 
 type histo = {
   counts : int array;  (** {!n_buckets} bucket counts *)

@@ -41,7 +41,7 @@ let merge (s : t) =
   List.iter
     (fun (t, d) ->
       let c = cell timer t in
-      c.total <- c.total +. d.total;
+      c.total.(0) <- c.total.(0) +. d.total.(0);
       c.count <- c.count + d.count)
     (List.rev s.timers);
   List.iter

@@ -32,6 +32,13 @@ type model = Weak | Strong
    target's closed neighbourhood and the discovered vertices, O(deg
    target + discovered), the order of the work already done.
 
+   [paid] holds one byte per public id, nonzero once a weak request
+   paid for that handle; it grows on demand to the largest id paid
+   for. A paid handle is in its owner's list, and the owner was
+   discovered, so [release] clears every paid byte by walking the
+   discovered handle lists, at one store per handle that discovery
+   already exposed.
+
    Everything else is indexed by discovery rank and grows with the
    search: the discovery sequence, the discovery-tree parent (0 for
    the source), the handle lists, and [mark] — twice the number of the
@@ -39,6 +46,7 @@ type model = Weak | Strong
    was itself strong-requested. *)
 type arena = {
   slot : Sf_graph.Bigvec.buf;
+  mutable paid : Bytes.t;
   mutable order : int array;
   mutable parent : int array;
   mutable handle_lists : int array array;
@@ -54,6 +62,7 @@ let new_arena n =
   Bigarray.Array1.fill slot 0l;
   {
     slot;
+    paid = Bytes.make 64 '\000';
     order = Array.make cap 0;
     parent = Array.make cap 0;
     handle_lists = Array.make cap [||];
@@ -76,6 +85,11 @@ let grow a =
   a.parent <- extend a.parent 0;
   a.handle_lists <- extend a.handle_lists [||];
   a.mark <- extend a.mark 0
+
+let grow_paid a h =
+  let paid = Bytes.make (max (h + 1) (2 * Bytes.length a.paid)) '\000' in
+  Bytes.blit a.paid 0 paid 0 (Bytes.length a.paid);
+  a.paid <- paid
 
 (* The domain keeps at most one free arena. The cell is atomic because
    systhreads of one domain share it. *)
@@ -102,7 +116,6 @@ type t = {
   obfuscate : bool;
   pub_of_real : (int, int) Hashtbl.t;
   real_of_pub : Vec.t;
-  requested : (int, unit) Hashtbl.t; (* public ids of paid weak requests *)
   arena : arena;
   slot : Sf_graph.Bigvec.buf; (* arena.slot *)
   mutable count : int; (* vertices discovered *)
@@ -181,7 +194,6 @@ let start ?(obfuscate = true) ~rng model g ~source ~target =
       obfuscate;
       pub_of_real = Hashtbl.create 64;
       real_of_pub = Vec.create ();
-      requested = Hashtbl.create 64;
       arena;
       slot;
       count = 0;
@@ -201,11 +213,17 @@ let release t =
     let a = t.arena and slot = t.slot in
     slot.{t.target - 1} <- 0l;
     Ugraph.iter_neighbors t.g t.target (fun u -> slot.{u - 1} <- 0l);
+    let paid = a.paid in
+    let n_paid = Bytes.length paid in
     for i = 0 to t.count - 1 do
-      slot.{a.order.(i) - 1} <- 0l
+      slot.{a.order.(i) - 1} <- 0l;
+      let hs = a.handle_lists.(i) in
+      for k = 0 to Array.length hs - 1 do
+        if hs.(k) < n_paid then Bytes.unsafe_set paid hs.(k) '\000'
+      done;
+      (* so that the free arena pins none of this query's handle lists *)
+      a.handle_lists.(i) <- [||]
     done;
-    (* so that the free arena pins none of this query's handle lists *)
-    Array.fill a.handle_lists 0 t.count [||];
     return_arena a
   end
 
@@ -249,13 +267,16 @@ let rank_of_discovered t v name =
   if r < 0 then invalid_arg ("Oracle." ^ name ^ ": vertex not discovered");
   r
 
+let discovery_rank t v = rank_of_discovered t v "discovery_rank"
+
 let handles t v = t.arena.handle_lists.(rank_of_discovered t v "handles")
 
 let degree t v = Array.length (handles t v)
 
 let handle_requested t h =
   live t "handle_requested";
-  Hashtbl.mem t.requested h
+  let paid = t.arena.paid in
+  h >= 0 && h < Bytes.length paid && Bytes.unsafe_get paid h <> '\000'
 
 let endpoints_if_known t h =
   live t "endpoints_if_known";
@@ -289,7 +310,9 @@ let request_weak t ~owner h =
   let tracing = Sf_obs.Trace.active () in
   let before = t.count in
   t.request_count <- t.request_count + 1;
-  Hashtbl.replace t.requested h ();
+  let a = t.arena in
+  if h >= Bytes.length a.paid then grow_paid a h;
+  Bytes.unsafe_set a.paid h '\001';
   discover ~via:owner t far;
   if tracing then trace_request t ~kind:"weak-edge" ~at:owner ~before;
   far

@@ -59,17 +59,23 @@ val start :
     The instance leases its search state from an arena that the
     calling domain reuses across queries: 4 bytes per vertex outside
     the GC heap, plus buffers that grow with what the search
-    discovers. With a free arena large enough for the graph, [start]
-    costs O(deg target); otherwise it allocates a new one.
+    discovers — per discovered vertex its rank-indexed entries and
+    handle list, and one byte per public handle id up to the largest
+    one paid for. With a free arena large enough for the graph,
+    [start] costs O(deg target); otherwise it allocates a new one.
     @raise Invalid_argument if [source] or [target] is not a vertex. *)
 
 val release : t -> unit
 (** Ends the lease: the arena goes back to the calling domain, which
     keeps at most one free arena for the next {!start}. Before that,
-    [release] clears what the query wrote, in O(deg target +
-    {!discovered_count}) — the order of the work the query already
-    did. Call it once the last answer has been read (outcome,
-    {!discovery_path}, ...). An instance that is never released is
+    [release] clears what the query wrote: the marks of the target's
+    closed neighbourhood and of every discovered vertex, and the paid
+    byte of each handle in a discovered vertex's list (every paid
+    handle is in one). That costs O(deg target + the summed degree of
+    the discovered vertices), the order of the work the query already
+    did: discovering a vertex exposed each of its handles. Call it
+    once the last answer has been read (outcome, {!discovery_path},
+    ...). An instance that is never released is
     simply collected, with its arena, at the cost of a fresh arena per
     {!start}. After [release], every
     function of this module except [release] itself raises
@@ -92,6 +98,13 @@ val discovered_nth : t -> int -> vertex
 (** Discovery sequence, [0 .. discovered_count - 1]; lets a strategy
     pull new discoveries incrementally. *)
 
+val discovery_rank : t -> vertex -> int
+(** The inverse of {!discovered_nth}: [discovered_nth t
+    (discovery_rank t v) = v]. One load, so a strategy can keep
+    per-vertex state in an array indexed by rank instead of a hash
+    table; it reveals nothing a strategy could not compute from
+    {!discovered_nth}. @raise Invalid_argument if undiscovered. *)
+
 val degree : t -> vertex -> int
 (** Observable degree of a {e discovered} vertex: the number of its
     handles (a self-loop contributes one).
@@ -102,7 +115,10 @@ val handles : t -> vertex -> handle array
     do not mutate. @raise Invalid_argument if undiscovered. *)
 
 val handle_requested : t -> handle -> bool
-(** Whether some past weak request already paid for this handle. *)
+(** Whether some past weak request already paid for this handle: a
+    bounds check and one byte load. A handle no request could have
+    paid for — negative, not yet exposed, or past the graph's edges —
+    reads [false]. *)
 
 val endpoints_if_known : t -> handle -> (vertex * vertex) option
 (** Both endpoints, when the searcher is in a position to know them —

@@ -11,9 +11,10 @@ type t = {
 }
 
 module Cursor = struct
-  type cursor = (int, int) Hashtbl.t (* vertex -> next handle index *)
+  (* next handle index by discovery rank; a rank past the end reads 0 *)
+  type cursor = { mutable next : int array }
 
-  let create () : cursor = Hashtbl.create 64
+  let create () = { next = [||] }
 
   let useless oracle ~skip_known h =
     Oracle.handle_requested oracle h
@@ -22,13 +23,19 @@ module Cursor = struct
   let next_handle cur oracle ~skip_known v =
     let hs = Oracle.handles oracle v in
     let len = Array.length hs in
-    let i = ref (Option.value ~default:0 (Hashtbl.find_opt cur v)) in
+    let r = Oracle.discovery_rank oracle v in
+    if r >= Array.length cur.next then begin
+      let next = Array.make (max 64 (max (r + 1) (2 * Array.length cur.next))) 0 in
+      Array.blit cur.next 0 next 0 (Array.length cur.next);
+      cur.next <- next
+    end;
+    let i = ref cur.next.(r) in
     (* A requested handle is useless forever; a known-endpoints handle
        stays useless too (endpoints never become undiscovered), so
        advancing the cursor past both is safe. *)
     while !i < len && useless oracle ~skip_known hs.(!i) do
       incr i
     done;
-    Hashtbl.replace cur v !i;
+    cur.next.(r) <- !i;
     if !i < len then Some hs.(!i) else None
 end

@@ -54,6 +54,33 @@ let test_timer_accumulates () =
   (try Timer.time t (fun () -> failwith "boom") with Failure _ -> ());
   Alcotest.(check int) "interval recorded on raise" 4 (Timer.count t)
 
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* the server adds four stage intervals per request and Runner.run one
+   per search, so add_s must allocate nothing: neither on the direct
+   path nor, once the shadow exists, inside a capture *)
+let test_timer_add_allocates_nothing () =
+  let t = Timer.create () in
+  let dt = 1e-6 in
+  let loop () =
+    for _ = 1 to 10_000 do
+      Timer.add_s t dt
+    done
+  in
+  let baseline = minor_words_of (fun () -> ()) in
+  Alcotest.(check (float 0.)) "direct" baseline (minor_words_of loop);
+  let captured, shard =
+    Sf_obs.Shard.capture (fun () ->
+        Timer.add_s t dt;
+        minor_words_of loop)
+  in
+  Sf_obs.Shard.merge shard;
+  Alcotest.(check (float 0.)) "captured" baseline captured;
+  Alcotest.(check int) "every interval counted" 20_001 (Timer.count t)
+
 (* --- histogram bucket boundaries --------------------------------------- *)
 
 let test_histo_bucket_boundaries () =
@@ -323,4 +350,5 @@ let suite =
     ("csv export escapes tricky names", `Quick, test_csv_export_escapes_tricky_names);
     ("disabled mode freezes counters", `Quick, test_disabled_counters_freeze_sites);
     ("json string round-trip", `Quick, test_json_string_roundtrip);
+    ("timer add_s allocates nothing", `Quick, test_timer_add_allocates_nothing);
   ]

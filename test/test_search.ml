@@ -566,13 +566,15 @@ let prop_requests_never_decrease_knowledge =
 
 (* Everything a query reveals: the outcome, then per discovered vertex
    (in discovery order) its discovery path, its handles in list order
-   and its explored flag. *)
+   with whether each was paid for, and its explored flag. *)
 let snapshot oracle outcome =
   ( outcome,
     List.init (Oracle.discovered_count oracle) (fun i ->
         let v = Oracle.discovered_nth oracle i in
         ( Oracle.discovery_path oracle v,
-          Array.to_list (Oracle.handles oracle v),
+          List.map
+            (fun h -> (h, Oracle.handle_requested oracle h))
+            (Array.to_list (Oracle.handles oracle v)),
           Oracle.is_explored oracle v )) )
 
 let query_rng seed k = Rng.of_seed ((seed * 1000) + k)
@@ -721,6 +723,38 @@ let test_use_after_release () =
   Alcotest.(check int) "the live oracle is untouched" 1 (Oracle.discovered_count next);
   Oracle.release next
 
+let test_handle_requested_unknown () =
+  (* a handle no request could have paid for reads false, whatever the
+     state of the paid bytes; after release every read raises *)
+  let g = Sf_gen.Mori.tree (Rng.of_seed 12) ~p:0.5 ~t:80 in
+  List.iter
+    (fun obfuscate ->
+      let o = Oracle.start ~obfuscate ~rng:(Rng.of_seed 13) Oracle.Weak g ~source:1 ~target:80 in
+      let paid = Oracle.handles o 1 in
+      Array.iter (fun h -> ignore (Oracle.request_weak o ~owner:1 h)) paid;
+      let publicized =
+        List.fold_left max (-1)
+          (List.init (Oracle.discovered_count o) (fun i ->
+               Array.fold_left max (-1) (Oracle.handles o (Oracle.discovered_nth o i))))
+        + 1
+      in
+      let unknown =
+        (if obfuscate then [ ("publicized count", publicized) ] else [])
+        @ [ ("-1", -1); ("n_edges", Ugraph.n_edges g) ]
+      in
+      let label name = Printf.sprintf "%s (obfuscate=%b)" name obfuscate in
+      Array.iter
+        (fun h -> Alcotest.(check bool) (label "paid") true (Oracle.handle_requested o h))
+        paid;
+      List.iter
+        (fun (name, h) -> Alcotest.(check bool) (label name) false (Oracle.handle_requested o h))
+        unknown;
+      Oracle.release o;
+      List.iter
+        (fun (name, h) -> raises_invalid (label name) (fun () -> Oracle.handle_requested o h))
+        unknown)
+    [ true; false ]
+
 let test_two_live_oracles () =
   (* two oracles live on one domain, stepped in alternation, end exactly
      where each ends alone; a third started after one is released (so
@@ -801,6 +835,65 @@ let test_warm_start_allocation () =
     true
     (small < 4096. && large < 4096.);
   Alcotest.(check (float 0.)) "same at 2^12 and 2^16" small large
+
+(* --- Cross-PR portfolio golden ------------------------------------------ *)
+
+(* MD5 over the Runner.search outcomes of every strategy in both
+   portfolios plus eps-greedy, restart-walk, timestamp-cheat and the
+   non-skipping rand-edge, on a fixed Móri tree and a fixed
+   Cooper–Frieze graph, each with and without handle obfuscation.  It
+   pins search behaviour across internal rewrites of the oracle and
+   the strategies: replies, public-id order and rng draws must all
+   stay put.  If a legitimate change moves search outcomes (rng
+   stream, strategy semantics), update it together with the fabric
+   and sfload goldens. *)
+let pinned_portfolio_md5 = "68873f82639d69b1f6a38af6454cf29f"
+
+let portfolio_outcomes () =
+  let strategies =
+    Strategies.weak_portfolio ()
+    @ Strategies.strong_portfolio ()
+    @ [
+        Strategies.epsilon_greedy ~epsilon:0.2;
+        Strategies.restart_walk ~restart:0.1;
+        Strategies.timestamp_cheat;
+        Strategies.random_edge ~skip_known:false;
+      ]
+  in
+  let graphs =
+    [
+      ("mori", Sf_gen.Mori.tree (Rng.of_seed 2024) ~p:0.5 ~t:400);
+      ( "cf",
+        Sf_gen.Cooper_frieze.generate_n_vertices (Rng.of_seed 2025) Sf_gen.Cooper_frieze.default
+          ~n:300 );
+    ]
+  in
+  let b = Buffer.create 65536 in
+  let opt = function None -> "-" | Some k -> string_of_int k in
+  List.iteri
+    (fun gi (gname, g) ->
+      let n = Ugraph.n_vertices g in
+      List.iter
+        (fun obfuscate ->
+          List.iteri
+            (fun si strategy ->
+              List.iteri
+                (fun qi (source, target) ->
+                  let case = (((gi * 2) + Bool.to_int obfuscate) * 10_000) + (si * 100) + qi in
+                  let o = Runner.search ~obfuscate ~rng:(Rng.of_seed case) g strategy ~source ~target in
+                  Printf.bprintf b
+                    "%s %b %s %d->%d: n=%d req=%d target=%s nbr=%s disc=%d gave_up=%b\n" gname obfuscate o.Runner.strategy source target o.Runner.n_vertices
+                    o.Runner.total_requests (opt o.Runner.to_target) (opt o.Runner.to_neighbor)
+                    o.Runner.discovered o.Runner.gave_up)
+                [ (1, n); (n, 1); (n / 2, n - 1); (3, (2 * n / 3) + 1) ])
+            strategies)
+        [ true; false ])
+    graphs;
+  Buffer.contents b
+
+let test_portfolio_golden () =
+  Alcotest.(check string) "portfolio outcome digest pinned" pinned_portfolio_md5
+    (Digest.to_hex (Digest.string (portfolio_outcomes ())))
 
 (* --- Observability ----------------------------------------------------- *)
 
@@ -885,4 +978,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_kleinberg_distance_is_metric;
     QCheck_alcotest.to_alcotest prop_requests_never_decrease_knowledge;
     QCheck_alcotest.to_alcotest prop_arena_reuse_equivalence;
+    ("arena: unknown handles never paid", `Quick, test_handle_requested_unknown);
+    ("portfolio golden", `Quick, test_portfolio_golden);
   ]
