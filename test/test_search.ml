@@ -836,7 +836,7 @@ let test_warm_start_allocation () =
     (small < 4096. && large < 4096.);
   Alcotest.(check (float 0.)) "same at 2^12 and 2^16" small large
 
-(* --- Cross-PR portfolio golden ------------------------------------------ *)
+(* --- Portfolio golden ---------------------------------------------------- *)
 
 (* MD5 over the Runner.search outcomes of every strategy in both
    portfolios plus eps-greedy, restart-walk, timestamp-cheat and the
