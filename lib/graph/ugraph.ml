@@ -49,8 +49,12 @@ let endpoints t id =
   if id < 0 || id >= Csr.n_edges t then invalid_arg "Ugraph.endpoints: edge id out of range";
   (Csr.src t id, Csr.dst t id)
 
+(* reads the two ends directly: the pair from [endpoints] would cost
+   an allocation on every weak request *)
 let other_endpoint t ~edge_id v =
-  let s, d = endpoints t edge_id in
+  if edge_id < 0 || edge_id >= Csr.n_edges t then
+    invalid_arg "Ugraph.endpoints: edge id out of range";
+  let s = Csr.src t edge_id and d = Csr.dst t edge_id in
   if v = s then d
   else if v = d then s
   else invalid_arg "Ugraph.other_endpoint: vertex is not an endpoint"

@@ -1,10 +1,14 @@
-let in_place rng a =
-  for i = Array.length a - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
+let in_place_sub rng a ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length a - len then
+    invalid_arg "Shuffle.in_place_sub: range out of bounds";
+  for i = len - 1 downto 1 do
+    let j = pos + Rng.int rng (i + 1) in
+    let tmp = a.(pos + i) in
+    a.(pos + i) <- a.(j);
     a.(j) <- tmp
   done
+
+let in_place rng a = in_place_sub rng a ~pos:0 ~len:(Array.length a)
 
 let permutation rng n =
   let a = Array.init n (fun i -> i) in

@@ -3,6 +3,12 @@
 val in_place : Rng.t -> 'a array -> unit
 (** Fisher–Yates shuffle; uniform over all permutations. *)
 
+val in_place_sub : Rng.t -> 'a array -> pos:int -> len:int -> unit
+(** [in_place_sub rng a ~pos ~len] shuffles [a.(pos) .. a.(pos + len - 1)]
+    and nothing else, with the same draws {!in_place} makes on an array
+    of length [len]. @raise Invalid_argument if the range is not
+    inside [a]. *)
+
 val permutation : Rng.t -> int -> int array
 (** [permutation rng n] is a uniform permutation of [0 .. n-1]. *)
 

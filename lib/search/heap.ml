@@ -35,27 +35,29 @@ let push t ~priority v =
     i := (!i - 1) / 2
   done
 
+let max_priority t =
+  if t.len = 0 then invalid_arg "Heap.max_priority: empty heap";
+  Array.unsafe_get t.prio 0
+
 let pop_max t =
-  if t.len = 0 then None
-  else begin
-    let top = (t.prio.(0), t.value.(0)) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.prio.(0) <- t.prio.(t.len);
-      t.value.(0) <- t.value.(t.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let largest = ref !i in
-        if l < t.len && t.prio.(l) > t.prio.(!largest) then largest := l;
-        if r < t.len && t.prio.(r) > t.prio.(!largest) then largest := r;
-        if !largest = !i then continue := false
-        else begin
-          swap t !i !largest;
-          i := !largest
-        end
-      done
-    end;
-    Some top
-  end
+  if t.len = 0 then invalid_arg "Heap.pop_max: empty heap";
+  let top = t.value.(0) in
+  t.len <- t.len - 1;
+  if t.len > 0 then begin
+    t.prio.(0) <- t.prio.(t.len);
+    t.value.(0) <- t.value.(t.len);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let largest = ref !i in
+      if l < t.len && t.prio.(l) > t.prio.(!largest) then largest := l;
+      if r < t.len && t.prio.(r) > t.prio.(!largest) then largest := r;
+      if !largest = !i then continue := false
+      else begin
+        swap t !i !largest;
+        i := !largest
+      end
+    done
+  end;
+  top

@@ -8,5 +8,10 @@ val create : unit -> t
 val length : t -> int
 val push : t -> priority:float -> int -> unit
 
-val pop_max : t -> (float * int) option
-(** Highest-priority entry, or [None] when empty. *)
+val max_priority : t -> float
+(** Priority of the entry {!pop_max} would remove.
+    @raise Invalid_argument when empty. *)
+
+val pop_max : t -> int
+(** Removes the highest-priority entry and returns its value; nothing
+    is allocated. @raise Invalid_argument when empty. *)

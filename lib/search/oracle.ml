@@ -1,6 +1,5 @@
 module Rng = Sf_prng.Rng
 module Ugraph = Sf_graph.Ugraph
-module Vec = Sf_graph.Vec
 
 (* Observability: the oracle is where the paper's complexity measure
    is paid, so the request counters live here (see
@@ -32,29 +31,36 @@ type model = Weak | Strong
    target's closed neighbourhood and the discovered vertices, O(deg
    target + discovered), the order of the work already done.
 
+   The handles of all discovered vertices live in one flat buffer,
+   [handles], in discovery order: the vertex of rank [i] owns
+   [handles.(first.(i)) .. handles.(first.(i + 1) - 1)], so
+   [first.(count)] ends the used prefix. [real_of_pub] maps a public
+   id back to its physical edge; ids are dense from 0, so a query
+   overwrites the prefix it uses and [release] need not clear it.
+
    [paid] holds one byte per public id, nonzero once a weak request
    paid for that handle; it grows on demand to the largest id paid
-   for. A paid handle is in its owner's list, and the owner was
-   discovered, so [release] clears every paid byte by walking the
-   discovered handle lists, at one store per handle that discovery
-   already exposed.
+   for. A paid handle is in its owner's range, and the owner was
+   discovered, so [release] clears every paid byte with one walk over
+   the used prefix of [handles].
 
    Everything else is indexed by discovery rank and grows with the
    search: the discovery sequence, the discovery-tree parent (0 for
-   the source), the handle lists, and [mark] — twice the number of the
-   last strong request that listed the vertex, plus 1 once the vertex
-   was itself strong-requested. *)
+   the source), [first], and [mark], 1 once the vertex was
+   strong-requested. Every buffer stays at its high-water mark for
+   the next query. *)
 type arena = {
   slot : Sf_graph.Bigvec.buf;
   mutable paid : Bytes.t;
   mutable order : int array;
   mutable parent : int array;
-  mutable handle_lists : int array array;
   mutable mark : int array;
-  mutable scratch : int array; (* request_strong's distinct neighbours *)
+  mutable first : int array; (* one longer than [order] *)
+  mutable handles : int array;
+  mutable real_of_pub : int array;
 }
 
-let near = -1l
+let near = -1
 
 let new_arena n =
   let cap = min n 64 in
@@ -65,26 +71,27 @@ let new_arena n =
     paid = Bytes.make 64 '\000';
     order = Array.make cap 0;
     parent = Array.make cap 0;
-    handle_lists = Array.make cap [||];
     mark = Array.make cap 0;
-    scratch = [||];
+    first = Array.make (cap + 1) 0;
+    handles = Array.make 256 0;
+    real_of_pub = Array.make 256 0;
   }
 
 let capacity a = Bigarray.Array1.dim a.slot
+
+let extend old len =
+  let arr = Array.make len 0 in
+  Array.blit old 0 arr 0 (Array.length old);
+  arr
 
 (* Discovery can never outgrow the vertex count, so neither do the
    rank-indexed buffers. *)
 let grow a =
   let cap = min (capacity a) (2 * Array.length a.order) in
-  let extend old fill =
-    let arr = Array.make cap fill in
-    Array.blit old 0 arr 0 (Array.length old);
-    arr
-  in
-  a.order <- extend a.order 0;
-  a.parent <- extend a.parent 0;
-  a.handle_lists <- extend a.handle_lists [||];
-  a.mark <- extend a.mark 0
+  a.order <- extend a.order cap;
+  a.parent <- extend a.parent cap;
+  a.mark <- extend a.mark cap;
+  a.first <- extend a.first (cap + 1)
 
 let grow_paid a h =
   let paid = Bytes.make (max (h + 1) (2 * Bytes.length a.paid)) '\000' in
@@ -115,7 +122,7 @@ type t = {
   rng : Rng.t;
   obfuscate : bool;
   pub_of_real : (int, int) Hashtbl.t;
-  real_of_pub : Vec.t;
+  mutable n_pub : int; (* public ids handed out, the used prefix of real_of_pub *)
   arena : arena;
   slot : Sf_graph.Bigvec.buf; (* arena.slot *)
   mutable count : int; (* vertices discovered *)
@@ -127,19 +134,26 @@ type t = {
 
 let live t name = if t.released then invalid_arg ("Oracle." ^ name ^ ": oracle released")
 
-(* [v] must be a vertex of the graph; [slot] is at least that long. *)
-let code t v = Bigarray.Array1.unsafe_get t.slot (v - 1)
-let known t v = code t v > 0l
-let rank t v = Int32.to_int (code t v) - 1
+(* [v] must be a vertex of the graph; [slot] is at least that long.
+   The int32 becomes an int inside [code]: ocamlopt without flambda
+   does not inline [code] into its callers, and an int32 result would
+   be boxed, 24 bytes on every read. *)
+let code t v = Int32.to_int (Bigarray.Array1.unsafe_get t.slot (v - 1))
+let set_code slot v c = Bigarray.Array1.unsafe_set slot (v - 1) (Int32.of_int c)
+let known t v = code t v > 0
+let rank t v = code t v - 1
 
 let publicize t real_id =
   if not t.obfuscate then real_id
   else
-    match Hashtbl.find_opt t.pub_of_real real_id with
-    | Some pub -> pub
-    | None ->
-      let pub = Vec.length t.real_of_pub in
-      Vec.push t.real_of_pub real_id;
+    match Hashtbl.find t.pub_of_real real_id with
+    | pub -> pub
+    | exception Not_found ->
+      let a = t.arena in
+      let pub = t.n_pub in
+      if pub = Array.length a.real_of_pub then a.real_of_pub <- extend a.real_of_pub (2 * pub);
+      a.real_of_pub.(pub) <- real_id;
+      t.n_pub <- pub + 1;
       Hashtbl.replace t.pub_of_real real_id pub;
       pub
 
@@ -148,12 +162,12 @@ let realize t pub =
     if pub < 0 || pub >= Ugraph.n_edges t.g then invalid_arg "Oracle: unknown handle";
     pub
   end
-  else if pub < 0 || pub >= Vec.length t.real_of_pub then invalid_arg "Oracle: unknown handle"
-  else Vec.get t.real_of_pub pub
+  else if pub < 0 || pub >= t.n_pub then invalid_arg "Oracle: unknown handle"
+  else t.arena.real_of_pub.(pub)
 
-let discover ?(via = 0) t v =
+let discover t v ~via =
   let c = code t v in
-  if c <= 0l then begin
+  if c <= 0 then begin
     if Sf_obs.Registry.enabled () then Sf_obs.Counter.incr obs_discoveries;
     let a = t.arena in
     let i = t.count in
@@ -163,16 +177,18 @@ let discover ?(via = 0) t v =
     a.mark.(i) <- 0;
     t.count <- i + 1;
     (* written once [order] lists [v], so that release clears it *)
-    Bigarray.Array1.unsafe_set t.slot (v - 1) (Int32.of_int (i + 1));
+    set_code t.slot v (i + 1);
     (* an explicit ascending loop: publicize assigns public ids in
        first-exposure order, so the fill order is load-bearing *)
     let d = Ugraph.degree t.g v in
-    let pubs = Array.make d 0 in
+    let lo = a.first.(i) in
+    if lo + d > Array.length a.handles then
+      a.handles <- extend a.handles (max (lo + d) (2 * Array.length a.handles));
     for k = 0 to d - 1 do
-      pubs.(k) <- publicize t (Ugraph.incident_nth t.g v k)
+      a.handles.(lo + k) <- publicize t (Ugraph.incident_nth t.g v k)
     done;
-    if t.obfuscate then Sf_prng.Shuffle.in_place t.rng pubs;
-    a.handle_lists.(i) <- pubs;
+    a.first.(i + 1) <- lo + d;
+    if t.obfuscate then Sf_prng.Shuffle.in_place_sub t.rng a.handles ~pos:lo ~len:d;
     if c = near && t.neighbor_at = None then t.neighbor_at <- Some t.request_count;
     if v = t.target && t.found_at = None then t.found_at <- Some t.request_count
   end
@@ -182,8 +198,8 @@ let start ?(obfuscate = true) ~rng model g ~source ~target =
   if not (Ugraph.mem_vertex g target) then invalid_arg "Oracle.start: bad target";
   let arena = take_arena (Ugraph.n_vertices g) in
   let slot = arena.slot in
-  slot.{target - 1} <- near;
-  Ugraph.iter_neighbors g target (fun u -> slot.{u - 1} <- near);
+  set_code slot target near;
+  Ugraph.iter_neighbors g target (fun u -> set_code slot u near);
   let t =
     {
       model;
@@ -193,7 +209,7 @@ let start ?(obfuscate = true) ~rng model g ~source ~target =
       rng = Rng.split rng;
       obfuscate;
       pub_of_real = Hashtbl.create 64;
-      real_of_pub = Vec.create ();
+      n_pub = 0;
       arena;
       slot;
       count = 0;
@@ -204,25 +220,23 @@ let start ?(obfuscate = true) ~rng model g ~source ~target =
     }
   in
   if Sf_obs.Registry.enabled () then Sf_obs.Counter.incr obs_oracles;
-  discover t source;
+  discover t source ~via:0;
   t
 
 let release t =
   if not t.released then begin
     t.released <- true;
     let a = t.arena and slot = t.slot in
-    slot.{t.target - 1} <- 0l;
-    Ugraph.iter_neighbors t.g t.target (fun u -> slot.{u - 1} <- 0l);
+    set_code slot t.target 0;
+    Ugraph.iter_neighbors t.g t.target (fun u -> set_code slot u 0);
+    for i = 0 to t.count - 1 do
+      set_code slot a.order.(i) 0
+    done;
     let paid = a.paid in
     let n_paid = Bytes.length paid in
-    for i = 0 to t.count - 1 do
-      slot.{a.order.(i) - 1} <- 0l;
-      let hs = a.handle_lists.(i) in
-      for k = 0 to Array.length hs - 1 do
-        if hs.(k) < n_paid then Bytes.unsafe_set paid hs.(k) '\000'
-      done;
-      (* so that the free arena pins none of this query's handle lists *)
-      a.handle_lists.(i) <- [||]
+    for k = 0 to a.first.(t.count) - 1 do
+      let h = a.handles.(k) in
+      if h < n_paid then Bytes.unsafe_set paid h '\000'
     done;
     return_arena a
   end
@@ -269,20 +283,31 @@ let rank_of_discovered t v name =
 
 let discovery_rank t v = rank_of_discovered t v "discovery_rank"
 
-let handles t v = t.arena.handle_lists.(rank_of_discovered t v "handles")
+let degree t v =
+  let r = rank_of_discovered t v "degree" in
+  t.arena.first.(r + 1) - t.arena.first.(r)
 
-let degree t v = Array.length (handles t v)
+let handle t v i =
+  let r = rank_of_discovered t v "handle" in
+  let a = t.arena in
+  let lo = a.first.(r) in
+  if i < 0 || lo + i >= a.first.(r + 1) then invalid_arg "Oracle.handle: index out of bounds";
+  a.handles.(lo + i)
+
+let handles t v =
+  let r = rank_of_discovered t v "handles" in
+  let a = t.arena in
+  Array.sub a.handles a.first.(r) (a.first.(r + 1) - a.first.(r))
 
 let handle_requested t h =
   live t "handle_requested";
   let paid = t.arena.paid in
   h >= 0 && h < Bytes.length paid && Bytes.unsafe_get paid h <> '\000'
 
-let endpoints_if_known t h =
-  live t "endpoints_if_known";
-  let real = realize t h in
-  let s, d = Ugraph.endpoints t.g real in
-  if known t s && known t d then Some (s, d) else None
+let far_endpoint t ~owner h =
+  live t "far_endpoint";
+  let far = Ugraph.other_endpoint t.g ~edge_id:(realize t h) owner in
+  if known t owner && known t far then far else 0
 
 let trace_request t ~kind ~at ~before =
   let after = t.count in
@@ -313,13 +338,12 @@ let request_weak t ~owner h =
   let a = t.arena in
   if h >= Bytes.length a.paid then grow_paid a h;
   Bytes.unsafe_set a.paid h '\001';
-  discover ~via:owner t far;
+  discover t far ~via:owner;
   if tracing then trace_request t ~kind:"weak-edge" ~at:owner ~before;
   far
 
-(* Multiplicity is collapsed with [mark]: a neighbour is listed when
-   its mark does not yet carry this request's number. The distinct
-   neighbours collect in [scratch], in first-occurrence order. *)
+(* Neighbours are discovered in incidence order, as
+   [Ugraph.iter_neighbors] visits them, without a closure. *)
 let request_strong t v =
   live t "request_strong";
   if t.model <> Strong then invalid_arg "Oracle.request_strong: not a strong-model instance";
@@ -331,29 +355,14 @@ let request_strong t v =
   let tracing = Sf_obs.Trace.active () in
   let before = t.count in
   t.request_count <- t.request_count + 1;
-  let a = t.arena in
-  a.mark.(iv) <- a.mark.(iv) lor 1;
-  let d = Ugraph.degree t.g v in
-  if Array.length a.scratch < d then a.scratch <- Array.make (max d (2 * Array.length a.scratch)) 0;
-  let stamp = t.request_count lsl 1 in
-  let listed = ref 0 in
-  Ugraph.iter_neighbors t.g v (fun u ->
-      discover ~via:v t u;
-      let i = rank t u in
-      let m = a.mark.(i) in
-      if m lsr 1 <> t.request_count then begin
-        a.mark.(i) <- stamp lor (m land 1);
-        a.scratch.(!listed) <- u;
-        incr listed
-      end);
-  if tracing then trace_request t ~kind:"strong-vertex" ~at:v ~before;
-  let acc = ref [] in
-  for k = !listed - 1 downto 0 do
-    acc := a.scratch.(k) :: !acc
+  t.arena.mark.(iv) <- 1;
+  for k = 0 to Ugraph.degree t.g v - 1 do
+    let u = Ugraph.other_endpoint t.g ~edge_id:(Ugraph.incident_nth t.g v k) v in
+    discover t u ~via:v
   done;
-  !acc
+  if tracing then trace_request t ~kind:"strong-vertex" ~at:v ~before
 
-let is_explored t v = t.arena.mark.(rank_of_discovered t v "is_explored") land 1 = 1
+let is_explored t v = t.arena.mark.(rank_of_discovered t v "is_explored") = 1
 
 let discovery_parent t v =
   match t.arena.parent.(rank_of_discovered t v "discovery_parent") with
@@ -370,7 +379,7 @@ let discovery_path t v =
 
 let target_found t =
   live t "target_found";
-  t.found_at <> None
+  Option.is_some t.found_at
 
 let requests_when_found t =
   live t "requests_when_found";

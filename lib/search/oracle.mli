@@ -60,8 +60,9 @@ val start :
     calling domain reuses across queries: 4 bytes per vertex outside
     the GC heap, plus buffers that grow with what the search
     discovers — per discovered vertex its rank-indexed entries and
-    handle list, and one byte per public handle id up to the largest
-    one paid for. With a free arena large enough for the graph,
+    its handles in one flat buffer, per exposed handle its physical
+    edge, and one byte per public handle id up to the largest one
+    paid for. With a free arena large enough for the graph,
     [start] costs O(deg target); otherwise it allocates a new one.
     @raise Invalid_argument if [source] or [target] is not a vertex. *)
 
@@ -70,9 +71,9 @@ val release : t -> unit
     keeps at most one free arena for the next {!start}. Before that,
     [release] clears what the query wrote: the marks of the target's
     closed neighbourhood and of every discovered vertex, and the paid
-    byte of each handle in a discovered vertex's list (every paid
-    handle is in one). That costs O(deg target + the summed degree of
-    the discovered vertices), the order of the work the query already
+    byte of each handle in the flat handle buffer (every paid handle
+    is in it). That costs O(deg target + the summed degree of the
+    discovered vertices), the order of the work the query already
     did: discovering a vertex exposed each of its handles. Call it
     once the last answer has been read (outcome, {!discovery_path},
     ...). An instance that is never released is
@@ -80,7 +81,7 @@ val release : t -> unit
     {!start}. After [release], every
     function of this module except [release] itself raises
     [Invalid_argument] on the instance; a second [release] is a
-    no-op. Handle arrays obtained earlier stay valid. *)
+    no-op. Arrays from {!handles} are copies and stay valid. *)
 
 (** {1 What the searcher may observe} *)
 
@@ -107,12 +108,19 @@ val discovery_rank : t -> vertex -> int
 
 val degree : t -> vertex -> int
 (** Observable degree of a {e discovered} vertex: the number of its
-    handles (a self-loop contributes one).
-    @raise Invalid_argument if undiscovered. *)
+    handles (a self-loop contributes one). Two loads from the offset
+    table. @raise Invalid_argument if undiscovered. *)
+
+val handle : t -> vertex -> int -> handle
+(** [handle t v i] is the [i]-th handle of discovered [v], [0 <= i <
+    degree t v], in the vertex's (shuffled) list order; nothing is
+    allocated. @raise Invalid_argument if [v] is undiscovered or [i]
+    out of range. *)
 
 val handles : t -> vertex -> handle array
-(** Handles of a discovered vertex. The array is owned by the oracle —
-    do not mutate. @raise Invalid_argument if undiscovered. *)
+(** All handles of a discovered vertex, in {!handle} order, as a
+    {e fresh copy}: it allocates, so steppers read {!handle} instead.
+    @raise Invalid_argument if undiscovered. *)
 
 val handle_requested : t -> handle -> bool
 (** Whether some past weak request already paid for this handle: a
@@ -120,10 +128,14 @@ val handle_requested : t -> handle -> bool
     paid for — negative, not yet exposed, or past the graph's edges —
     reads [false]. *)
 
-val endpoints_if_known : t -> handle -> (vertex * vertex) option
-(** Both endpoints, when the searcher is in a position to know them —
-    i.e. both are discovered (the handle then appears in both their
-    lists). [None] otherwise. *)
+val far_endpoint : t -> owner:vertex -> handle -> vertex
+(** The endpoint of the handle's edge that is not [owner] ([owner]
+    itself for a self-loop), once the searcher is in a position to
+    know it — i.e. both endpoints are discovered (the handle then
+    appears in both their lists). [0], which is no vertex, while
+    either is unknown. Nothing is allocated.
+    @raise Invalid_argument if the handle is unknown or [owner] is
+    not an endpoint of its edge. *)
 
 (** {1 Requests} *)
 
@@ -133,9 +145,12 @@ val request_weak : t -> owner:vertex -> handle -> vertex
     @raise Invalid_argument in the strong model, if [owner] is
     undiscovered, or if the handle is not incident to [owner]. *)
 
-val request_strong : t -> vertex -> vertex list
-(** One strong request on a discovered vertex; discovers and returns
-    all its neighbours (with multiplicity collapsed).
+val request_strong : t -> vertex -> unit
+(** One strong request on a discovered vertex; discovers all its
+    neighbours. Those not yet discovered join the discovery sequence
+    ({!discovered_nth}) in the vertex's incidence order, each once; a
+    strategy that needs the neighbours themselves reads them through
+    {!handle} and {!far_endpoint}.
     @raise Invalid_argument in the weak model or if undiscovered. *)
 
 val is_explored : t -> vertex -> bool

@@ -48,7 +48,7 @@ type stop_rule = At_target | At_neighbor
 let stopped stop_at oracle =
   match stop_at with
   | At_target -> Oracle.target_found oracle
-  | At_neighbor -> Oracle.requests_when_neighbor oracle <> None
+  | At_neighbor -> Option.is_some (Oracle.requests_when_neighbor oracle)
 
 type trace_event = {
   index : int;
@@ -73,7 +73,7 @@ let run ?budget ?(stop_at = At_target) ~rng (strategy : Strategy.t) oracle =
   while !continue && (not (stopped stop_at oracle)) && Oracle.requests oracle < budget do
     match stepper () with
     | Strategy.Request_edge (owner, h) -> ignore (Oracle.request_weak oracle ~owner h)
-    | Strategy.Request_vertex v -> ignore (Oracle.request_strong oracle v)
+    | Strategy.Request_vertex v -> Oracle.request_strong oracle v
     | Strategy.Give_up ->
       gave_up := true;
       continue := false

@@ -3,7 +3,9 @@ module Vec = Sf_graph.Vec
 open Strategy
 
 (* Feed every not-yet-seen discovery to [f]; strategies call this at
-   each step to ingest what the previous request revealed. *)
+   each step to ingest what the previous request revealed. Steppers
+   build [f] and their [pick] loop once, in [prepare], so that a step
+   allocates no closure. *)
 let sync oracle seen f =
   let count = Oracle.discovered_count oracle in
   while !seen < count do
@@ -16,19 +18,23 @@ let best_first ~name ~description ~score =
     let cur = Cursor.create () in
     let heap = Heap.create () in
     let seen = ref 0 in
+    let ingest v = Heap.push heap ~priority:(score oracle v) v in
+    let rec pick () =
+      if Heap.length heap = 0 then Give_up
+      else begin
+        let priority = Heap.max_priority heap in
+        let v = Heap.pop_max heap in
+        let h = Cursor.next_handle cur oracle ~skip_known:true v in
+        if h = Cursor.none then pick ()
+        else begin
+          (* Keep the vertex live for its remaining handles. *)
+          Heap.push heap ~priority v;
+          Request_edge (v, h)
+        end
+      end
+    in
     fun () ->
-      sync oracle seen (fun v -> Heap.push heap ~priority:(score oracle v) v);
-      let rec pick () =
-        match Heap.pop_max heap with
-        | None -> Give_up
-        | Some (priority, v) -> (
-          match Cursor.next_handle cur oracle ~skip_known:true v with
-          | Some h ->
-            (* Keep the vertex live for its remaining handles. *)
-            Heap.push heap ~priority v;
-            Request_edge (v, h)
-          | None -> pick ())
-      in
+      sync oracle seen ingest;
       pick ()
   in
   { name; description; model = Oracle.Weak; prepare }
@@ -37,13 +43,16 @@ let strong_best_first ~name ~description ~score =
   let prepare _rng oracle =
     let heap = Heap.create () in
     let seen = ref 0 in
+    let ingest v = Heap.push heap ~priority:(score oracle v) v in
+    let rec pick () =
+      if Heap.length heap = 0 then Give_up
+      else begin
+        let v = Heap.pop_max heap in
+        if Oracle.is_explored oracle v then pick () else Request_vertex v
+      end
+    in
     fun () ->
-      sync oracle seen (fun v -> Heap.push heap ~priority:(score oracle v) v);
-      let rec pick () =
-        match Heap.pop_max heap with
-        | None -> Give_up
-        | Some (_, v) -> if Oracle.is_explored oracle v then pick () else Request_vertex v
-      in
+      sync oracle seen ingest;
       pick ()
   in
   { name; description; model = Oracle.Strong; prepare }
@@ -52,19 +61,19 @@ let bfs =
   let prepare _rng oracle =
     let cur = Cursor.create () in
     let front = ref 0 in
-    fun () ->
-      let rec pick () =
-        if !front >= Oracle.discovered_count oracle then Give_up
+    let rec pick () =
+      if !front >= Oracle.discovered_count oracle then Give_up
+      else begin
+        let v = Oracle.discovered_nth oracle !front in
+        let h = Cursor.next_handle cur oracle ~skip_known:true v in
+        if h <> Cursor.none then Request_edge (v, h)
         else begin
-          let v = Oracle.discovered_nth oracle !front in
-          match Cursor.next_handle cur oracle ~skip_known:true v with
-          | Some h -> Request_edge (v, h)
-          | None ->
-            incr front;
-            pick ()
+          incr front;
+          pick ()
         end
-      in
-      pick ()
+      end
+    in
+    pick
   in
   {
     name = "bfs";
@@ -78,19 +87,21 @@ let dfs =
     let cur = Cursor.create () in
     let stack = Vec.create () in
     let seen = ref 0 in
-    fun () ->
-      sync oracle seen (fun v -> Vec.push stack v);
-      let rec pick () =
-        if Vec.is_empty stack then Give_up
+    let ingest v = Vec.push stack v in
+    let rec pick () =
+      if Vec.is_empty stack then Give_up
+      else begin
+        let v = Vec.get stack (Vec.length stack - 1) in
+        let h = Cursor.next_handle cur oracle ~skip_known:true v in
+        if h <> Cursor.none then Request_edge (v, h)
         else begin
-          let v = Vec.get stack (Vec.length stack - 1) in
-          match Cursor.next_handle cur oracle ~skip_known:true v with
-          | Some h -> Request_edge (v, h)
-          | None ->
-            ignore (Vec.pop stack);
-            pick ()
+          ignore (Vec.pop stack);
+          pick ()
         end
-      in
+      end
+    in
+    fun () ->
+      sync oracle seen ingest;
       pick ()
   in
   {
@@ -106,31 +117,32 @@ let random_edge ~skip_known =
        sampling with lazy usefulness checks. *)
     let owners = Vec.create () and indices = Vec.create () in
     let seen = ref 0 in
+    let ingest v =
+      for i = 0 to Oracle.degree oracle v - 1 do
+        Vec.push owners v;
+        Vec.push indices i
+      done
+    in
+    let rec pick () =
+      if Vec.is_empty owners then Give_up
+      else begin
+        let j = Rng.int rng (Vec.length owners) in
+        let v = Vec.get owners j and i = Vec.get indices j in
+        let last = Vec.length owners - 1 in
+        Vec.set owners j (Vec.get owners last);
+        Vec.set indices j (Vec.get indices last);
+        ignore (Vec.pop owners);
+        ignore (Vec.pop indices);
+        let h = Oracle.handle oracle v i in
+        if
+          Oracle.handle_requested oracle h
+          || (skip_known && Oracle.far_endpoint oracle ~owner:v h <> 0)
+        then pick ()
+        else Request_edge (v, h)
+      end
+    in
     fun () ->
-      sync oracle seen (fun v ->
-          Array.iteri
-            (fun i _ ->
-              Vec.push owners v;
-              Vec.push indices i)
-            (Oracle.handles oracle v));
-      let rec pick () =
-        if Vec.is_empty owners then Give_up
-        else begin
-          let j = Rng.int rng (Vec.length owners) in
-          let v = Vec.get owners j and i = Vec.get indices j in
-          let last = Vec.length owners - 1 in
-          Vec.set owners j (Vec.get owners last);
-          Vec.set indices j (Vec.get indices last);
-          ignore (Vec.pop owners);
-          ignore (Vec.pop indices);
-          let h = (Oracle.handles oracle v).(i) in
-          if
-            Oracle.handle_requested oracle h
-            || (skip_known && Oracle.endpoints_if_known oracle h <> None)
-          then pick ()
-          else Request_edge (v, h)
-        end
-      in
+      sync oracle seen ingest;
       pick ()
   in
   {
@@ -140,23 +152,25 @@ let random_edge ~skip_known =
     prepare;
   }
 
+(* A walk at [pos] that last requested handle [h] (-1: none yet) steps
+   to the far endpoint once it is known. *)
+let move oracle pos h =
+  if h >= 0 then
+    match Oracle.far_endpoint oracle ~owner:!pos h with 0 -> () | far -> pos := far
+
 let random_walk =
   let prepare rng oracle =
     let pos = ref (Oracle.source oracle) in
-    let last = ref None in
+    (* the handle last requested from [pos], or -1 before the first *)
+    let last = ref (-1) in
     fun () ->
       (* Move to wherever the previous request led. *)
-      (match !last with
-      | Some (owner, h) -> (
-        match Oracle.endpoints_if_known oracle h with
-        | Some (s, d) -> pos := if s = owner then d else s
-        | None -> ())
-      | None -> ());
-      let hs = Oracle.handles oracle !pos in
-      if Array.length hs = 0 then Give_up
+      move oracle pos !last;
+      let d = Oracle.degree oracle !pos in
+      if d = 0 then Give_up
       else begin
-        let h = hs.(Rng.int rng (Array.length hs)) in
-        last := Some (!pos, h);
+        let h = Oracle.handle oracle !pos (Rng.int rng d) in
+        last := h;
         Request_edge (!pos, h)
       end
   in
@@ -189,19 +203,18 @@ let oldest_label =
 let strong_seq =
   let prepare _rng oracle =
     let front = ref 0 in
-    fun () ->
-      let rec pick () =
-        if !front >= Oracle.discovered_count oracle then Give_up
-        else begin
-          let v = Oracle.discovered_nth oracle !front in
-          if Oracle.is_explored oracle v then begin
-            incr front;
-            pick ()
-          end
-          else Request_vertex v
+    let rec pick () =
+      if !front >= Oracle.discovered_count oracle then Give_up
+      else begin
+        let v = Oracle.discovered_nth oracle !front in
+        if Oracle.is_explored oracle v then begin
+          incr front;
+          pick ()
         end
-      in
-      pick ()
+        else Request_vertex v
+      end
+    in
+    pick
   in
   {
     name = "s-bfs";
@@ -214,19 +227,20 @@ let strong_random =
   let prepare rng oracle =
     let pool = Vec.create () in
     let seen = ref 0 in
+    let ingest v = Vec.push pool v in
+    let rec pick () =
+      if Vec.is_empty pool then Give_up
+      else begin
+        let j = Rng.int rng (Vec.length pool) in
+        let v = Vec.get pool j in
+        let lastv = Vec.get pool (Vec.length pool - 1) in
+        Vec.set pool j lastv;
+        ignore (Vec.pop pool);
+        if Oracle.is_explored oracle v then pick () else Request_vertex v
+      end
+    in
     fun () ->
-      sync oracle seen (fun v -> Vec.push pool v);
-      let rec pick () =
-        if Vec.is_empty pool then Give_up
-        else begin
-          let j = Rng.int rng (Vec.length pool) in
-          let v = Vec.get pool j in
-          let lastv = Vec.get pool (Vec.length pool - 1) in
-          Vec.set pool j lastv;
-          ignore (Vec.pop pool);
-          if Oracle.is_explored oracle v then pick () else Request_vertex v
-        end
-      in
+      sync oracle seen ingest;
       pick ()
   in
   {
@@ -236,15 +250,6 @@ let strong_random =
     prepare;
   }
 
-let known_neighbors oracle v =
-  (* In the strong model every neighbour of an explored vertex is
-     discovered, so its handles resolve to endpoint pairs. *)
-  Array.to_list (Oracle.handles oracle v)
-  |> List.filter_map (fun h ->
-         match Oracle.endpoints_if_known oracle h with
-         | Some (s, d) -> Some (if s = v then d else s)
-         | None -> None)
-
 let strong_random_walk =
   let prepare rng oracle =
     let pos = ref (Oracle.source oracle) in
@@ -253,9 +258,11 @@ let strong_random_walk =
       (* One request per hop, revisits included — the node-visit cost
          model of Adamic et al. *)
       if !moved then begin
-        match known_neighbors oracle !pos with
-        | [] -> ()
-        | neighbors -> pos := List.nth neighbors (Rng.int rng (List.length neighbors))
+        (* The previous step strong-requested [pos], so each of its
+           handles resolves to a discovered neighbour. *)
+        let v = !pos in
+        let d = Oracle.degree oracle v in
+        if d > 0 then move oracle pos (Oracle.handle oracle v (Rng.int rng d))
       end;
       moved := true;
       Request_vertex !pos
@@ -302,22 +309,17 @@ let restart_walk ~restart =
     invalid_arg "Strategies.restart_walk: need restart in [0,1)";
   let prepare rng oracle =
     let pos = ref (Oracle.source oracle) in
-    let last = ref None in
+    let last = ref (-1) in
     fun () ->
-      (match !last with
-      | Some (owner, h) -> (
-        match Oracle.endpoints_if_known oracle h with
-        | Some (s, d) -> pos := if s = owner then d else s
-        | None -> ())
-      | None -> ());
+      move oracle pos !last;
       (* teleport home with the restart probability - the classic
          remedy for walks drifting into the periphery *)
       if Rng.bernoulli rng restart then pos := Oracle.source oracle;
-      let hs = Oracle.handles oracle !pos in
-      if Array.length hs = 0 then Give_up
+      let d = Oracle.degree oracle !pos in
+      if d = 0 then Give_up
       else begin
-        let h = hs.(Rng.int rng (Array.length hs)) in
-        last := Some (!pos, h);
+        let h = Oracle.handle oracle !pos (Rng.int rng d) in
+        last := h;
         Request_edge (!pos, h)
       end
   in
@@ -342,26 +344,32 @@ let timestamp_cheat =
     let heap = Heap.create () in
     let seen = ref 0 in
     let jackpot = ref None in
+    let ingest v =
+      Heap.push heap ~priority:(degree_score oracle v) v;
+      if !jackpot = None then
+        for i = 0 to Oracle.degree oracle v - 1 do
+          if Oracle.handle oracle v i = target_edge then jackpot := Some v
+        done
+    in
+    let rec pick () =
+      if Heap.length heap = 0 then Give_up
+      else begin
+        let priority = Heap.max_priority heap in
+        let v = Heap.pop_max heap in
+        let h = Cursor.next_handle cur oracle ~skip_known:true v in
+        if h = Cursor.none then pick ()
+        else begin
+          Heap.push heap ~priority v;
+          Request_edge (v, h)
+        end
+      end
+    in
     fun () ->
-      sync oracle seen (fun v ->
-          Heap.push heap ~priority:(degree_score oracle v) v;
-          if !jackpot = None && Array.exists (fun h -> h = target_edge) (Oracle.handles oracle v)
-          then jackpot := Some v);
+      sync oracle seen ingest;
       match !jackpot with
       | Some v when not (Oracle.handle_requested oracle target_edge) ->
         Request_edge (v, target_edge)
-      | _ ->
-        let rec pick () =
-          match Heap.pop_max heap with
-          | None -> Give_up
-          | Some (priority, v) -> (
-            match Cursor.next_handle cur oracle ~skip_known:true v with
-            | Some h ->
-              Heap.push heap ~priority v;
-              Request_edge (v, h)
-            | None -> pick ())
-        in
-        pick ()
+      | _ -> pick ()
   in
   {
     name = "timestamp-cheat";

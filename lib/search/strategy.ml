@@ -15,14 +15,14 @@ module Cursor = struct
   type cursor = { mutable next : int array }
 
   let create () = { next = [||] }
+  let none = -1
 
-  let useless oracle ~skip_known h =
+  let useless oracle ~skip_known v h =
     Oracle.handle_requested oracle h
-    || (skip_known && Oracle.endpoints_if_known oracle h <> None)
+    || (skip_known && Oracle.far_endpoint oracle ~owner:v h <> 0)
 
   let next_handle cur oracle ~skip_known v =
-    let hs = Oracle.handles oracle v in
-    let len = Array.length hs in
+    let len = Oracle.degree oracle v in
     let r = Oracle.discovery_rank oracle v in
     if r >= Array.length cur.next then begin
       let next = Array.make (max 64 (max (r + 1) (2 * Array.length cur.next))) 0 in
@@ -33,9 +33,9 @@ module Cursor = struct
     (* A requested handle is useless forever; a known-endpoints handle
        stays useless too (endpoints never become undiscovered), so
        advancing the cursor past both is safe. *)
-    while !i < len && useless oracle ~skip_known hs.(!i) do
+    while !i < len && useless oracle ~skip_known v (Oracle.handle oracle v !i) do
       incr i
     done;
     cur.next.(r) <- !i;
-    if !i < len then Some hs.(!i) else None
+    if !i < len then Oracle.handle oracle v !i else none
 end

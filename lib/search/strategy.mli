@@ -34,10 +34,14 @@ module Cursor : sig
 
   val create : unit -> cursor
 
-  val next_handle :
-    cursor -> Oracle.t -> skip_known:bool -> Oracle.vertex -> Oracle.handle option
+  val none : Oracle.handle
+  (** [-1], which no handle is: {!next_handle}'s answer when the
+      vertex has no useful handle left. *)
+
+  val next_handle : cursor -> Oracle.t -> skip_known:bool -> Oracle.vertex -> Oracle.handle
   (** Next potentially useful handle of the vertex, advancing past
-      permanently useless ones. Returns the same handle again until it
-      is requested (usefulness is re-checked each call, since other
-      requests may have revealed its endpoints in the meantime). *)
+      permanently useless ones, or {!none}; nothing is allocated.
+      Returns the same handle again until it is requested (usefulness
+      is re-checked each call, since other requests may have revealed
+      its endpoints in the meantime). *)
 end

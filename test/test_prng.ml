@@ -441,6 +441,21 @@ let test_permutation_valid () =
   Array.iter (fun v -> seen.(v) <- true) p;
   Alcotest.(check bool) "bijection" true (Array.for_all Fun.id seen)
 
+(* The oracle shuffles each vertex's handles inside one flat buffer,
+   so a sub-range shuffle must touch nothing outside its range and
+   make exactly the draws a whole-array shuffle of that length makes. *)
+let test_shuffle_sub_range () =
+  let a = Array.init 20 Fun.id in
+  Shuffle.in_place_sub (Rng.of_seed 42) a ~pos:5 ~len:9;
+  let alone = Array.init 9 (fun i -> i + 5) in
+  Shuffle.in_place (Rng.of_seed 42) alone;
+  Alcotest.(check (array int)) "prefix untouched" (Array.init 5 Fun.id) (Array.sub a 0 5);
+  Alcotest.(check (array int)) "suffix untouched" (Array.init 6 (fun i -> i + 14)) (Array.sub a 14 6);
+  Alcotest.(check (array int)) "same draws as in_place" alone (Array.sub a 5 9);
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Shuffle.in_place_sub: range out of bounds") (fun () ->
+      Shuffle.in_place_sub (Rng.of_seed 1) a ~pos:15 ~len:6)
+
 let test_shuffle_uniformity () =
   let rng = Rng.of_seed 41 in
   (* all 6 permutations of 3 elements should be near 1/6 *)
@@ -562,4 +577,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_permutation_bijective;
     QCheck_alcotest.to_alcotest prop_fenwick_matches_reference;
+    ("shuffle sub-range", `Quick, test_shuffle_sub_range);
   ]

@@ -33,8 +33,11 @@ let test_oracle_initial_state () =
 let test_oracle_hides_undiscovered () =
   let o = oracle_on (path_graph 5) in
   Alcotest.check_raises "degree of undiscovered"
-    (Invalid_argument "Oracle.handles: vertex not discovered") (fun () ->
+    (Invalid_argument "Oracle.degree: vertex not discovered") (fun () ->
       ignore (Oracle.degree o 3));
+  Alcotest.check_raises "handle of undiscovered"
+    (Invalid_argument "Oracle.handle: vertex not discovered") (fun () ->
+      ignore (Oracle.handle o 3 0));
   Alcotest.check_raises "handles of undiscovered"
     (Invalid_argument "Oracle.handles: vertex not discovered") (fun () ->
       ignore (Oracle.handles o 3))
@@ -43,16 +46,18 @@ let test_weak_request_reveals () =
   let o = oracle_on ~target:3 (path_graph 3) in
   let h = (Oracle.handles o 1).(0) in
   Alcotest.(check bool) "not yet requested" false (Oracle.handle_requested o h);
-  Alcotest.(check (option (pair int int))) "endpoints hidden" None (Oracle.endpoints_if_known o h);
+  Alcotest.(check int) "far endpoint hidden" 0 (Oracle.far_endpoint o ~owner:1 h);
   let far = Oracle.request_weak o ~owner:1 h in
   Alcotest.(check int) "far endpoint" 2 far;
   Alcotest.(check int) "one request" 1 (Oracle.requests o);
   Alcotest.(check bool) "requested flag" true (Oracle.handle_requested o h);
   Alcotest.(check bool) "far endpoint discovered" true (Oracle.is_discovered o 2);
   Alcotest.(check int) "degree of 2 now visible" 2 (Oracle.degree o 2);
-  (match Oracle.endpoints_if_known o h with
-  | Some (a, b) -> Alcotest.(check bool) "endpoints now known" true ((a, b) = (1, 2) || (a, b) = (2, 1))
-  | None -> Alcotest.fail "endpoints should be recognisable");
+  Alcotest.(check int) "far endpoint now known" 2 (Oracle.far_endpoint o ~owner:1 h);
+  Alcotest.(check int) "and from the other side" 1 (Oracle.far_endpoint o ~owner:2 h);
+  Alcotest.check_raises "owner must be an endpoint"
+    (Invalid_argument "Ugraph.other_endpoint: vertex is not an endpoint") (fun () ->
+      ignore (Oracle.far_endpoint o ~owner:3 h));
   Alcotest.(check bool) "target not found yet" false (Oracle.target_found o)
 
 let test_shared_handle_identity () =
@@ -79,7 +84,7 @@ let test_request_validation () =
       ignore (Oracle.request_weak o ~owner:3 0));
   Alcotest.check_raises "strong request on weak oracle"
     (Invalid_argument "Oracle.request_strong: not a strong-model instance") (fun () ->
-      ignore (Oracle.request_strong o 1));
+      Oracle.request_strong o 1);
   let h = (Oracle.handles o 1).(0) in
   ignore (Oracle.request_weak o ~owner:1 h);
   (* handle of vertex 2's far side is not incident to 1 *)
@@ -110,11 +115,14 @@ let test_source_equals_neighbor_of_target () =
   Alcotest.(check (option int)) "starting next to the target scores 0" (Some 0)
     (Oracle.requests_when_neighbor o)
 
+let discovered_list o = List.init (Oracle.discovered_count o) (Oracle.discovered_nth o)
+
 let test_strong_request () =
   let o = oracle_on ~model:Oracle.Strong ~source:1 ~target:4 (star_graph 5) in
-  let neighbors = Oracle.request_strong o 1 in
+  Oracle.request_strong o 1;
   Alcotest.(check int) "one request" 1 (Oracle.requests o);
-  Alcotest.(check (list int)) "all leaves revealed" [ 2; 3; 4; 5 ] (List.sort compare neighbors);
+  Alcotest.(check (list int)) "all leaves revealed, in incidence order" [ 1; 2; 3; 4; 5 ]
+    (discovered_list o);
   Alcotest.(check bool) "explored" true (Oracle.is_explored o 1);
   Alcotest.(check bool) "leaf discovered" true (Oracle.is_discovered o 3);
   Alcotest.(check bool) "target found" true (Oracle.target_found o);
@@ -123,8 +131,9 @@ let test_strong_request () =
 let test_strong_neighbor_multiplicity_collapsed () =
   let g = Ugraph.of_edges ~n:2 [ (1, 2); (1, 2); (2, 2) ] in
   let o = Oracle.start ~rng:(Rng.of_seed 3) Oracle.Strong g ~source:1 ~target:2 in
-  let neighbors = Oracle.request_strong o 1 in
-  Alcotest.(check (list int)) "multiplicity collapsed" [ 2 ] neighbors
+  Oracle.request_strong o 1;
+  Alcotest.(check (list int)) "multiplicity collapsed" [ 1; 2 ] (discovered_list o);
+  Alcotest.(check int) "one request" 1 (Oracle.requests o)
 
 let test_handle_obfuscation () =
   (* with obfuscation on, public handles are assigned in discovery
@@ -152,14 +161,23 @@ let test_heap_ordering () =
   let h = Heap.create () in
   List.iter (fun (p, v) -> Heap.push h ~priority:p v) [ (1., 1); (5., 2); (3., 3); (5., 4); (0.5, 5) ];
   Alcotest.(check int) "size" 5 (Heap.length h);
-  let first = Heap.pop_max h in
-  let second = Heap.pop_max h in
-  (match (first, second) with
-  | Some (p1, _), Some (p2, _) ->
-    Alcotest.(check (float 1e-9)) "max first" 5. p1;
-    Alcotest.(check (float 1e-9)) "max second" 5. p2
-  | _ -> Alcotest.fail "pops should succeed");
-  Alcotest.(check int) "size after pops" 3 (Heap.length h)
+  let pop () =
+    let p = Heap.max_priority h in
+    (p, Heap.pop_max h)
+  in
+  let p1, v1 = pop () in
+  let p2, v2 = pop () in
+  Alcotest.(check (float 1e-9)) "max first" 5. p1;
+  Alcotest.(check (float 1e-9)) "max second" 5. p2;
+  Alcotest.(check (list int)) "both priority-5 values" [ 2; 4 ] (List.sort compare [ v1; v2 ]);
+  Alcotest.(check int) "size after pops" 3 (Heap.length h);
+  ignore (pop ());
+  ignore (pop ());
+  ignore (pop ());
+  Alcotest.check_raises "max_priority of empty" (Invalid_argument "Heap.max_priority: empty heap")
+    (fun () -> ignore (Heap.max_priority h));
+  Alcotest.check_raises "pop_max of empty" (Invalid_argument "Heap.pop_max: empty heap")
+    (fun () -> ignore (Heap.pop_max h))
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in non-increasing priority order" ~count:200
@@ -168,12 +186,19 @@ let prop_heap_sorts =
       let h = Heap.create () in
       List.iteri (fun i p -> Heap.push h ~priority:p i) priorities;
       let rec drain acc =
-        match Heap.pop_max h with Some (p, _) -> drain (p :: acc) | None -> acc
+        if Heap.length h = 0 then acc
+        else begin
+          let p = Heap.max_priority h in
+          let i = Heap.pop_max h in
+          drain ((p, i) :: acc)
+        end
       in
       let popped = drain [] in
-      (* drained in reverse: acc ends up ascending *)
-      List.sort compare popped = popped
-      && List.length popped = List.length priorities)
+      (* drained in reverse: acc ends up ascending, and each value
+         leaves with the priority it was pushed with *)
+      List.sort compare (List.map fst popped) = List.map fst popped
+      && List.sort compare (List.map snd popped) = List.init (List.length priorities) Fun.id
+      && List.for_all (fun (p, i) -> p = List.nth priorities i) popped)
 
 (* --- strategies on known graphs ---------------------------------------------- *)
 
@@ -520,12 +545,11 @@ let prop_strong_equals_weak_closure =
       let g = Sf_gen.Mori.graph rng ~p:0.7 ~m:2 ~n:t in
       let weak = Oracle.start ~rng:(Rng.of_seed seed) Oracle.Weak g ~source:1 ~target:t in
       let strong = Oracle.start ~rng:(Rng.of_seed seed) Oracle.Strong g ~source:1 ~target:t in
-      ignore (Oracle.request_strong strong 1);
-      Array.iter (fun h -> ignore (Oracle.request_weak weak ~owner:1 h)) (Oracle.handles weak 1);
-      let discovered oracle =
-        List.init (Oracle.discovered_count oracle) (Oracle.discovered_nth oracle)
-        |> List.sort compare
-      in
+      Oracle.request_strong strong 1;
+      for i = 0 to Oracle.degree weak 1 - 1 do
+        ignore (Oracle.request_weak weak ~owner:1 (Oracle.handle weak 1 i))
+      done;
+      let discovered oracle = List.sort compare (discovered_list oracle) in
       discovered weak = discovered strong)
 
 let prop_kleinberg_distance_is_metric =
@@ -566,15 +590,17 @@ let prop_requests_never_decrease_knowledge =
 
 (* Everything a query reveals: the outcome, then per discovered vertex
    (in discovery order) its discovery path, its handles in list order
-   with whether each was paid for, and its explored flag. *)
+   with whether each was paid for and its far endpoint once both ends
+   are known (resolved through the arena's real_of_pub, which a reused
+   arena overwrites rather than clears), and its explored flag. *)
 let snapshot oracle outcome =
   ( outcome,
     List.init (Oracle.discovered_count oracle) (fun i ->
         let v = Oracle.discovered_nth oracle i in
         ( Oracle.discovery_path oracle v,
-          List.map
-            (fun h -> (h, Oracle.handle_requested oracle h))
-            (Array.to_list (Oracle.handles oracle v)),
+          List.init (Oracle.degree oracle v) (fun k ->
+              let h = Oracle.handle oracle v k in
+              (h, Oracle.handle_requested oracle h, Oracle.far_endpoint oracle ~owner:v h)),
           Oracle.is_explored oracle v )) )
 
 let query_rng seed k = Rng.of_seed ((seed * 1000) + k)
@@ -705,10 +731,11 @@ let test_use_after_release () =
           ("discovered_nth", fun () -> ignore (Oracle.discovered_nth o 0));
           ("degree", fun () -> ignore (Oracle.degree o 1));
           ("handles", fun () -> ignore (Oracle.handles o 1));
+          ("handle", fun () -> ignore (Oracle.handle o 1 0));
           ("handle_requested", fun () -> ignore (Oracle.handle_requested o h));
-          ("endpoints_if_known", fun () -> ignore (Oracle.endpoints_if_known o h));
+          ("far_endpoint", fun () -> ignore (Oracle.far_endpoint o ~owner:1 h));
           ("request_weak", fun () -> ignore (Oracle.request_weak o ~owner:1 h));
-          ("request_strong", fun () -> ignore (Oracle.request_strong o 1));
+          ("request_strong", fun () -> Oracle.request_strong o 1);
           ("is_explored", fun () -> ignore (Oracle.is_explored o 1));
           ("discovery_parent", fun () -> ignore (Oracle.discovery_parent o 1));
           ("discovery_path", fun () -> ignore (Oracle.discovery_path o 1));
@@ -786,7 +813,7 @@ let test_two_live_oracles () =
           ignore (Oracle.request_weak oracle ~owner h);
           true
         | Strategy.Request_vertex v ->
-          ignore (Oracle.request_strong oracle v);
+          Oracle.request_strong oracle v;
           true
         | Strategy.Give_up -> false
   in
@@ -813,6 +840,13 @@ let test_two_live_oracles () =
   Oracle.release b;
   Oracle.release c
 
+(* Words allocated on the minor heap by [f ()]. Gc.minor_words counts
+   them exactly; Gc.allocated_bytes moves only at a minor collection. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
 let test_warm_start_allocation () =
   (* on a warm domain, start + release allocates a constant: nothing
      proportional to n. Source and target are the two newest vertices
@@ -824,17 +858,75 @@ let test_warm_start_allocation () =
         (Oracle.start ~rng:(Rng.of_seed 4) Oracle.Weak g ~source:n ~target:(n - 1))
     in
     go ();
-    let before = Gc.allocated_bytes () in
-    go ();
-    Gc.allocated_bytes () -. before
+    minor_words_of go *. float_of_int (Sys.word_size / 8)
   in
   let small = alloc_at (1 lsl 12) and large = alloc_at (1 lsl 16) in
   Alcotest.(check bool)
-    (Printf.sprintf "small constant (Gc.allocated_bytes grew %.0f at 2^12, %.0f at 2^16)" small
-       large)
+    (Printf.sprintf "small constant (%.0f bytes at 2^12, %.0f at 2^16)" small large)
     true
     (small < 4096. && large < 4096.);
   Alcotest.(check (float 0.)) "same at 2^12 and 2^16" small large
+
+(* A search step allocates nothing once the oracle is warm: the reads
+   a stepper makes, a repeat weak request on a known edge, the
+   best-first heap and the handle cursor. Each call runs 10^4 times
+   and must read the same Gc.minor_words as an empty closure, with the
+   metrics registry on and off. *)
+let test_search_step_allocates_nothing () =
+  let n = 2048 in
+  let g = Sf_gen.Mori.tree (Rng.of_seed 31) ~p:0.5 ~t:n in
+  let o = Oracle.start ~rng:(Rng.of_seed 32) Oracle.Weak g ~source:1 ~target:n in
+  (* a warm oracle: the source's handles all paid, so its far ends are
+     discovered and every handle of vertex 1 resolves *)
+  for i = 0 to Oracle.degree o 1 - 1 do
+    ignore (Oracle.request_weak o ~owner:1 (Oracle.handle o 1 i))
+  done;
+  let h = Oracle.handle o 1 0 in
+  let far = Oracle.far_endpoint o ~owner:1 h in
+  Alcotest.(check bool) "far endpoint resolves" true (far > 0);
+  let cur = Strategy.Cursor.create () in
+  ignore (Strategy.Cursor.next_handle cur o ~skip_known:true far);
+  let heap = Heap.create () in
+  Heap.push heap ~priority:1. 1;
+  ignore (Heap.pop_max heap);
+  let loop f () =
+    for _ = 1 to 10_000 do
+      f ()
+    done
+  in
+  let cases =
+    [
+      ("request_weak on a known edge", fun () -> ignore (Oracle.request_weak o ~owner:1 h));
+      ("is_discovered", fun () -> ignore (Oracle.is_discovered o far));
+      ("discovery_rank", fun () -> ignore (Oracle.discovery_rank o far));
+      ("degree", fun () -> ignore (Oracle.degree o 1));
+      ("handle", fun () -> ignore (Oracle.handle o 1 0));
+      ("handle_requested", fun () -> ignore (Oracle.handle_requested o h));
+      ("far_endpoint", fun () -> ignore (Oracle.far_endpoint o ~owner:far h));
+      ( "Heap.push + pop_max",
+        fun () ->
+          Heap.push heap ~priority:2. far;
+          ignore (Heap.pop_max heap) );
+      ("Cursor.next_handle", fun () -> ignore (Strategy.Cursor.next_handle cur o ~skip_known:true far));
+    ]
+  in
+  let was_enabled = Sf_obs.Registry.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Sf_obs.Registry.set_enabled was_enabled)
+    (fun () ->
+      List.iter
+        (fun obs ->
+          Sf_obs.Registry.set_enabled obs;
+          let baseline = minor_words_of (fun () -> ()) in
+          List.iter
+            (fun (name, f) ->
+              Alcotest.(check (float 0.))
+                (Printf.sprintf "%s (obs %b)" name obs)
+                baseline
+                (minor_words_of (loop f)))
+            cases)
+        [ true; false ]);
+  Oracle.release o
 
 (* --- Portfolio golden ---------------------------------------------------- *)
 
@@ -980,4 +1072,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_arena_reuse_equivalence;
     ("arena: unknown handles never paid", `Quick, test_handle_requested_unknown);
     ("portfolio golden", `Quick, test_portfolio_golden);
+    ("search step allocates nothing", `Quick, test_search_step_allocates_nothing);
   ]
