@@ -18,11 +18,14 @@ let check_params ~p ~t =
 
 (* The growth loop: entry k-2 of the result is the father of vertex k.
    Steps k in (a, b] attach inside [1..a] (the conditioned sampler of
-   Lemma 2); a = b conditions nothing.  [dsts] is flat int32 storage in
-   which vertex u appears exactly indegree(u) times, so one uniform
+   Lemma 2); a = b conditions nothing.  [fathers] is flat int32 storage
+   in which vertex u appears exactly indegree(u) times, so one uniform
    index draw is one indegree-preferential draw, O(1) per edge; and
    conditional on the event prefix every entry is already <= a, so the
-   restricted preferential branch needs no filtering. *)
+   restricted preferential branch needs no filtering.  The loop
+   allocates nothing: the uniform is formed here from [Rng.bits53],
+   since a float returned by [Rng.unit_float] would be boxed, and it
+   writes the exact-size buffer directly. *)
 let grow rng ~p ~t ~a ~b =
   let obs = Sf_obs.Registry.enabled () in
   let t0 = if obs then Sf_obs.Timer.now_s () else 0. in
@@ -33,21 +36,22 @@ let grow rng ~p ~t ~a ~b =
   if tracing then
     Sf_obs.Trace.emit "gen.mori.grow" Sf_obs.Trace.Begin
       ~args:[ ("t", Sf_obs.Trace.Int t); ("p", Sf_obs.Trace.Float p) ];
-  let dsts = Bigvec.create ~capacity:(max 16 (t - 1)) () in
-  Bigvec.push dsts 1;
+  let fathers = Bigvec.create_buf (t - 1) in
+  Bigarray.Array1.unsafe_set fathers 0 1l;
   let pref_steps = ref 0 in
   for k = 3 to t do
     let window = if k > a && k <= b then a else k - 1 in
     let pref_mass = p *. float_of_int (k - 2) in
+    let u = float_of_int (Rng.bits53 rng) *. 0x1.0p-53 in
     let father =
-      if Rng.unit_float rng *. (pref_mass +. ((1. -. p) *. float_of_int window)) < pref_mass
-      then begin
+      if u *. (pref_mass +. ((1. -. p) *. float_of_int window)) < pref_mass then begin
         incr pref_steps;
-        Bigvec.unsafe_get dsts (Rng.int rng (Bigvec.length dsts))
+        (* entries 0 .. k-3 are written *)
+        Int32.to_int (Bigarray.Array1.unsafe_get fathers (Rng.int rng (k - 2)))
       end
       else 1 + Rng.int rng window
     in
-    Bigvec.push dsts father;
+    Bigarray.Array1.unsafe_set fathers (k - 2) (Int32.of_int father);
     if tracing && k mod checkpoint_every = 0 then
       Sf_obs.Trace.instant "gen.mori.checkpoint"
         ~args:
@@ -60,13 +64,13 @@ let grow rng ~p ~t ~a ~b =
        growth loop carries no metric updates *)
     Sf_obs.Counter.add obs_pref_steps !pref_steps;
     Sf_obs.Counter.add obs_unif_steps (t - 2 - !pref_steps);
-    for j = 1 to Bigvec.length dsts - 1 do
-      Sf_obs.Histo.observe_int obs_father_age (Bigvec.unsafe_get dsts j)
+    for j = 1 to t - 2 do
+      Sf_obs.Histo.observe_int obs_father_age (Int32.to_int (Bigarray.Array1.unsafe_get fathers j))
     done;
     Sf_obs.Counter.add obs_vertices t;
     Sf_obs.Timer.add_s obs_build_timer (Sf_obs.Timer.now_s () -. t0)
   end;
-  dsts
+  Bigvec.of_buf fathers
 
 (* Edge j of the tree joins vertex j+2 to fathers.(j).  Merging blocks
    of m maps vertex v to group ((v-1)/m)+1, preserving edge ids and

@@ -9,6 +9,8 @@ let create_buf len : buf = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layo
 
 let create ?(capacity = 16) () = { data = create_buf (max 1 capacity); len = 0 }
 
+let of_buf data = { data; len = Bigarray.Array1.dim data }
+
 let length t = t.len
 
 let check t i name =

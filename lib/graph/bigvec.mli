@@ -24,6 +24,10 @@ val create_buf : int -> buf
 (** A fresh uninitialised flat buffer, for callers that know the final
     length up front. *)
 
+val of_buf : buf -> t
+(** A vector over the whole of [buf], without a copy: its length is
+    the buffer's. *)
+
 val length : t -> int
 
 val get : t -> int -> int

@@ -72,8 +72,9 @@ let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: hi < lo";
   lo + int t (hi - lo + 1)
 
-let[@inline] unit_float t =
-  Int64.to_float (Int64.shift_right_logical (int64 t) 11) *. 0x1.0p-53
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (int64 t) 11)
+
+let[@inline] unit_float t = float_of_int (bits53 t) *. 0x1.0p-53
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 

@@ -47,6 +47,12 @@ val int_in_range : t -> lo:int -> hi:int -> int
 val unit_float : t -> float
 (** Uniform on [0, 1) with 53-bit resolution. *)
 
+val bits53 : t -> int
+(** The top 53 bits of one output, an immediate int on [0, 2{^53}):
+    [unit_float t] is [float_of_int (bits53 t) *. 0x1.0p-53] on the
+    same state. A caller in another module forms that float itself to
+    keep it unboxed, since a float returned from a call is boxed. *)
+
 val bool : t -> bool
 (** Fair coin. *)
 

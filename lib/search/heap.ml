@@ -24,24 +24,27 @@ let ensure t =
     t.value <- value'
   end
 
-let push t ~priority v =
-  ensure t;
-  t.prio.(t.len) <- priority;
-  t.value.(t.len) <- v;
-  t.len <- t.len + 1;
+(* Moves the last entry up to its place. *)
+let sift_up t =
   let i = ref (t.len - 1) in
   while !i > 0 && t.prio.((!i - 1) / 2) < t.prio.(!i) do
     swap t !i ((!i - 1) / 2);
     i := (!i - 1) / 2
   done
 
-let max_priority t =
-  if t.len = 0 then invalid_arg "Heap.max_priority: empty heap";
-  Array.unsafe_get t.prio 0
+let push t ~priority v =
+  ensure t;
+  t.prio.(t.len) <- priority;
+  t.value.(t.len) <- v;
+  t.len <- t.len + 1;
+  sift_up t
 
-let pop_max t =
-  if t.len = 0 then invalid_arg "Heap.pop_max: empty heap";
-  let top = t.value.(0) in
+let top t =
+  if t.len = 0 then invalid_arg "Heap.top: empty heap";
+  t.value.(0)
+
+(* Removes the root of a non-empty heap. *)
+let remove_top t =
   t.len <- t.len - 1;
   if t.len > 0 then begin
     t.prio.(0) <- t.prio.(t.len);
@@ -59,5 +62,21 @@ let pop_max t =
         i := !largest
       end
     done
-  end;
+  end
+
+let pop_max t =
+  if t.len = 0 then invalid_arg "Heap.pop_max: empty heap";
+  let top = t.value.(0) in
+  remove_top t;
   top
+
+(* [push] inlined, so the priority stays an unboxed local: a float
+   argument to a call is boxed. Removing the root left room for it. *)
+let requeue t =
+  if t.len = 0 then invalid_arg "Heap.requeue: empty heap";
+  let priority = t.prio.(0) and v = t.value.(0) in
+  remove_top t;
+  t.prio.(t.len) <- priority;
+  t.value.(t.len) <- v;
+  t.len <- t.len + 1;
+  sift_up t

@@ -37,6 +37,15 @@ type model = Weak | Strong
    [first.(count)] ends the used prefix. [real_of_pub] maps a public
    id back to its physical edge; ids are dense from 0, so a query
    overwrites the prefix it uses and [release] need not clear it.
+   [pub_of_real] is its inverse. It keeps its bucket array at the
+   high-water size, so a query does not regrow it, and [release]
+   removes exactly the keys the query added, [real_of_pub.(0 ..
+   n_pub - 1)]. A [Hashtbl.clear] would cost the high-water bucket
+   count on every later query, and a [Hashtbl.reset] would bring the
+   regrowth back. [real_of_pub] is int32 storage outside the GC heap,
+   like [slot]: the GC sizes its heap from live data, and the kept
+   bucket array already adds to that; with both in the GC heap a
+   2-worker [sffabric] grid peaked about 1 MB higher.
 
    [paid] holds one byte per public id, nonzero once a weak request
    paid for that handle; it grows on demand to the largest id paid
@@ -57,7 +66,8 @@ type arena = {
   mutable mark : int array;
   mutable first : int array; (* one longer than [order] *)
   mutable handles : int array;
-  mutable real_of_pub : int array;
+  mutable real_of_pub : Sf_graph.Bigvec.buf;
+  pub_of_real : (int, int) Hashtbl.t;
 }
 
 let near = -1
@@ -74,7 +84,8 @@ let new_arena n =
     mark = Array.make cap 0;
     first = Array.make (cap + 1) 0;
     handles = Array.make 256 0;
-    real_of_pub = Array.make 256 0;
+    real_of_pub = Sf_graph.Bigvec.create_buf 256;
+    pub_of_real = Hashtbl.create 64;
   }
 
 let capacity a = Bigarray.Array1.dim a.slot
@@ -121,7 +132,6 @@ type t = {
   source : vertex;
   rng : Rng.t;
   obfuscate : bool;
-  pub_of_real : (int, int) Hashtbl.t;
   mutable n_pub : int; (* public ids handed out, the used prefix of real_of_pub *)
   arena : arena;
   slot : Sf_graph.Bigvec.buf; (* arena.slot *)
@@ -137,24 +147,33 @@ let live t name = if t.released then invalid_arg ("Oracle." ^ name ^ ": oracle r
 (* [v] must be a vertex of the graph; [slot] is at least that long.
    The int32 becomes an int inside [code]: ocamlopt without flambda
    does not inline [code] into its callers, and an int32 result would
-   be boxed, 24 bytes on every read. *)
+   be boxed, 24 bytes on every read. [set_code] names the buffer's
+   type: a slot left polymorphic in its element kind compiles to the
+   generic C store, which boxes the int32, 24 bytes on every write. *)
 let code t v = Int32.to_int (Bigarray.Array1.unsafe_get t.slot (v - 1))
-let set_code slot v c = Bigarray.Array1.unsafe_set slot (v - 1) (Int32.of_int c)
+
+let set_code (slot : Sf_graph.Bigvec.buf) v c =
+  Bigarray.Array1.unsafe_set slot (v - 1) (Int32.of_int c)
+
 let known t v = code t v > 0
 let rank t v = code t v - 1
 
 let publicize t real_id =
   if not t.obfuscate then real_id
   else
-    match Hashtbl.find t.pub_of_real real_id with
+    let a = t.arena in
+    match Hashtbl.find a.pub_of_real real_id with
     | pub -> pub
     | exception Not_found ->
-      let a = t.arena in
       let pub = t.n_pub in
-      if pub = Array.length a.real_of_pub then a.real_of_pub <- extend a.real_of_pub (2 * pub);
-      a.real_of_pub.(pub) <- real_id;
+      if pub = Bigarray.Array1.dim a.real_of_pub then begin
+        let rop = Sf_graph.Bigvec.create_buf (2 * pub) in
+        Bigarray.Array1.blit a.real_of_pub (Bigarray.Array1.sub rop 0 pub);
+        a.real_of_pub <- rop
+      end;
+      Bigarray.Array1.unsafe_set a.real_of_pub pub (Int32.of_int real_id);
       t.n_pub <- pub + 1;
-      Hashtbl.replace t.pub_of_real real_id pub;
+      Hashtbl.replace a.pub_of_real real_id pub;
       pub
 
 let realize t pub =
@@ -163,7 +182,7 @@ let realize t pub =
     pub
   end
   else if pub < 0 || pub >= t.n_pub then invalid_arg "Oracle: unknown handle"
-  else t.arena.real_of_pub.(pub)
+  else Int32.to_int (Bigarray.Array1.unsafe_get t.arena.real_of_pub pub)
 
 let discover t v ~via =
   let c = code t v in
@@ -208,7 +227,6 @@ let start ?(obfuscate = true) ~rng model g ~source ~target =
       source;
       rng = Rng.split rng;
       obfuscate;
-      pub_of_real = Hashtbl.create 64;
       n_pub = 0;
       arena;
       slot;
@@ -237,6 +255,9 @@ let release t =
     for k = 0 to a.first.(t.count) - 1 do
       let h = a.handles.(k) in
       if h < n_paid then Bytes.unsafe_set paid h '\000'
+    done;
+    for pub = 0 to t.n_pub - 1 do
+      Hashtbl.remove a.pub_of_real (Int32.to_int (Bigarray.Array1.unsafe_get a.real_of_pub pub))
     done;
     return_arena a
   end

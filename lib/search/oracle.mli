@@ -60,9 +60,11 @@ val start :
     calling domain reuses across queries: 4 bytes per vertex outside
     the GC heap, plus buffers that grow with what the search
     discovers — per discovered vertex its rank-indexed entries and
-    its handles in one flat buffer, per exposed handle its physical
-    edge, and one byte per public handle id up to the largest one
-    paid for. With a free arena large enough for the graph,
+    its handles in one flat buffer, per public handle id its physical
+    edge and an entry of the reverse map (a hash table), and one byte
+    per public handle id up to the largest one paid for. Every buffer
+    and the hash table's bucket array stay at their high-water size
+    for the next query. With a free arena large enough for the graph,
     [start] costs O(deg target); otherwise it allocates a new one.
     @raise Invalid_argument if [source] or [target] is not a vertex. *)
 
@@ -70,13 +72,15 @@ val release : t -> unit
 (** Ends the lease: the arena goes back to the calling domain, which
     keeps at most one free arena for the next {!start}. Before that,
     [release] clears what the query wrote: the marks of the target's
-    closed neighbourhood and of every discovered vertex, and the paid
+    closed neighbourhood and of every discovered vertex, the paid
     byte of each handle in the flat handle buffer (every paid handle
-    is in it). That costs O(deg target + the summed degree of the
-    discovered vertices), the order of the work the query already
-    did: discovering a vertex exposed each of its handles. Call it
-    once the last answer has been read (outcome, {!discovery_path},
-    ...). An instance that is never released is
+    is in it), and the reverse-map key of each public id the query
+    handed out (the table is emptied key by key, never cleared or
+    reset, so it keeps its size). That costs O(deg target + the
+    summed degree of the discovered vertices), the order of the work
+    the query already did: discovering a vertex exposed each of its
+    handles. Call it once the last answer has been read (outcome,
+    {!discovery_path}, ...). An instance that is never released is
     simply collected, with its arena, at the cost of a fresh arena per
     {!start}. After [release], every
     function of this module except [release] itself raises

@@ -22,13 +22,15 @@ let best_first ~name ~description ~score =
     let rec pick () =
       if Heap.length heap = 0 then Give_up
       else begin
-        let priority = Heap.max_priority heap in
-        let v = Heap.pop_max heap in
+        let v = Heap.top heap in
         let h = Cursor.next_handle cur oracle ~skip_known:true v in
-        if h = Cursor.none then pick ()
+        if h = Cursor.none then begin
+          ignore (Heap.pop_max heap);
+          pick ()
+        end
         else begin
           (* Keep the vertex live for its remaining handles. *)
-          Heap.push heap ~priority v;
+          Heap.requeue heap;
           Request_edge (v, h)
         end
       end
@@ -354,12 +356,14 @@ let timestamp_cheat =
     let rec pick () =
       if Heap.length heap = 0 then Give_up
       else begin
-        let priority = Heap.max_priority heap in
-        let v = Heap.pop_max heap in
+        let v = Heap.top heap in
         let h = Cursor.next_handle cur oracle ~skip_known:true v in
-        if h = Cursor.none then pick ()
+        if h = Cursor.none then begin
+          ignore (Heap.pop_max heap);
+          pick ()
+        end
         else begin
-          Heap.push heap ~priority v;
+          Heap.requeue heap;
           Request_edge (v, h)
         end
       end

@@ -139,10 +139,10 @@ let test_mori_giant_rng_stream_position () =
   ignore (Mori.graph rng_b ~p:0.5 ~m:2 ~n:80);
   Alcotest.(check int) "next draw agrees" (Rng.int rng_a 1_000_000) (Rng.int rng_b 1_000_000)
 
-(* The growth loop's only allocation is the float [Rng.unit_float]
-   returns across the module boundary (16 B); the father buffer is
-   off-heap.  Instrumentation is off here: the counters and the
-   father-age histogram are measured by their own tests. *)
+(* The growth loop allocates nothing per vertex: the uniform is formed
+   from [Rng.bits53], an immediate int, and the father buffer is
+   off-heap.  What is left is a constant per build (the buffer's
+   header, the build timer), well under 1 B per vertex. *)
 let test_mori_growth_allocation () =
   let t = 65_536 in
   let rng = Rng.of_seed 5 in
@@ -163,8 +163,8 @@ let test_mori_growth_allocation () =
       in
       let per_vertex = bytes /. float_of_int t in
       Alcotest.(check bool)
-        (Printf.sprintf "obs %b: %.1f B per vertex <= 24" obs per_vertex)
-        true (per_vertex <= 24.))
+        (Printf.sprintf "obs %b: %.1f B per vertex <= 1" obs per_vertex)
+        true (per_vertex <= 1.))
     [ false; true ]
 
 let test_cf_giant_structure () =

@@ -182,6 +182,11 @@ let kat_cases : (string * (unit -> int64 list)) list =
       fun () ->
         let r = seeded 9 in
         draws 4 (fun () -> Int64.bits_of_float (Rng.unit_float r)) );
+    (* the same four draws as unit_float, times 2^53 *)
+    ( "bits53",
+      fun () ->
+        let r = seeded 9 in
+        draws 4 (fun () -> Int64.of_int (Rng.bits53 r)) );
     ( "bool",
       fun () ->
         let r = seeded 9 in
@@ -236,6 +241,8 @@ let kat_expected =
       [ 0x038b06800aaba44fL; 0x0b03f2377e93a785L; 0x2decc46cec35161cL; 0x1b5767da98c6004fL ] );
     ( "unit_float",
       [ 0x3fe32b447be41585L; 0x3fdb80cd1b3aeab0L; 0x3fc96d5b8088d994L; 0x3fec4830b4ce0572L ] );
+    ( "bits53",
+      [ 0x00132b447be41585L; 0x000dc0668d9d7558L; 0x00065b56e0223665L; 0x001c4830b4ce0572L ] );
     ( "bool",
       [ 0x0000000000000001L; 0x0000000000000000L; 0x0000000000000001L; 0x0000000000000001L; 0x0000000000000001L; 0x0000000000000000L; 0x0000000000000001L; 0x0000000000000001L ] );
     ( "bernoulli",
@@ -270,6 +277,7 @@ let test_draws_allocate_nothing () =
     (fun (name, f) -> Alcotest.(check (float 0.)) name baseline (minor_words_of f))
     [
       ("Rng.int", loop (fun () -> ignore (Rng.int rng 1000)));
+      ("Rng.bits53", loop (fun () -> ignore (Rng.bits53 rng)));
       ("Rng.bool", loop (fun () -> ignore (Rng.bool rng)));
       ("Rng.bernoulli", loop (fun () -> ignore (Rng.bernoulli rng 0.3)));
       ("Shuffle.in_place", fun () -> Shuffle.in_place rng a);

@@ -159,11 +159,14 @@ let test_self_loop_request () =
 
 let test_heap_ordering () =
   let h = Heap.create () in
-  List.iter (fun (p, v) -> Heap.push h ~priority:p v) [ (1., 1); (5., 2); (3., 3); (5., 4); (0.5, 5) ];
+  let entries = [ (1., 1); (5., 2); (3., 3); (5., 4); (0.5, 5) ] in
+  List.iter (fun (p, v) -> Heap.push h ~priority:p v) entries;
   Alcotest.(check int) "size" 5 (Heap.length h);
+  let priority v = fst (List.find (fun (_, v') -> v' = v) entries) in
   let pop () =
-    let p = Heap.max_priority h in
-    (p, Heap.pop_max h)
+    let v = Heap.top h in
+    Alcotest.(check int) "top is what pop_max removes" v (Heap.pop_max h);
+    (priority v, v)
   in
   let p1, v1 = pop () in
   let p2, v2 = pop () in
@@ -171,13 +174,18 @@ let test_heap_ordering () =
   Alcotest.(check (float 1e-9)) "max second" 5. p2;
   Alcotest.(check (list int)) "both priority-5 values" [ 2; 4 ] (List.sort compare [ v1; v2 ]);
   Alcotest.(check int) "size after pops" 3 (Heap.length h);
+  Heap.requeue h;
+  Alcotest.(check int) "requeue keeps the size" 3 (Heap.length h);
+  Alcotest.(check int) "a lone maximum stays on top" 3 (Heap.top h);
   ignore (pop ());
   ignore (pop ());
   ignore (pop ());
-  Alcotest.check_raises "max_priority of empty" (Invalid_argument "Heap.max_priority: empty heap")
-    (fun () -> ignore (Heap.max_priority h));
+  Alcotest.check_raises "top of empty" (Invalid_argument "Heap.top: empty heap")
+    (fun () -> ignore (Heap.top h));
   Alcotest.check_raises "pop_max of empty" (Invalid_argument "Heap.pop_max: empty heap")
-    (fun () -> ignore (Heap.pop_max h))
+    (fun () -> ignore (Heap.pop_max h));
+  Alcotest.check_raises "requeue of empty" (Invalid_argument "Heap.requeue: empty heap")
+    (fun () -> Heap.requeue h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in non-increasing priority order" ~count:200
@@ -188,17 +196,44 @@ let prop_heap_sorts =
       let rec drain acc =
         if Heap.length h = 0 then acc
         else begin
-          let p = Heap.max_priority h in
           let i = Heap.pop_max h in
-          drain ((p, i) :: acc)
+          drain ((List.nth priorities i, i) :: acc)
         end
       in
       let popped = drain [] in
-      (* drained in reverse: acc ends up ascending, and each value
-         leaves with the priority it was pushed with *)
+      (* drained in reverse: acc ends up ascending *)
       List.sort compare (List.map fst popped) = List.map fst popped
-      && List.sort compare (List.map snd popped) = List.init (List.length priorities) Fun.id
-      && List.for_all (fun (p, i) -> p = List.nth priorities i) popped)
+      && List.sort compare (List.map snd popped) = List.init (List.length priorities) Fun.id)
+
+let prop_heap_requeue =
+  (* requeue leaves the heap as pop_max + push with the same priority
+     would, so the best-first strategies pop in the same order, ties
+     included: priorities come from a small range to force ties *)
+  QCheck.Test.make ~name:"heap requeue = pop_max + push" ~count:200
+    QCheck.(pair (list_of_size Gen.(int_range 1 60) (int_bound 8)) (list (option (int_bound 8))))
+    (fun (initial, ops) ->
+      let prio = Hashtbl.create 64 in
+      let a = Heap.create () and b = Heap.create () in
+      let next = ref 0 in
+      let push p =
+        let v = !next in
+        incr next;
+        Hashtbl.replace prio v (float_of_int p);
+        Heap.push a ~priority:(float_of_int p) v;
+        Heap.push b ~priority:(float_of_int p) v
+      in
+      List.iter push initial;
+      (* None requeues the top, Some p pushes a new entry *)
+      List.iter
+        (function
+          | Some p -> push p
+          | None ->
+            Heap.requeue a;
+            let v = Heap.pop_max b in
+            Heap.push b ~priority:(Hashtbl.find prio v) v)
+        ops;
+      let drain h = List.init (Heap.length h) (fun _ -> Heap.pop_max h) in
+      drain a = drain b)
 
 (* --- strategies on known graphs ---------------------------------------------- *)
 
@@ -612,10 +647,15 @@ let run_query ?obfuscate ~seed g strategy k (source, target) =
   (oracle, snapshot oracle outcome)
 
 (* What the reusing domain does before a query, besides the query:
-   nothing; start and run an oracle that is never released; or run a
+   nothing; start and run an oracle that is never released; run a
    search whose strategy raises after [k] requests, which
-   Runner.search's Fun.protect answers by releasing the oracle. *)
-type disturbance = Quiet | Leak | Raise_after of int
+   Runner.search's Fun.protect answers by releasing the oracle; or run
+   and release a large query, whose arena the next query takes with
+   every buffer and the public-id map at a high-water mark. *)
+type disturbance = Quiet | Leak | Raise_after of int | Large
+
+(* A 3,000-vertex tree: a BFS over it exposes thousands of handles. *)
+let large_tree = lazy (Sf_gen.Mori.tree (Rng.of_seed 17) ~p:0.5 ~t:3000)
 
 exception Strategy_failed
 
@@ -639,12 +679,19 @@ let prop_arena_reuse_equivalence =
   let vertex = QCheck.Gen.(frequency [ (1, return 1); (3, int_range 1 200) ]) in
   let disturbance =
     QCheck.Gen.(
-      frequency [ (3, return Quiet); (1, return Leak); (1, map (fun k -> Raise_after k) (int_bound 40)) ])
+      frequency
+        [
+          (3, return Quiet);
+          (1, return Leak);
+          (1, map (fun k -> Raise_after k) (int_bound 40));
+          (1, return Large);
+        ])
   in
   let show_disturbance = function
     | Quiet -> ""
     | Leak -> " after a leak"
     | Raise_after k -> Printf.sprintf " after a raise at %d" k
+    | Large -> " after a large query"
   in
   QCheck.Test.make ~name:"arena reuse = fresh oracle" ~count:60
     QCheck.(
@@ -687,6 +734,11 @@ let prop_arena_reuse_equivalence =
           with
           | _ -> ()
           | exception Strategy_failed -> ())
+        | Large ->
+          let large = Lazy.force large_tree in
+          ignore
+            (Runner.search ~rng:(query_rng (seed + 3) k) large Strategies.bfs ~source:1
+               ~target:(Ugraph.n_vertices large))
       in
       let reused =
         List.mapi
@@ -867,6 +919,101 @@ let test_warm_start_allocation () =
     (small < 4096. && large < 4096.);
   Alcotest.(check (float 0.)) "same at 2^12 and 2^16" small large
 
+let test_public_ids_after_large_query () =
+  (* after a released query that exposed thousands of handles, the next
+     query on the same arena numbers its handles from 0 in first-exposure
+     order, also for edges the earlier query had numbered: release must
+     drop every key of the public-id map *)
+  let n = 4096 in
+  let g = Sf_gen.Mori.tree (Rng.of_seed 41) ~p:0.5 ~t:n in
+  let o = Oracle.start ~rng:(Rng.of_seed 42) Oracle.Weak g ~source:1 ~target:n in
+  let i = ref 0 in
+  while !i < Oracle.discovered_count o do
+    let v = Oracle.discovered_nth o !i in
+    for k = 0 to Oracle.degree o v - 1 do
+      let h = Oracle.handle o v k in
+      if Oracle.far_endpoint o ~owner:v h = 0 then ignore (Oracle.request_weak o ~owner:v h)
+    done;
+    incr i
+  done;
+  Alcotest.(check int) "the first query discovers the whole tree" n (Oracle.discovered_count o);
+  let last = Oracle.discovered_nth o (n - 1) in
+  Oracle.release o;
+  (* [last]'s edges got some of the largest ids of the first query *)
+  let o = Oracle.start ~rng:(Rng.of_seed 43) Oracle.Weak g ~source:last ~target:1 in
+  let next = ref 0 and seen = Hashtbl.create 64 in
+  let i = ref 0 in
+  while !i < Oracle.discovered_count o && !i < 64 do
+    let v = Oracle.discovered_nth o !i in
+    let fresh =
+      List.sort compare
+        (List.filter
+           (fun h -> not (Hashtbl.mem seen h))
+           (List.init (Oracle.degree o v) (Oracle.handle o v)))
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "vertex %d exposes the next %d ids" v (List.length fresh))
+      (List.init (List.length fresh) (fun k -> !next + k))
+      fresh;
+    List.iter (fun h -> Hashtbl.replace seen h ()) fresh;
+    next := !next + List.length fresh;
+    for k = 0 to Oracle.degree o v - 1 do
+      let h = Oracle.handle o v k in
+      if Oracle.far_endpoint o ~owner:v h = 0 then ignore (Oracle.request_weak o ~owner:v h)
+    done;
+    incr i
+  done;
+  Oracle.release o
+
+let test_warm_query_map_major_words () =
+  (* a warm repeat of a high-degree query on a 16,384-vertex Móri tree
+     finds the public-id map at its high-water size: the oracle
+     allocates nothing directly in the major heap (a regrown bucket
+     array would). The query's requests are recorded once, then
+     replayed on an oracle built from the same stream, so the
+     strategy's own scratch is not counted. *)
+  let n = 16_384 in
+  let g = Sf_gen.Mori.tree (Rng.of_seed 51) ~p:0.5 ~t:n in
+  let rng () = Rng.of_seed 52 in
+  let o = Oracle.start ~rng:(rng ()) Oracle.Weak g ~source:1 ~target:n in
+  let next = Strategies.high_degree.Strategy.prepare (Rng.of_seed 53) o in
+  let owners = Array.make (4 * n) 0 and hs = Array.make (4 * n) 0 in
+  let count = ref 0 in
+  let rec go () =
+    if (not (Oracle.target_found o)) && !count < 4 * n then
+      match next () with
+      | Strategy.Request_edge (owner, h) ->
+        owners.(!count) <- owner;
+        hs.(!count) <- h;
+        incr count;
+        ignore (Oracle.request_weak o ~owner h);
+        go ()
+      | Strategy.Request_vertex _ | Strategy.Give_up -> ()
+  in
+  go ();
+  Oracle.release o;
+  Alcotest.(check bool) (Printf.sprintf "a long query (%d requests)" !count) true (!count > 1000);
+  let replay () =
+    let o = Oracle.start ~rng:(rng ()) Oracle.Weak g ~source:1 ~target:n in
+    for i = 0 to !count - 1 do
+      ignore (Oracle.request_weak o ~owner:owners.(i) hs.(i))
+    done;
+    Oracle.release o
+  in
+  replay ();
+  (* OCaml 5.1 adds to major_words only at a major slice, and counts
+     promoted words in it: a full major GC on each side makes the
+     difference exact *)
+  let direct_major_words () =
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = direct_major_words () in
+  replay ();
+  Alcotest.(check (float 0.)) "major-heap words allocated directly" 0.
+    (direct_major_words () -. before)
+
 (* A search step allocates nothing once the oracle is warm: the reads
    a stepper makes, a repeat weak request on a known edge, the
    best-first heap and the handle cursor. Each call runs 10^4 times
@@ -886,9 +1033,9 @@ let test_search_step_allocates_nothing () =
   Alcotest.(check bool) "far endpoint resolves" true (far > 0);
   let cur = Strategy.Cursor.create () in
   ignore (Strategy.Cursor.next_handle cur o ~skip_known:true far);
+  (* one entry stays below the pushed one, so requeue has a root *)
   let heap = Heap.create () in
   Heap.push heap ~priority:1. 1;
-  ignore (Heap.pop_max heap);
   let loop f () =
     for _ = 1 to 10_000 do
       f ()
@@ -907,8 +1054,26 @@ let test_search_step_allocates_nothing () =
         fun () ->
           Heap.push heap ~priority:2. far;
           ignore (Heap.pop_max heap) );
+      ( "Heap.top + requeue",
+        fun () ->
+          ignore (Heap.top heap);
+          Heap.requeue heap );
       ("Cursor.next_handle", fun () -> ignore (Strategy.Cursor.next_handle cur o ~skip_known:true far));
     ]
+  in
+  (* Discovering a vertex writes its slot unboxed. Without obfuscation
+     no public-id map is involved, so the first requests from vertex 1
+     on a warm arena, each discovering a vertex, allocate nothing. *)
+  let first_requests () =
+    let o = Oracle.start ~obfuscate:false ~rng:(Rng.of_seed 33) Oracle.Weak g ~source:1 ~target:n in
+    let words =
+      minor_words_of (fun () ->
+          for i = 0 to Oracle.degree o 1 - 1 do
+            ignore (Oracle.request_weak o ~owner:1 (Oracle.handle o 1 i))
+          done)
+    in
+    Oracle.release o;
+    words
   in
   let was_enabled = Sf_obs.Registry.enabled () in
   Fun.protect
@@ -924,7 +1089,11 @@ let test_search_step_allocates_nothing () =
                 (Printf.sprintf "%s (obs %b)" name obs)
                 baseline
                 (minor_words_of (loop f)))
-            cases)
+            cases;
+          ignore (first_requests ());
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "first requests from a hub, unobfuscated (obs %b)" obs)
+            baseline (first_requests ()))
         [ true; false ]);
   Oracle.release o
 
@@ -1065,7 +1234,10 @@ let suite =
     ("arena: use after release", `Quick, test_use_after_release);
     ("arena: two live oracles", `Quick, test_two_live_oracles);
     ("arena: warm start allocation", `Quick, test_warm_start_allocation);
+    ("arena: public ids from 0 after a large query", `Quick, test_public_ids_after_large_query);
+    ("arena: warm query grows no map", `Quick, test_warm_query_map_major_words);
     QCheck_alcotest.to_alcotest prop_heap_sorts;
+    QCheck_alcotest.to_alcotest prop_heap_requeue;
     QCheck_alcotest.to_alcotest prop_strong_equals_weak_closure;
     QCheck_alcotest.to_alcotest prop_kleinberg_distance_is_metric;
     QCheck_alcotest.to_alcotest prop_requests_never_decrease_knowledge;
