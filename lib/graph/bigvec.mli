@@ -1,11 +1,10 @@
 (** Growable vector of machine ints on flat Bigarray [int32] storage.
 
-    {!Vec} stores OCaml ints (one word each) in a boxed-header array;
-    fine at toy sizes, 8 bytes per entry at n = 10M. This variant
-    packs entries into an unboxed [int32] Bigarray — half the memory,
-    no GC scanning of the payload — and is the growth buffer behind
-    every graph: each generator appends its edges' endpoints to two of
-    them and freezes them with {!Csr.of_bigvecs} (doc/SCALING.md).
+    Entries are packed into an unboxed [int32] Bigarray, 4 bytes each
+    where an OCaml [int array] takes 8, and the GC never scans the
+    payload. It is the growth buffer behind every graph: each
+    generator appends its edges' endpoints to two of them and freezes
+    them with {!Csr.of_bigvecs} (doc/SCALING.md).
 
     Values must fit in 32 bits ([-2{^31} .. 2{^31}-1]); {!push} and
     {!set} reject anything wider. Vertex ids and edge ids in this

@@ -56,8 +56,12 @@ type model = Weak | Strong
    Everything else is indexed by discovery rank and grows with the
    search: the discovery sequence, the discovery-tree parent (0 for
    the source), [first], and [mark], 1 once the vertex was
-   strong-requested. Every buffer stays at its high-water mark for
-   the next query. *)
+   strong-requested.
+
+   [frontiers] are the strategies' work lists, lent out in order by
+   [frontier]: a query's [leased] counts how many it holds, and they
+   all come back with the arena. Every buffer, the frontiers' too,
+   stays at its high-water mark for the next query. *)
 type arena = {
   slot : Sf_graph.Bigvec.buf;
   mutable paid : Bytes.t;
@@ -68,6 +72,7 @@ type arena = {
   mutable handles : int array;
   mutable real_of_pub : Sf_graph.Bigvec.buf;
   pub_of_real : (int, int) Hashtbl.t;
+  mutable frontiers : Frontier.t array;
 }
 
 let near = -1
@@ -86,6 +91,7 @@ let new_arena n =
     handles = Array.make 256 0;
     real_of_pub = Sf_graph.Bigvec.create_buf 256;
     pub_of_real = Hashtbl.create 64;
+    frontiers = [||];
   }
 
 let capacity a = Bigarray.Array1.dim a.slot
@@ -136,6 +142,7 @@ type t = {
   arena : arena;
   slot : Sf_graph.Bigvec.buf; (* arena.slot *)
   mutable count : int; (* vertices discovered *)
+  mutable leased : int; (* frontiers lent to this query, a prefix of arena.frontiers *)
   mutable released : bool;
   mutable request_count : int;
   mutable found_at : int option;
@@ -231,6 +238,7 @@ let start ?(obfuscate = true) ~rng model g ~source ~target =
       arena;
       slot;
       count = 0;
+      leased = 0;
       released = false;
       request_count = 0;
       found_at = None;
@@ -261,6 +269,16 @@ let release t =
     done;
     return_arena a
   end
+
+let frontier t =
+  live t "frontier";
+  let a = t.arena in
+  if t.leased = Array.length a.frontiers then
+    a.frontiers <- Array.append a.frontiers [| Frontier.create () |];
+  let f = a.frontiers.(t.leased) in
+  t.leased <- t.leased + 1;
+  Frontier.clear f;
+  f
 
 let model t =
   live t "model";
@@ -301,8 +319,6 @@ let rank_of_discovered t v name =
   let r = if Ugraph.mem_vertex t.g v then rank t v else -1 in
   if r < 0 then invalid_arg ("Oracle." ^ name ^ ": vertex not discovered");
   r
-
-let discovery_rank t v = rank_of_discovered t v "discovery_rank"
 
 let degree t v =
   let r = rank_of_discovered t v "degree" in

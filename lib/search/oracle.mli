@@ -61,31 +61,40 @@ val start :
     the GC heap, plus buffers that grow with what the search
     discovers — per discovered vertex its rank-indexed entries and
     its handles in one flat buffer, per public handle id its physical
-    edge and an entry of the reverse map (a hash table), and one byte
-    per public handle id up to the largest one paid for. Every buffer
-    and the hash table's bucket array stay at their high-water size
-    for the next query. With a free arena large enough for the graph,
-    [start] costs O(deg target); otherwise it allocates a new one.
+    edge and an entry of the reverse map (a hash table), one byte per
+    public handle id up to the largest one paid for, and the
+    strategies' work lists ({!frontier}). Every buffer, the hash
+    table's bucket array and every frontier stay at their high-water
+    size for the next query. With a free arena large enough for the
+    graph, [start] costs O(deg target); otherwise it allocates a new
+    one.
     @raise Invalid_argument if [source] or [target] is not a vertex. *)
 
 val release : t -> unit
 (** Ends the lease: the arena goes back to the calling domain, which
     keeps at most one free arena for the next {!start}. Before that,
     [release] clears what the query wrote: the marks of the target's
-    closed neighbourhood and of every discovered vertex, the paid
-    byte of each handle in the flat handle buffer (every paid handle
-    is in it), and the reverse-map key of each public id the query
-    handed out (the table is emptied key by key, never cleared or
-    reset, so it keeps its size). That costs O(deg target + the
-    summed degree of the discovered vertices), the order of the work
-    the query already did: discovering a vertex exposed each of its
-    handles. Call it once the last answer has been read (outcome,
+    closed neighbourhood and of every discovered vertex, the paid byte
+    of each handle in the flat handle buffer (every paid handle is in
+    it), and the reverse-map key of each public id the query handed
+    out (the table is emptied key by key, never cleared or reset, so
+    it keeps its size). The frontiers the query leased come back with
+    the arena as they are. That costs O(deg target + the summed degree
+    of the discovered vertices), the order of the work the query
+    already did: discovering a vertex exposed each of its handles.
+    Call it once the last answer has been read (outcome,
     {!discovery_path}, ...). An instance that is never released is
     simply collected, with its arena, at the cost of a fresh arena per
-    {!start}. After [release], every
-    function of this module except [release] itself raises
-    [Invalid_argument] on the instance; a second [release] is a
-    no-op. Arrays from {!handles} are copies and stay valid. *)
+    {!start}. After [release], every function of this module except
+    [release] itself raises [Invalid_argument] on the instance; a
+    second [release] is a no-op. Arrays from {!handles} are copies and
+    stay valid. *)
+
+val frontier : t -> Frontier.t
+(** An empty frontier leased from the arena for this query: a
+    strategy's work list, at the high-water size an earlier query left
+    it. Each call hands out a different one; {!release} takes them all
+    back, so a stepper must not use its frontier after that. *)
 
 (** {1 What the searcher may observe} *)
 
@@ -102,13 +111,6 @@ val discovered_count : t -> int
 val discovered_nth : t -> int -> vertex
 (** Discovery sequence, [0 .. discovered_count - 1]; lets a strategy
     pull new discoveries incrementally. *)
-
-val discovery_rank : t -> vertex -> int
-(** The inverse of {!discovered_nth}: [discovered_nth t
-    (discovery_rank t v) = v]. One load, so a strategy can keep
-    per-vertex state in an array indexed by rank instead of a hash
-    table; it reveals nothing a strategy could not compute from
-    {!discovered_nth}. @raise Invalid_argument if undiscovered. *)
 
 val degree : t -> vertex -> int
 (** Observable degree of a {e discovered} vertex: the number of its

@@ -1,5 +1,4 @@
 module Rng = Sf_prng.Rng
-module Vec = Sf_graph.Vec
 open Strategy
 
 (* Feed every not-yet-seen discovery to [f]; strategies call this at
@@ -13,24 +12,45 @@ let sync oracle seen f =
     incr seen
   done
 
+(* A handle is useless once paid for and, with [skip_known], once
+   both its endpoints are known: requesting it can discover nothing.
+   Either stays true for the rest of the query. *)
+let useless ~skip_known oracle v h =
+  Oracle.handle_requested oracle h || (skip_known && Oracle.far_endpoint oracle ~owner:v h <> 0)
+
+(* The first index from [i] on of a useful handle of [v], or its
+   degree when none is left. The handles skipped stay useless, so a
+   walk may resume from the answer. *)
+let rec skip oracle v i =
+  if i < Oracle.degree oracle v && useless ~skip_known:true oracle v (Oracle.handle oracle v i)
+  then skip oracle v (i + 1)
+  else i
+
+(* The next useful handle of frontier entry [k], whose index moves up
+   to it, or -1 when the entry's vertex has none left. *)
+let next_handle oracle f k =
+  let v = Frontier.vertex f k in
+  let i = skip oracle v (Frontier.index f k) in
+  Frontier.set_index f k i;
+  if i < Oracle.degree oracle v then Oracle.handle oracle v i else -1
+
 let best_first ~name ~description ~score =
   let prepare _rng oracle =
-    let cur = Cursor.create () in
-    let heap = Heap.create () in
+    let heap = Oracle.frontier oracle in
     let seen = ref 0 in
-    let ingest v = Heap.push heap ~priority:(score oracle v) v in
+    let ingest v = Frontier.push heap ~priority:(score oracle v) v in
     let rec pick () =
-      if Heap.length heap = 0 then Give_up
+      if Frontier.length heap = 0 then Give_up
       else begin
-        let v = Heap.top heap in
-        let h = Cursor.next_handle cur oracle ~skip_known:true v in
-        if h = Cursor.none then begin
-          ignore (Heap.pop_max heap);
+        let v = Frontier.vertex heap 0 in
+        let h = next_handle oracle heap 0 in
+        if h < 0 then begin
+          ignore (Frontier.pop_max heap);
           pick ()
         end
         else begin
           (* Keep the vertex live for its remaining handles. *)
-          Heap.requeue heap;
+          Frontier.requeue heap;
           Request_edge (v, h)
         end
       end
@@ -43,13 +63,13 @@ let best_first ~name ~description ~score =
 
 let strong_best_first ~name ~description ~score =
   let prepare _rng oracle =
-    let heap = Heap.create () in
+    let heap = Oracle.frontier oracle in
     let seen = ref 0 in
-    let ingest v = Heap.push heap ~priority:(score oracle v) v in
+    let ingest v = Frontier.push heap ~priority:(score oracle v) v in
     let rec pick () =
-      if Heap.length heap = 0 then Give_up
+      if Frontier.length heap = 0 then Give_up
       else begin
-        let v = Heap.pop_max heap in
+        let v = Frontier.pop_max heap in
         if Oracle.is_explored oracle v then pick () else Request_vertex v
       end
     in
@@ -61,16 +81,17 @@ let strong_best_first ~name ~description ~score =
 
 let bfs =
   let prepare _rng oracle =
-    let cur = Cursor.create () in
-    let front = ref 0 in
+    (* the front vertex's rank and its next handle index *)
+    let front = ref 0 and next = ref 0 in
     let rec pick () =
       if !front >= Oracle.discovered_count oracle then Give_up
       else begin
         let v = Oracle.discovered_nth oracle !front in
-        let h = Cursor.next_handle cur oracle ~skip_known:true v in
-        if h <> Cursor.none then Request_edge (v, h)
+        next := skip oracle v !next;
+        if !next < Oracle.degree oracle v then Request_edge (v, Oracle.handle oracle v !next)
         else begin
           incr front;
+          next := 0;
           pick ()
         end
       end
@@ -86,18 +107,17 @@ let bfs =
 
 let dfs =
   let prepare _rng oracle =
-    let cur = Cursor.create () in
-    let stack = Vec.create () in
+    let stack = Oracle.frontier oracle in
     let seen = ref 0 in
-    let ingest v = Vec.push stack v in
+    let ingest v = Frontier.add stack v 0 in
     let rec pick () =
-      if Vec.is_empty stack then Give_up
+      let top = Frontier.length stack - 1 in
+      if top < 0 then Give_up
       else begin
-        let v = Vec.get stack (Vec.length stack - 1) in
-        let h = Cursor.next_handle cur oracle ~skip_known:true v in
-        if h <> Cursor.none then Request_edge (v, h)
+        let h = next_handle oracle stack top in
+        if h >= 0 then Request_edge (Frontier.vertex stack top, h)
         else begin
-          ignore (Vec.pop stack);
+          Frontier.drop_last stack;
           pick ()
         end
       end
@@ -115,32 +135,23 @@ let dfs =
 
 let random_edge ~skip_known =
   let prepare rng oracle =
-    (* One slot per (vertex, handle-index) pair; uniform swap-remove
+    (* One entry per (vertex, handle index); uniform swap-remove
        sampling with lazy usefulness checks. *)
-    let owners = Vec.create () and indices = Vec.create () in
+    let pool = Oracle.frontier oracle in
     let seen = ref 0 in
     let ingest v =
       for i = 0 to Oracle.degree oracle v - 1 do
-        Vec.push owners v;
-        Vec.push indices i
+        Frontier.add pool v i
       done
     in
     let rec pick () =
-      if Vec.is_empty owners then Give_up
+      if Frontier.length pool = 0 then Give_up
       else begin
-        let j = Rng.int rng (Vec.length owners) in
-        let v = Vec.get owners j and i = Vec.get indices j in
-        let last = Vec.length owners - 1 in
-        Vec.set owners j (Vec.get owners last);
-        Vec.set indices j (Vec.get indices last);
-        ignore (Vec.pop owners);
-        ignore (Vec.pop indices);
+        let j = Rng.int rng (Frontier.length pool) in
+        let v = Frontier.vertex pool j and i = Frontier.index pool j in
+        Frontier.take pool j;
         let h = Oracle.handle oracle v i in
-        if
-          Oracle.handle_requested oracle h
-          || (skip_known && Oracle.far_endpoint oracle ~owner:v h <> 0)
-        then pick ()
-        else Request_edge (v, h)
+        if useless ~skip_known oracle v h then pick () else Request_edge (v, h)
       end
     in
     fun () ->
@@ -227,17 +238,15 @@ let strong_seq =
 
 let strong_random =
   let prepare rng oracle =
-    let pool = Vec.create () in
+    let pool = Oracle.frontier oracle in
     let seen = ref 0 in
-    let ingest v = Vec.push pool v in
+    let ingest v = Frontier.add pool v 0 in
     let rec pick () =
-      if Vec.is_empty pool then Give_up
+      if Frontier.length pool = 0 then Give_up
       else begin
-        let j = Rng.int rng (Vec.length pool) in
-        let v = Vec.get pool j in
-        let lastv = Vec.get pool (Vec.length pool - 1) in
-        Vec.set pool j lastv;
-        ignore (Vec.pop pool);
+        let j = Rng.int rng (Frontier.length pool) in
+        let v = Frontier.vertex pool j in
+        Frontier.take pool j;
         if Oracle.is_explored oracle v then pick () else Request_vertex v
       end
     in
@@ -333,7 +342,7 @@ let restart_walk ~restart =
   }
 
 let timestamp_cheat =
-  let prepare _rng oracle =
+  let prepare rng oracle =
     (* In a Móri tree with raw edge ids, edge id e is the out-edge of
        vertex e + 2, so the target's own edge has id (target - 2) and
        becomes *visible* in its father's handle list the moment the
@@ -342,38 +351,21 @@ let timestamp_cheat =
        exploration (fathers of late vertices are degree-biased, so
        hubs are the right place to look). *)
     let target_edge = Oracle.target oracle - 2 in
-    let cur = Cursor.create () in
-    let heap = Heap.create () in
+    let fallback = high_degree.prepare rng oracle in
     let seen = ref 0 in
-    let jackpot = ref None in
-    let ingest v =
-      Heap.push heap ~priority:(degree_score oracle v) v;
-      if !jackpot = None then
+    (* the vertex whose list shows the target's edge, 0 until seen *)
+    let jackpot = ref 0 in
+    let scan v =
+      if !jackpot = 0 then
         for i = 0 to Oracle.degree oracle v - 1 do
-          if Oracle.handle oracle v i = target_edge then jackpot := Some v
+          if Oracle.handle oracle v i = target_edge then jackpot := v
         done
     in
-    let rec pick () =
-      if Heap.length heap = 0 then Give_up
-      else begin
-        let v = Heap.top heap in
-        let h = Cursor.next_handle cur oracle ~skip_known:true v in
-        if h = Cursor.none then begin
-          ignore (Heap.pop_max heap);
-          pick ()
-        end
-        else begin
-          Heap.requeue heap;
-          Request_edge (v, h)
-        end
-      end
-    in
     fun () ->
-      sync oracle seen ingest;
-      match !jackpot with
-      | Some v when not (Oracle.handle_requested oracle target_edge) ->
-        Request_edge (v, target_edge)
-      | _ -> pick ()
+      sync oracle seen scan;
+      if !jackpot <> 0 && not (Oracle.handle_requested oracle target_edge) then
+        Request_edge (!jackpot, target_edge)
+      else fallback ()
   in
   {
     name = "timestamp-cheat";

@@ -24,8 +24,12 @@
     (the quoted ones reached through {!strong_portfolio}) — the same
     disciplines on whole-vertex requests.
 
-    The best-first disciplines share one weak and one strong
-    best-first combinator, internal to this module. *)
+    Each discipline keeps its work list in a {!Frontier} leased from
+    the oracle ({!Oracle.frontier}): a stack for [dfs], a pool for
+    [random_edge] and ["s-rand"], and a max-heap for the best-first
+    disciplines, which share one weak and one strong best-first
+    combinator internal to this module. [bfs] and [strong_seq] walk
+    the discovery sequence itself. *)
 
 val bfs : Strategy.t
 val dfs : Strategy.t

@@ -21,27 +21,3 @@ type t = {
   model : Oracle.model;
   prepare : Sf_prng.Rng.t -> Oracle.t -> unit -> step;
 }
-
-(** {1 A cursor over a vertex's not-yet-useful handles}
-
-    Shared by most strategies: walks a discovered vertex's handle list
-    left to right, skipping handles that were already paid for and
-    (optionally) handles whose two endpoints the searcher already
-    knows — requesting those can never discover anything. *)
-
-module Cursor : sig
-  type cursor
-
-  val create : unit -> cursor
-
-  val none : Oracle.handle
-  (** [-1], which no handle is: {!next_handle}'s answer when the
-      vertex has no useful handle left. *)
-
-  val next_handle : cursor -> Oracle.t -> skip_known:bool -> Oracle.vertex -> Oracle.handle
-  (** Next potentially useful handle of the vertex, advancing past
-      permanently useless ones, or {!none}; nothing is allocated.
-      Returns the same handle again until it is requested (usefulness
-      is re-checked each call, since other requests may have revealed
-      its endpoints in the meantime). *)
-end

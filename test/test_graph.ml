@@ -2,46 +2,12 @@
    edge orientation, traversal, permutation action, metrics and IO. *)
 
 module Ugraph = Sf_graph.Ugraph
-module Vec = Sf_graph.Vec
 module Traversal = Sf_graph.Traversal
 module Permute = Sf_graph.Permute
 module Metrics = Sf_graph.Metrics
 module Gio = Sf_graph.Gio
 module Subgraph = Sf_graph.Subgraph
 module Rng = Sf_prng.Rng
-
-(* --- Vec ------------------------------------------------------------ *)
-
-let test_vec_basics () =
-  let v = Vec.create () in
-  Alcotest.(check bool) "empty" true (Vec.is_empty v);
-  for i = 0 to 99 do
-    Vec.push v (i * i)
-  done;
-  Alcotest.(check int) "length" 100 (Vec.length v);
-  Alcotest.(check int) "get" 49 (Vec.get v 7);
-  Vec.set v 7 (-1);
-  Alcotest.(check int) "set" (-1) (Vec.get v 7);
-  Alcotest.(check int) "pop" (99 * 99) (Vec.pop v);
-  Alcotest.(check int) "length after pop" 99 (Vec.length v);
-  Alcotest.(check int) "fold sum" (Vec.fold ( + ) 0 v) (List.fold_left ( + ) 0 (Vec.to_list v));
-  Vec.clear v;
-  Alcotest.(check bool) "cleared" true (Vec.is_empty v)
-
-let test_vec_bounds () =
-  let v = Vec.of_array [| 1; 2; 3 |] in
-  Alcotest.check_raises "get out of bounds" (Invalid_argument "Vec.get: index out of bounds")
-    (fun () -> ignore (Vec.get v 3));
-  Alcotest.check_raises "pop empty" (Invalid_argument "Vec.pop: empty") (fun () ->
-      ignore (Vec.pop (Vec.create ())))
-
-let test_vec_copy_independent () =
-  let v = Vec.of_array [| 1; 2 |] in
-  let w = Vec.copy v in
-  Vec.push w 3;
-  Vec.set w 0 9;
-  Alcotest.(check int) "original unchanged" 1 (Vec.get v 0);
-  Alcotest.(check int) "original length" 2 (Vec.length v)
 
 (* --- Edge orientation ---------------------------------------------------- *)
 
@@ -537,9 +503,6 @@ let prop_permutation_action_preserves_edge_count =
 
 let suite =
   [
-    ("vec basics", `Quick, test_vec_basics);
-    ("vec bounds", `Quick, test_vec_bounds);
-    ("vec copy", `Quick, test_vec_copy_independent);
     ("edge ids are timestamps", `Quick, test_edge_ids_are_timestamps);
     ("of_edges validation", `Quick, test_of_edges_validation);
     ("equal_structure", `Quick, test_equal_structure_ignores_order);

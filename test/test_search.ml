@@ -8,7 +8,7 @@ module Oracle = Sf_search.Oracle
 module Strategy = Sf_search.Strategy
 module Strategies = Sf_search.Strategies
 module Runner = Sf_search.Runner
-module Heap = Sf_search.Heap
+module Frontier = Sf_search.Frontier
 
 let path_graph n = Ugraph.of_edges ~n (List.init (n - 1) (fun i -> (i + 1, i + 2)))
 
@@ -155,17 +155,17 @@ let test_self_loop_request () =
   Array.sort compare results;
   Alcotest.(check (array int)) "loop returns self, edge returns 2" [| 1; 2 |] results
 
-(* --- Heap ------------------------------------------------------------------ *)
+(* --- Frontier --------------------------------------------------------------- *)
 
 let test_heap_ordering () =
-  let h = Heap.create () in
+  let h = Frontier.create () in
   let entries = [ (1., 1); (5., 2); (3., 3); (5., 4); (0.5, 5) ] in
-  List.iter (fun (p, v) -> Heap.push h ~priority:p v) entries;
-  Alcotest.(check int) "size" 5 (Heap.length h);
+  List.iter (fun (p, v) -> Frontier.push h ~priority:p v) entries;
+  Alcotest.(check int) "size" 5 (Frontier.length h);
   let priority v = fst (List.find (fun (_, v') -> v' = v) entries) in
   let pop () =
-    let v = Heap.top h in
-    Alcotest.(check int) "top is what pop_max removes" v (Heap.pop_max h);
+    let v = Frontier.vertex h 0 in
+    Alcotest.(check int) "entry 0 is what pop_max removes" v (Frontier.pop_max h);
     (priority v, v)
   in
   let p1, v1 = pop () in
@@ -173,30 +173,33 @@ let test_heap_ordering () =
   Alcotest.(check (float 1e-9)) "max first" 5. p1;
   Alcotest.(check (float 1e-9)) "max second" 5. p2;
   Alcotest.(check (list int)) "both priority-5 values" [ 2; 4 ] (List.sort compare [ v1; v2 ]);
-  Alcotest.(check int) "size after pops" 3 (Heap.length h);
-  Heap.requeue h;
-  Alcotest.(check int) "requeue keeps the size" 3 (Heap.length h);
-  Alcotest.(check int) "a lone maximum stays on top" 3 (Heap.top h);
+  Alcotest.(check int) "size after pops" 3 (Frontier.length h);
+  Alcotest.(check int) "a pushed entry starts at handle index 0" 0 (Frontier.index h 0);
+  Frontier.set_index h 0 7;
+  Frontier.requeue h;
+  Alcotest.(check int) "requeue keeps the size" 3 (Frontier.length h);
+  Alcotest.(check int) "a lone maximum stays on top" 3 (Frontier.vertex h 0);
+  Alcotest.(check int) "requeue keeps the handle index" 7 (Frontier.index h 0);
   ignore (pop ());
   ignore (pop ());
   ignore (pop ());
-  Alcotest.check_raises "top of empty" (Invalid_argument "Heap.top: empty heap")
-    (fun () -> ignore (Heap.top h));
-  Alcotest.check_raises "pop_max of empty" (Invalid_argument "Heap.pop_max: empty heap")
-    (fun () -> ignore (Heap.pop_max h));
-  Alcotest.check_raises "requeue of empty" (Invalid_argument "Heap.requeue: empty heap")
-    (fun () -> Heap.requeue h)
+  Alcotest.check_raises "entry 0 of empty" (Invalid_argument "Frontier.vertex: no such entry")
+    (fun () -> ignore (Frontier.vertex h 0));
+  Alcotest.check_raises "pop_max of empty" (Invalid_argument "Frontier.pop_max: empty frontier")
+    (fun () -> ignore (Frontier.pop_max h));
+  Alcotest.check_raises "requeue of empty" (Invalid_argument "Frontier.requeue: empty frontier")
+    (fun () -> Frontier.requeue h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in non-increasing priority order" ~count:200
     QCheck.(list (float_range (-100.) 100.))
     (fun priorities ->
-      let h = Heap.create () in
-      List.iteri (fun i p -> Heap.push h ~priority:p i) priorities;
+      let h = Frontier.create () in
+      List.iteri (fun i p -> Frontier.push h ~priority:p i) priorities;
       let rec drain acc =
-        if Heap.length h = 0 then acc
+        if Frontier.length h = 0 then acc
         else begin
-          let i = Heap.pop_max h in
+          let i = Frontier.pop_max h in
           drain ((List.nth priorities i, i) :: acc)
         end
       in
@@ -208,19 +211,20 @@ let prop_heap_sorts =
 let prop_heap_requeue =
   (* requeue leaves the heap as pop_max + push with the same priority
      would, so the best-first strategies pop in the same order, ties
-     included: priorities come from a small range to force ties *)
+     included: priorities come from a small range to force ties. The
+     requeued entry keeps its handle index, which pop + push resets. *)
   QCheck.Test.make ~name:"heap requeue = pop_max + push" ~count:200
     QCheck.(pair (list_of_size Gen.(int_range 1 60) (int_bound 8)) (list (option (int_bound 8))))
     (fun (initial, ops) ->
       let prio = Hashtbl.create 64 in
-      let a = Heap.create () and b = Heap.create () in
+      let a = Frontier.create () and b = Frontier.create () in
       let next = ref 0 in
       let push p =
         let v = !next in
         incr next;
         Hashtbl.replace prio v (float_of_int p);
-        Heap.push a ~priority:(float_of_int p) v;
-        Heap.push b ~priority:(float_of_int p) v
+        Frontier.push a ~priority:(float_of_int p) v;
+        Frontier.push b ~priority:(float_of_int p) v
       in
       List.iter push initial;
       (* None requeues the top, Some p pushes a new entry *)
@@ -228,12 +232,69 @@ let prop_heap_requeue =
         (function
           | Some p -> push p
           | None ->
-            Heap.requeue a;
-            let v = Heap.pop_max b in
-            Heap.push b ~priority:(Hashtbl.find prio v) v)
+            Frontier.set_index a 0 (Frontier.vertex a 0 + 1);
+            Frontier.requeue a;
+            let v = Frontier.pop_max b in
+            Frontier.push b ~priority:(Hashtbl.find prio v) v)
         ops;
-      let drain h = List.init (Heap.length h) (fun _ -> Heap.pop_max h) in
-      drain a = drain b)
+      let drain h =
+        List.init (Frontier.length h) (fun _ ->
+            let i = Frontier.index h 0 in
+            (Frontier.pop_max h, i))
+      in
+      let da = drain a in
+      List.map fst da = List.map fst (drain b)
+      && List.for_all (fun (v, i) -> i = 0 || i = v + 1) da)
+
+type pool_op = Add of int * int | Drop_last | Take of int | Set_index of int * int
+
+let prop_stack_and_pool =
+  (* the stack and pool operations against a list model, across the
+     buffers' growth; Take and Set_index address entry k mod length *)
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun v i -> Add (v, i)) small_nat small_nat);
+          (1, return Drop_last);
+          (2, map (fun k -> Take k) small_nat);
+          (1, map2 (fun k i -> Set_index (k, i)) small_nat small_nat);
+        ])
+  in
+  QCheck.Test.make ~name:"frontier stack and pool = list model" ~count:200
+    QCheck.(make Gen.(list_size (int_range 0 400) op))
+    (fun ops ->
+      let f = Frontier.create () in
+      let contents () =
+        List.init (Frontier.length f) (fun k -> (Frontier.vertex f k, Frontier.index f k))
+      in
+      let step model op =
+        let len = List.length model in
+        match op with
+        | Add (v, i) ->
+          Frontier.add f v i;
+          model @ [ (v, i) ]
+        | Drop_last when len > 0 ->
+          Frontier.drop_last f;
+          List.filteri (fun j _ -> j < len - 1) model
+        | Take k when len > 0 ->
+          let k = k mod len in
+          Frontier.take f k;
+          let last = List.nth model (len - 1) in
+          List.filteri (fun j _ -> j < len - 1) (List.mapi (fun j e -> if j = k then last else e) model)
+        | Set_index (k, i) when len > 0 ->
+          let k = k mod len in
+          Frontier.set_index f k i;
+          List.mapi (fun j (v, x) -> if j = k then (v, i) else (v, x)) model
+        | Drop_last | Take _ | Set_index _ -> model
+      in
+      let rec go model = function
+        | [] -> true
+        | op :: ops ->
+          let model = step model op in
+          contents () = model && go model ops
+      in
+      go [] ops)
 
 (* --- strategies on known graphs ---------------------------------------------- *)
 
@@ -650,11 +711,12 @@ let run_query ?obfuscate ~seed g strategy k (source, target) =
    nothing; start and run an oracle that is never released; run a
    search whose strategy raises after [k] requests, which
    Runner.search's Fun.protect answers by releasing the oracle; or run
-   and release a large query, whose arena the next query takes with
-   every buffer and the public-id map at a high-water mark. *)
+   and release a large query of the same strategy, whose arena the
+   next query takes with every buffer, the public-id map and the
+   strategy's frontiers at a high-water mark. *)
 type disturbance = Quiet | Leak | Raise_after of int | Large
 
-(* A 3,000-vertex tree: a BFS over it exposes thousands of handles. *)
+(* A 3,000-vertex tree: a search over it exposes thousands of handles. *)
 let large_tree = lazy (Sf_gen.Mori.tree (Rng.of_seed 17) ~p:0.5 ~t:3000)
 
 exception Strategy_failed
@@ -674,7 +736,10 @@ let prop_arena_reuse_equivalence =
      each of its oracles gets a new arena. Vertex 1, the oldest and a
      hub, is drawn often as source and target. *)
   let strategies =
-    Array.of_list (Strategies.weak_portfolio () @ Strategies.strong_portfolio ())
+    Array.of_list
+      (Strategies.weak_portfolio ()
+      @ Strategies.strong_portfolio ()
+      @ [ Strategies.epsilon_greedy ~epsilon:0.2; Strategies.random_edge ~skip_known:false ])
   in
   let vertex = QCheck.Gen.(frequency [ (1, return 1); (3, int_range 1 200) ]) in
   let disturbance =
@@ -737,7 +802,7 @@ let prop_arena_reuse_equivalence =
         | Large ->
           let large = Lazy.force large_tree in
           ignore
-            (Runner.search ~rng:(query_rng (seed + 3) k) large Strategies.bfs ~source:1
+            (Runner.search ~rng:(query_rng (seed + 3) k) large strategy ~source:1
                ~target:(Ugraph.n_vertices large))
       in
       let reused =
@@ -789,6 +854,7 @@ let test_use_after_release () =
           ("request_weak", fun () -> ignore (Oracle.request_weak o ~owner:1 h));
           ("request_strong", fun () -> Oracle.request_strong o 1);
           ("is_explored", fun () -> ignore (Oracle.is_explored o 1));
+          ("frontier", fun () -> ignore (Oracle.frontier o));
           ("discovery_parent", fun () -> ignore (Oracle.discovery_parent o 1));
           ("discovery_path", fun () -> ignore (Oracle.discovery_path o 1));
           ("target_found", fun () -> ignore (Oracle.target_found o));
@@ -965,6 +1031,15 @@ let test_public_ids_after_large_query () =
   done;
   Oracle.release o
 
+(* Words allocated directly in the major heap so far. OCaml 5.1 adds
+   to major_words only at a major slice, and counts promoted words in
+   it: a full major GC on each side of a window makes the difference
+   exact. *)
+let direct_major_words () =
+  Gc.full_major ();
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
 let test_warm_query_map_major_words () =
   (* a warm repeat of a high-degree query on a 16,384-vertex Móri tree
      finds the public-id map at its high-water size: the oracle
@@ -1001,22 +1076,84 @@ let test_warm_query_map_major_words () =
     Oracle.release o
   in
   replay ();
-  (* OCaml 5.1 adds to major_words only at a major slice, and counts
-     promoted words in it: a full major GC on each side makes the
-     difference exact *)
-  let direct_major_words () =
-    Gc.full_major ();
-    let s = Gc.quick_stat () in
-    s.Gc.major_words -. s.Gc.promoted_words
-  in
   let before = direct_major_words () in
   replay ();
   Alcotest.(check (float 0.)) "major-heap words allocated directly" 0.
     (direct_major_words () -. before)
 
+(* ROADMAP item 9: work per paid request is flat in n. Every portfolio
+   strategy runs three queries on a Móri tree of n vertices, once to
+   bring the arena to its high-water mark and once measured. The
+   measured run allocates nothing directly in the major heap, and
+   its minor words per paid request stay under one constant per
+   strategy at every n = 2^10, 2^12, 2^14, with metrics on and off.
+   What is left per request is the step a stepper returns, a boxed
+   priority per vertex a best-first strategy queues and the public-id
+   map's cells; a strong request on a hub discovers many vertices, so
+   s-high-degree pays the most. A frontier created per query fails
+   the major-heap check: the custom block of a Bigarray larger than
+   a few kilobytes is allocated there. Each constant is the largest
+   ratio seen over those sizes plus about 10%. *)
+let words_per_request =
+  [
+    ("bfs", 12.);
+    ("dfs", 9.);
+    ("rand-edge+skip", 12.);
+    ("rand-walk", 5.);
+    ("high-degree", 13.);
+    ("min-label-dist", 13.);
+    ("oldest-label", 16.);
+    ("s-bfs", 28.);
+    ("s-rand", 18.);
+    ("s-high-degree", 76.);
+    ("s-min-label", 12.);
+    ("s-rand-walk", 4.);
+  ]
+
+let test_work_per_request_flat () =
+  let strategies = Strategies.weak_portfolio () @ Strategies.strong_portfolio () in
+  let run g strategy =
+    let n = Ugraph.n_vertices g in
+    let query k (source, target) =
+      (Runner.search ~rng:(Rng.of_seed (70 + k)) g strategy ~source ~target).Runner.total_requests
+    in
+    query 0 (1, n) + query 1 (n, n / 2) + query 2 (n / 3, 2)
+  in
+  let was_enabled = Sf_obs.Registry.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Sf_obs.Registry.set_enabled was_enabled)
+    (fun () ->
+      List.iter
+        (fun log_n ->
+          let g = Sf_gen.Mori.tree (Rng.of_seed (60 + log_n)) ~p:0.5 ~t:(1 lsl log_n) in
+          List.iter
+            (fun obs ->
+              Sf_obs.Registry.set_enabled obs;
+              List.iter
+                (fun (strategy : Strategy.t) ->
+                  let name = strategy.Strategy.name in
+                  let label = Printf.sprintf "%s at n = 2^%d (obs %b)" name log_n obs in
+                  ignore (run g strategy);
+                  let major = direct_major_words () in
+                  let minor = Gc.minor_words () in
+                  let requests = run g strategy in
+                  let per_request = (Gc.minor_words () -. minor) /. float_of_int requests in
+                  Alcotest.(check (float 0.))
+                    (label ^ ": major-heap words allocated directly")
+                    0.
+                    (direct_major_words () -. major);
+                  let bound = List.assoc name words_per_request in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: %.2f minor words per request (bound %.0f)" label
+                       per_request bound)
+                    true (per_request <= bound))
+                strategies)
+            [ false; true ])
+        [ 10; 12; 14 ])
+
 (* A search step allocates nothing once the oracle is warm: the reads
-   a stepper makes, a repeat weak request on a known edge, the
-   best-first heap and the handle cursor. Each call runs 10^4 times
+   a stepper makes, a repeat weak request on a known edge, and the
+   frontier operations of every discipline. Each call runs 10^4 times
    and must read the same Gc.minor_words as an empty closure, with the
    metrics registry on and off. *)
 let test_search_step_allocates_nothing () =
@@ -1031,11 +1168,18 @@ let test_search_step_allocates_nothing () =
   let h = Oracle.handle o 1 0 in
   let far = Oracle.far_endpoint o ~owner:1 h in
   Alcotest.(check bool) "far endpoint resolves" true (far > 0);
-  let cur = Strategy.Cursor.create () in
-  ignore (Strategy.Cursor.next_handle cur o ~skip_known:true far);
-  (* one entry stays below the pushed one, so requeue has a root *)
-  let heap = Heap.create () in
-  Heap.push heap ~priority:1. 1;
+  (* two leased frontiers at a high-water mark the loops stay under:
+     a pool with one entry, and a heap whose one entry stays below the
+     pushed one, so requeue has a root *)
+  let pool = Oracle.frontier o and heap = Oracle.frontier o in
+  for v = 1 to 1000 do
+    Frontier.add pool v 0;
+    Frontier.push heap ~priority:0. v
+  done;
+  Frontier.clear pool;
+  Frontier.clear heap;
+  Frontier.add pool 1 0;
+  Frontier.push heap ~priority:1. 1;
   let loop f () =
     for _ = 1 to 10_000 do
       f ()
@@ -1045,20 +1189,23 @@ let test_search_step_allocates_nothing () =
     [
       ("request_weak on a known edge", fun () -> ignore (Oracle.request_weak o ~owner:1 h));
       ("is_discovered", fun () -> ignore (Oracle.is_discovered o far));
-      ("discovery_rank", fun () -> ignore (Oracle.discovery_rank o far));
       ("degree", fun () -> ignore (Oracle.degree o 1));
       ("handle", fun () -> ignore (Oracle.handle o 1 0));
       ("handle_requested", fun () -> ignore (Oracle.handle_requested o h));
       ("far_endpoint", fun () -> ignore (Oracle.far_endpoint o ~owner:far h));
-      ( "Heap.push + pop_max",
+      ( "Frontier.add + take",
         fun () ->
-          Heap.push heap ~priority:2. far;
-          ignore (Heap.pop_max heap) );
-      ( "Heap.top + requeue",
+          Frontier.add pool far 1;
+          Frontier.take pool 0 );
+      ("Frontier.set_index", fun () -> Frontier.set_index pool 0 2);
+      ( "Frontier.push + pop_max",
         fun () ->
-          ignore (Heap.top heap);
-          Heap.requeue heap );
-      ("Cursor.next_handle", fun () -> ignore (Strategy.Cursor.next_handle cur o ~skip_known:true far));
+          Frontier.push heap ~priority:2. far;
+          ignore (Frontier.pop_max heap) );
+      ( "Frontier.requeue",
+        fun () ->
+          ignore (Frontier.vertex heap 0);
+          Frontier.requeue heap );
     ]
   in
   (* Discovering a vertex writes its slot unboxed. Without obfuscation
@@ -1236,8 +1383,10 @@ let suite =
     ("arena: warm start allocation", `Quick, test_warm_start_allocation);
     ("arena: public ids from 0 after a large query", `Quick, test_public_ids_after_large_query);
     ("arena: warm query grows no map", `Quick, test_warm_query_map_major_words);
+    ("work per request flat in n", `Quick, test_work_per_request_flat);
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_heap_requeue;
+    QCheck_alcotest.to_alcotest prop_stack_and_pool;
     QCheck_alcotest.to_alcotest prop_strong_equals_weak_closure;
     QCheck_alcotest.to_alcotest prop_kleinberg_distance_is_metric;
     QCheck_alcotest.to_alcotest prop_requests_never_decrease_knowledge;
